@@ -15,6 +15,7 @@ from .errors import (
     CuspDetected,
     DegenerateElimination,
     EncwritheError,
+    InputTooLarge,
     InvalidInput,
     MissingOrientation,
     NonGenericProjection,

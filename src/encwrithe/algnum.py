@@ -7,12 +7,11 @@ out the actual root), then refine the interval until interval arithmetic
 separates the value from zero. The exact zero test is what guarantees the
 refinement loop terminates.
 
-A single quadratic extension layer (SqrtExtension) supports values of the
-form a(f) + sqrt(delta(f)) * b(f) at a root f of the base polynomial, with
-the square root taken positive. That is the full extent of nesting the
-double-point pipeline ever needs: crossing data is symmetric in the two
-preimage parameters and therefore lives downstairs, while solitary points
-and explicit preimage splittings need exactly one square root.
+There is no extension tower. Every double point is a triangular root: a
+real algebraic number plus a polynomial giving the other coordinate, and
+every local-writhe quantity, solitary points included, is a polynomial in
+those coordinates (see elimination.TriangularRoot.sign_of). So one sign
+routine, sign_of_poly, decides every sign the pipeline takes.
 """
 
 from __future__ import annotations
@@ -130,9 +129,6 @@ class AlgebraicNumber:
         return self.is_exact
 
     # -- certified sign machinery -------------------------------------------
-
-    def reduce(self, p: UPoly) -> UPoly:
-        return p % self.defining
 
     def sign_of_poly(self, p: UPoly) -> int:
         """Exact sign of p at this number."""
@@ -253,10 +249,14 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
         raise InvalidInput("denominator vanishes at the base number")
     if base.is_exact:
         return AlgebraicNumber.from_rational(num(base.lo) / den(base.lo))
-    f_def = BiPoly.from_upoly(base.defining, 0)
     y = BiPoly.var(1)
     target = BiPoly.from_upoly(num, 0) - y * BiPoly.from_upoly(den, 0)
-    h = resultant_bivariate(f_def, target, 0)
+    h = resultant_bivariate(BiPoly.from_upoly(base.defining, 0), target, 0)
+    if h.is_zero:
+        # another root of the defining polynomial is a common root of num and
+        # den; it is not this one, since den is nonzero here
+        base.split_defining_coprime_to(poly_gcd(num, den))
+        h = resultant_bivariate(BiPoly.from_upoly(base.defining, 0), target, 0)
     if h.is_zero:
         raise InvalidInput("degenerate elimination while forming an algebraic value")
     h = squarefree_part(h)
@@ -293,172 +293,7 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
         base.refine()
 
 
-# -- quadratic extension ----------------------------------------------------
-
-
-class SqrtExtension:
-    """Arithmetic context for values a(f) + sqrt(delta(f)) * b(f).
-
-    f is a fixed root of `base.defining` and the square root is the positive
-    one; delta must be strictly positive at f (checked at construction).
-    """
-
-    def __init__(self, base: AlgebraicNumber, delta: UPoly):
-        self.base = base
-        self.delta = base.reduce(delta) if not base.is_exact else delta
-        if base.sign_of_poly(self.delta) <= 0:
-            raise InvalidInput("radicand must be positive at the base number")
-
-    def element(self, a: UPoly, b: UPoly) -> "SqrtElem":
-        if not self.base.is_exact:
-            a, b = self.base.reduce(a), self.base.reduce(b)
-        return SqrtElem(self, a, b)
-
-    def from_rational(self, c) -> "SqrtElem":
-        return SqrtElem(self, UPoly.const(rat(c)), UPoly.zero())
-
-    def sqrt_term(self) -> "SqrtElem":
-        return SqrtElem(self, UPoly.zero(), UPoly.const(1))
-
-    def gamma_interval(self, prec: int = 0) -> Interval:
-        iv = self.delta.eval_interval(self.base.interval())
-        return iv.sqrt(prec)
-
-
-class SqrtElem:
-    """Element a + g*b of a SqrtExtension, g the positive square root."""
-
-    __slots__ = ("ext", "a", "b")
-
-    def __init__(self, ext: SqrtExtension, a: UPoly, b: UPoly):
-        self.ext = ext
-        self.a = a
-        self.b = b
-
-    def _wrap(self, a: UPoly, b: UPoly) -> "SqrtElem":
-        base = self.ext.base
-        if not base.is_exact:
-            a, b = base.reduce(a), base.reduce(b)
-        return SqrtElem(self.ext, a, b)
-
-    def __add__(self, other) -> "SqrtElem":
-        other = self._coerce(other)
-        return self._wrap(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "SqrtElem":
-        other = self._coerce(other)
-        return self._wrap(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other) -> "SqrtElem":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "SqrtElem":
-        return SqrtElem(self.ext, -self.a, -self.b)
-
-    def __mul__(self, other) -> "SqrtElem":
-        if isinstance(other, (int, Fraction)):
-            return SqrtElem(self.ext, self.a * other, self.b * other)
-        other = self._coerce(other)
-        a = self.a * other.a + self.ext.delta * (self.b * other.b)
-        b = self.a * other.b + self.b * other.a
-        return self._wrap(a, b)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "SqrtElem":
-        if isinstance(other, SqrtElem):
-            if other.ext is not self.ext:
-                raise InvalidInput("mixing elements of different extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ext.from_rational(other)
-        if isinstance(other, UPoly):
-            return self.ext.element(other, UPoly.zero())
-        raise InvalidInput(f"cannot coerce {other!r} into the extension")
-
-    def conjugate(self) -> "SqrtElem":
-        return SqrtElem(self.ext, self.a, -self.b)
-
-    def sign(self) -> int:
-        """Exact sign of a + g*b; zero decided symbolically first."""
-        base = self.ext.base
-        sb = base.sign_of_poly(self.b)
-        if sb == 0:
-            return base.sign_of_poly(self.a)
-        sa = base.sign_of_poly(self.a)
-        if sa == 0:
-            return sb
-        norm = self.a * self.a - self.ext.delta * (self.b * self.b)
-        if base.is_root_of(norm):
-            # |a| equals g*|b| exactly: the sum is zero iff the signs oppose
-            return 0 if sa != sb else sa
-        prec = 0
-        while True:
-            iv = (
-                self.a.eval_interval(base.interval())
-                + self.ext.gamma_interval(prec) * self.b.eval_interval(base.interval())
-            )
-            s = iv.definite_sign()
-            if s:
-                return s
-            base.refine()
-            prec += 2
-
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-
-class ComplexSqrtElem:
-    """Complex value with SqrtElem real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: SqrtElem, im: SqrtElem):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other) -> "ComplexSqrtElem":
-        other = self._coerce(other)
-        return ComplexSqrtElem(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ComplexSqrtElem":
-        other = self._coerce(other)
-        return ComplexSqrtElem(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other) -> "ComplexSqrtElem":
-        if isinstance(other, (int, Fraction)):
-            return ComplexSqrtElem(self.re * other, self.im * other)
-        other = self._coerce(other)
-        return ComplexSqrtElem(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexSqrtElem":
-        return ComplexSqrtElem(-self.re, -self.im)
-
-    def _coerce(self, other) -> "ComplexSqrtElem":
-        if isinstance(other, ComplexSqrtElem):
-            return other
-        if isinstance(other, SqrtElem):
-            zero = other.ext.from_rational(0)
-            return ComplexSqrtElem(other, zero)
-        raise InvalidInput(f"cannot coerce {other!r} into complex extension")
-
-    def conjugate(self) -> "ComplexSqrtElem":
-        return ComplexSqrtElem(self.re, -self.im)
-
-    def times_i(self) -> "ComplexSqrtElem":
-        return ComplexSqrtElem(-self.im, self.re)
-
-
-# -- determinants over the extension ring ------------------------------------
+# -- determinants over a commutative ring ------------------------------------
 
 
 def det_ring(rows: list[list]) -> object:
@@ -487,9 +322,10 @@ def certified_sign(expr, point) -> int:
     """Exact sign of a polynomial at a point with exact-rational or algebraic coords.
 
     expr is a UPoly (one coordinate) or BiPoly (two coordinates); point is a
-    sequence of Fractions/ints or AlgebraicNumbers. Two genuinely independent
-    algebraic coordinates are not supported; the double-point pipeline always
-    presents its points triangularly (see SqrtExtension).
+    sequence of Fractions/ints or AlgebraicNumbers. At most one coordinate may
+    be algebraic: two independent algebraic coordinates are not supported.
+    The double-point pipeline presents its points triangularly and takes their
+    signs through TriangularRoot.sign_of instead.
     """
     coords = list(point)
     if isinstance(expr, UPoly):
@@ -508,7 +344,7 @@ def certified_sign(expr, point) -> int:
         if all(algebraic):
             raise InvalidInput(
                 "two independent algebraic coordinates are not supported; "
-                "present the point through a triangular extension"
+                "present the point as a triangular root"
             )
         if algebraic[0]:
             reduced = expr.substitute_upoly(1, UPoly.const(rat(coords[1])))

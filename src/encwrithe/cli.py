@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .curves import Link, sample_random_curve, validate_link
+from .curves import Link, sample_random_curve
 from .errors import (
     EncwritheError,
     InvalidInput,
@@ -49,9 +49,16 @@ def _load_link(path: str) -> Link:
         raise InvalidInput(
             "family file given where a single link is required; use 'verify'"
         )
-    report = validate_link(parsed)
-    report.raise_for_failure()
+    parsed.validation().raise_for_failure()
     return parsed
+
+
+def _member_entries(scan) -> list[dict]:
+    """The per-member records of a family scan in the --json reports."""
+    return [
+        {"tau": rat_str(m.tau), "status": m.status, "writhe": m.writhe}
+        for m in scan.members
+    ]
 
 
 def cmd_writhe(args) -> int:
@@ -65,9 +72,11 @@ def cmd_writhe(args) -> int:
                 print(f"  {parsed.parameter} = {member.tau}: {member.status} ({member.note})")
             else:
                 print(f"  {parsed.parameter} = {member.tau}: Cw = {member.writhe}")
+        if args.json:
+            payload = {"members": _member_entries(scan)}
+            Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
         return EXIT_OK
-    report = validate_link(parsed)
-    report.raise_for_failure()
+    parsed.validation().raise_for_failure()
     center = _parse_center(args.center) if args.center else None
     result = writhe_report(parsed, center=center, seed=args.seed)
     print(f"Cw = {result.unoriented}")
@@ -114,14 +123,7 @@ def cmd_verify(args) -> int:
         for a, b, jump in scan.wall_jumps():
             print(f"wall between {a} and {b}: jump {jump:+d}")
         payload = {
-            "members": [
-                {
-                    "tau": rat_str(m.tau),
-                    "status": m.status,
-                    "writhe": m.writhe,
-                }
-                for m in scan.members
-            ],
+            "members": _member_entries(scan),
             "constant_between_walls": constant,
             "wall_jumps": [
                 {"from": rat_str(a), "to": rat_str(b), "jump": jump}
@@ -130,8 +132,7 @@ def cmd_verify(args) -> int:
         }
         ok = constant
     else:
-        report = validate_link(parsed)
-        report.raise_for_failure()
+        parsed.validation().raise_for_failure()
         run_c = verify_center_independence(parsed, args.centers, args.seed)
         run_i = verify_isotopy_invariance(parsed, args.isotopies, args.seed)
         runs = [run_c, run_i]

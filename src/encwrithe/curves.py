@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrix,
 )
 from .rationals import QI, rat, sign
-from .upoly import UPoly, poly_gcd
+from .upoly import UPoly, gcd_of_minors, poly_gcd
 
 
 class _ParameterInfinity:
@@ -382,19 +382,7 @@ def _check_reduced(curve: RationalSpaceCurve, report: CurveValidationReport) -> 
 
 
 def _check_immersion(curve: RationalSpaceCurve, report: CurveValidationReport) -> None:
-    coords = curve.coords
-    derivs = [p.derivative() for p in coords]
-    g = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = coords[i] * derivs[j] - coords[j] * derivs[i]
-            if m.is_zero:
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                break
-        if g is not None and g.degree == 0:
-            break
+    g = gcd_of_minors(curve.coords, [p.derivative() for p in curve.coords])
     if g is None or g.degree > 0:
         report.immersion = False
         report.cusp_witness = f"affine cusp parameters: roots of {g!r}"
@@ -433,19 +421,7 @@ def _check_space_double_points(
     report.imaginary_singular_candidates = solution.distinct_count - real_count
     # a double point with one branch at parameter infinity sits at the real
     # point P(infinity), so any coincidence there is a real singularity
-    lead = list(curve.leading_vector())
-    minors = []
-    g = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = curve.coords[i] * lead[j] - curve.coords[j] * lead[i]
-            if m.is_zero:
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                break
-        if g is not None and g.degree == 0:
-            break
+    g = gcd_of_minors(curve.coords, curve.leading_vector())
     if g is None or g.degree > 0:
         report.no_real_singularities = False
         report.singular_witness = "double point through the point at parameter infinity"
@@ -515,17 +491,7 @@ def _intersection_witness(
             return f"nonconstant coincidence eliminant {g!r}"
     # parameter infinity of a against b, and vice versa, and both at infinity
     for lead, other in ((a.leading_vector(), b), (b.leading_vector(), a)):
-        g = None
-        for i in range(4):
-            for j in range(i + 1, 4):
-                m = other.coords[i] * lead[j] - other.coords[j] * lead[i]
-                if m.is_zero:
-                    continue
-                g = m if g is None else poly_gcd(g, m)
-                if g.degree == 0:
-                    break
-            if g is not None and g.degree == 0:
-                break
+        g = gcd_of_minors(other.coords, lead)
         if g is None or g.degree > 0:
             return "coincidence at a parameter-infinity point"
     la, lb = a.leading_vector(), b.leading_vector()

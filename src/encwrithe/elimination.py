@@ -39,6 +39,13 @@ class TriangularRoot:
     def eliminated_interval(self):
         return self.eliminated_poly.eval_interval(self.survivor.interval())
 
+    def sign_of(self, p: BiPoly) -> int:
+        """Certified sign of p at this root. Variable 0 of p is the eliminated
+        coordinate, variable 1 the survivor (e and f, or s and t)."""
+        f0 = self.survivor
+        modulus = None if f0.is_exact else f0.defining
+        return f0.sign_of_poly(p.substitute_upoly(0, self.eliminated_poly, mod=modulus))
+
 
 @dataclass
 class SystemSolution:
@@ -227,37 +234,30 @@ def _verify_candidate(
 # -- system construction helpers ---------------------------------------------
 
 
-def coincidence_minors(coords: list[UPoly]) -> list[BiPoly]:
-    """Minors A(s)B(t) - A(t)B(s) for all coordinate pairs; zero iff the
-    evaluation vectors at s and t are proportional. Variables: (s, t)."""
-    out = []
-    n = len(coords)
-    split = [
-        (BiPoly.from_upoly(c, 0), BiPoly.from_upoly(c, 1)) for c in coords
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a_s, a_t = split[i]
-            b_s, b_t = split[j]
-            out.append(a_s * b_t - a_t * b_s)
-    return out
+def symmetric_quotient(a: UPoly, b: UPoly) -> BiPoly:
+    """Q_AB = (A(s)B(t) - A(t)B(s)) / (s - t), rewritten in (e, f) = (s + t, s*t).
+
+    The minor vanishes on the diagonal, so the quotient is exact, and it is
+    symmetric in (s, t). Variable 0 of the result is e, variable 1 is f.
+    """
+    a_s, a_t = BiPoly.from_upoly(a, 0), BiPoly.from_upoly(a, 1)
+    b_s, b_t = BiPoly.from_upoly(b, 0), BiPoly.from_upoly(b, 1)
+    return (a_s * b_t - a_t * b_s).exact_div_s_minus_t().symmetric_in_ef()
 
 
 def symmetric_double_point_system(coords: list[UPoly]) -> list[BiPoly]:
     """Same-parametrization double-point system in (e, f) = (s + t, s*t).
 
-    Each coincidence minor vanishes on the diagonal; dividing by (s - t)
-    leaves a symmetric polynomial, rewritten in the elementary symmetric
-    coordinates. Variable 0 of the result is e, variable 1 is f.
+    One equation Q_AB per coordinate pair: the coincidence minors, which vanish
+    iff the evaluation vectors at s and t are proportional, divided by (s - t).
+    Variable 0 of the result is e, variable 1 is f.
     """
-    out = []
-    for m in coincidence_minors(coords):
-        if m.is_zero:
-            out.append(BiPoly.zero())
-            continue
-        quotient = m.exact_div_s_minus_t()
-        out.append(quotient.symmetric_in_ef())
-    return out
+    n = len(coords)
+    return [
+        symmetric_quotient(coords[i], coords[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
 
 
 def cross_double_point_system(

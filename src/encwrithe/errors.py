@@ -19,6 +19,10 @@ class ParseError(EncwritheError):
     """Malformed curve/link file."""
 
 
+class InputTooLarge(ParseError):
+    """An input asks for a number beyond a fixed size budget."""
+
+
 class ValidationError(EncwritheError):
     """A curve or link violates a structural invariant."""
 

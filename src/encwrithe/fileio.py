@@ -23,11 +23,15 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .curves import Link, RationalSpaceCurve
-from .errors import InvalidInput, ParseError
+from .errors import InputTooLarge, InvalidInput, ParseError
 from .rationals import rat, rat_str
 from .upoly import UPoly
 
 _COORD_KEYS = ("x", "y", "z", "w")
+
+# a power in a coefficient expression whose value would need more bits than
+# this is refused before it is computed
+_POWER_BIT_BUDGET = 4096
 
 
 @dataclass
@@ -79,6 +83,12 @@ def _eval_coeff_expr(text: str, parameter: str, value: Fraction) -> Fraction:
             exp = right
             if exp.denominator != 1 or exp < 0:
                 raise ParseError(f"bad exponent in {text!r}")
+            # |left| ** exp has at least exp * (bit length - 1) bits
+            base_bits = max(abs(left.numerator).bit_length(), left.denominator.bit_length())
+            if exp * (base_bits - 1) > _POWER_BIT_BUDGET:
+                raise InputTooLarge(
+                    f"{text!r} exceeds the {_POWER_BIT_BUDGET}-bit budget for a power"
+                )
             return left ** int(exp)
         raise ParseError(f"unsupported syntax in coefficient expression {text!r}")
 

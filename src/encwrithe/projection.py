@@ -49,7 +49,7 @@ from .errors import (
     ZeroDeterminant,
 )
 from .rationals import rat
-from .upoly import UPoly, poly_gcd
+from .upoly import UPoly, gcd_of_minors
 
 CANONICAL_CENTER = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
 
@@ -96,17 +96,9 @@ def center_on_component(curve: RationalSpaceCurve, center) -> bool:
     c = [rat(v) for v in center]
     if _proportional(curve.leading_vector(), c):
         return True
-    g = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = curve.coords[i] * c[j] - curve.coords[j] * c[i]
-            if m.is_zero:
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                return False
+    g = gcd_of_minors(curve.coords, c)
     # on a validated curve a nonconstant gcd always certifies a hit
-    return True
+    return g is None or g.degree > 0
 
 
 def normalize_center(link: Link, center) -> tuple[Link, ProjectiveTransform]:
@@ -270,20 +262,8 @@ def _infinity_involved(curve: RationalSpaceCurve, other: RationalSpaceCurve | No
     maps to the image of curve's point at parameter infinity, or whether the
     two infinity images coincide.
     """
-    lead = _projected_lead(curve)
     target = other if other is not None else curve
-    triple = projected_triple(target)
-    g = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = triple[i] * lead[j] - triple[j] * lead[i]
-            if m.is_zero:
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                break
-        if g is not None and g.degree == 0:
-            break
+    g = gcd_of_minors(projected_triple(target), _projected_lead(curve))
     if g is None or g.degree > 0:
         # some finite parameter (possibly complex) maps to the image of the
         # point at parameter infinity
@@ -502,15 +482,10 @@ def _image_fractions(
             num_y.substitute_upoly(0, e_poly, mod=modulus),
             den.substitute_upoly(0, e_poly, mod=modulus),
         )
-    s_poly = root.eliminated_poly
-    def at_s(p: UPoly) -> UPoly:
-        acc = UPoly.zero()
-        for c in reversed(p.coeffs):
-            acc = acc * s_poly + UPoly.const(c)
-            if modulus is not None:
-                acc = acc % modulus
-        return acc
-    return at_s(X), at_s(Y), at_s(W)
+    return tuple(
+        BiPoly.from_upoly(p, 0).substitute_upoly(0, root.eliminated_poly, mod=modulus)
+        for p in (X, Y, W)
+    )
 
 
 def _fill_images(

@@ -8,7 +8,6 @@ always made symbolically upstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -103,32 +102,6 @@ def _as_qi(value) -> QI:
     return QI(rat(value), Fraction(0))
 
 
-def isqrt_floor(n: int) -> int:
-    return math.isqrt(n)
-
-
-def sqrt_lower(x: Fraction, prec: int = 0) -> Fraction:
-    """Rational lower bound of sqrt(x), x >= 0; enclosure width <= 1/(q*2^prec)."""
-    if x < 0:
-        raise InvalidInput("sqrt of negative rational")
-    p, q = x.numerator, x.denominator
-    m = 1 << prec
-    # sqrt(p/q) = sqrt(p*q*m^2) / (q*m)
-    return Fraction(math.isqrt(p * q * m * m), q * m)
-
-
-def sqrt_upper(x: Fraction, prec: int = 0) -> Fraction:
-    """Rational upper bound of sqrt(x), x >= 0."""
-    if x < 0:
-        raise InvalidInput("sqrt of negative rational")
-    p, q = x.numerator, x.denominator
-    m = 1 << prec
-    r = math.isqrt(p * q * m * m)
-    if r * r == p * q * m * m:
-        return Fraction(r, q * m)
-    return Fraction(r + 1, q * m)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval [lo, hi]."""
@@ -201,11 +174,6 @@ class Interval:
         if self.hi < 0:
             return -1
         return 0
-
-    def sqrt(self, prec: int = 0) -> "Interval":
-        """Enclosure of sqrt over a nonnegative interval."""
-        lo = self.lo if self.lo > 0 else Fraction(0)
-        return Interval(sqrt_lower(lo, prec), sqrt_upper(self.hi, prec))
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

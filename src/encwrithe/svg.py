@@ -18,10 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bipoly import BiPoly
+from .elimination import symmetric_quotient
 from .projection import DoublePointLocus, LocusKind
 from .rationals import rat_str
 from .upoly import UPoly
-from .writhe import Diagram, _compose_mod
+from .writhe import Diagram
 
 _SAMPLES_PER_COMPONENT = 800
 _COLORS = ("#1f4e9c", "#b0343c", "#2c7a3f", "#8a5d00", "#5b3794")
@@ -34,32 +35,18 @@ def _under_strand_is_first(diagram: Diagram, locus: DoublePointLocus) -> bool:
     under. Decided exactly from the sign of z(s0) - z(t0).
     """
     link = diagram.link
-    f0 = locus.root.survivor
-    modulus = None if f0.is_exact else f0.defining
+    root = locus.root
+    ci = link.components[locus.comp_i]
     if locus.is_same_component:
-        curve = link.components[locus.comp_i]
-        zs = BiPoly.from_upoly(curve.Z, 0)
-        zt = BiPoly.from_upoly(curve.Z, 1)
-        ws = BiPoly.from_upoly(curve.W, 0)
-        wt = BiPoly.from_upoly(curve.W, 1)
-        numerator = (zs * wt - zt * ws).exact_div_s_minus_t().symmetric_in_ef()
-        reduced = numerator.substitute_upoly(0, locus.root.eliminated_poly, mod=modulus)
-        chart = (ws * wt).symmetric_in_ef().substitute_upoly(
-            0, locus.root.eliminated_poly, mod=modulus
-        )
+        numerator = symmetric_quotient(ci.Z, ci.W)
+        chart = (BiPoly.from_upoly(ci.W, 0) * BiPoly.from_upoly(ci.W, 1)).symmetric_in_ef()
         # z(s)-z(t) = (s-t) * numerator / (W(s)W(t)) and s0 < t0
-        sign_diff = -f0.sign_of_poly(reduced) * f0.sign_of_poly(chart)
+        sign_diff = -root.sign_of(numerator) * root.sign_of(chart)
     else:
-        ci = link.components[locus.comp_i]
         cj = link.components[locus.comp_j]
-        s_poly = locus.root.eliminated_poly
-        zi = _compose_mod(ci.Z, s_poly, modulus)
-        wi = _compose_mod(ci.W, s_poly, modulus)
-        num = zi * cj.W - cj.Z * wi
-        chart = wi * cj.W
-        if modulus is not None:
-            num, chart = num % modulus, chart % modulus
-        sign_diff = f0.sign_of_poly(num) * f0.sign_of_poly(chart)
+        zi, wi = BiPoly.from_upoly(ci.Z, 0), BiPoly.from_upoly(ci.W, 0)
+        zj, wj = BiPoly.from_upoly(cj.Z, 1), BiPoly.from_upoly(cj.W, 1)
+        sign_diff = root.sign_of(zi * wj - zj * wi) * root.sign_of(wi * wj)
     return sign_diff < 0
 
 

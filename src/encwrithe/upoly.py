@@ -316,6 +316,24 @@ def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
     return UPoly(_igcd_poly(p.int_primitive(), q.int_primitive()))
 
 
+def gcd_of_minors(p: Sequence[UPoly], v: Sequence) -> UPoly | None:
+    """gcd of the 2x2 minors p_i*v_j - p_j*v_i (i < j); None if all vanish.
+
+    v holds polynomials or scalars. The gcd has a root exactly where the
+    vectors p(t) and v(t) are proportional; the scan stops at a constant.
+    """
+    g = None
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            m = p[i] * v[j] - p[j] * v[i]
+            if m.is_zero:
+                continue
+            g = m if g is None else poly_gcd(g, m)
+            if g.degree == 0:
+                return g
+    return g
+
+
 def squarefree_part(p: UPoly) -> UPoly:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero:

@@ -14,10 +14,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algnum import det_ring
-from .curves import Link, ProjectiveTransform, sample_random_curve, validate_link
+from .curves import Link, ProjectiveTransform, sample_random_curve
 from .errors import (
     DegenerateElimination,
     EncwritheError,
+    InputTooLarge,
     NonGenericProjection,
     ProjectionError,
 )
@@ -192,11 +193,13 @@ def scan_family(
         tau = rat(raw_tau)
         try:
             link = instantiate(tau)
+        except InputTooLarge:
+            # a file beyond the parse budget is an input error, not a member
+            raise
         except EncwritheError as exc:
             members.append(FamilyMember(tau, "singular-curve", note=str(exc)))
             continue
-        report = validate_link(link)
-        if not report.valid:
+        if not link.validation().valid:
             members.append(
                 FamilyMember(tau, "singular-curve", note="validation failed")
             )

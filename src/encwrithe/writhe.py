@@ -24,8 +24,17 @@ out -1); everything else in the package is relative to these choices:
   preimage instead flips both the fiber orientation and the determinant,
   leaving the writhe unchanged.
 
-All determinant signs are certified exact; the only algebraic extension
-ever needed is one square root over the eliminant field.
+  No square root is needed. For real polynomials A, B let
+  Q_AB(e, f) = (A(s)B(t) - A(t)B(s)) / (s - t) in (e, f) = (s + t, s*t);
+  then A(t)B(conj t) - A(conj t)B(t) = (t - conj t) Q_AB. Hence
+  sign Im z(P(t)) = sign Im t * sign N with N = Q_ZW, and the determinant,
+  which is Im(conj x'(t) * y'(t)) up to a positive factor, has the sign
+  -sign Im t * sign M with M = Q_{nx,ny} on the velocity numerators. The
+  branch with Im z > 0 has sign Im t = sign N, so the local writhe is
+  -sign N * sign M, whichever branch is taken.
+
+Every sign is the certified sign of a polynomial in the coordinates of the
+triangular root, taken by TriangularRoot.sign_of.
 """
 
 from __future__ import annotations
@@ -34,15 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algnum import (
-    ComplexSqrtElem,
-    SqrtElem,
-    SqrtExtension,
-    det_ring,
-)
+from .algnum import det_ring
 from .bipoly import BiPoly
 from .curves import Link, RationalSpaceCurve
-from .elimination import TriangularRoot
+from .elimination import TriangularRoot, symmetric_quotient
 from .errors import MissingOrientation, ZeroDeterminant
 from .projection import (
     DoublePointLocus,
@@ -50,7 +54,6 @@ from .projection import (
     analyze_projection,
     sample_generic_center,
 )
-from .upoly import UPoly
 
 
 # -- crossing determinant -------------------------------------------------------
@@ -78,16 +81,6 @@ def crossing_det_bipoly(
     return det_ring(rows)
 
 
-def _chart_product_sign_same(curve: RationalSpaceCurve, root: TriangularRoot) -> int:
-    ws = BiPoly.from_upoly(curve.W, 0)
-    wt = BiPoly.from_upoly(curve.W, 1)
-    product = (ws * wt).symmetric_in_ef()
-    f0 = root.survivor
-    modulus = None if f0.is_exact else f0.defining
-    reduced = product.substitute_upoly(0, root.eliminated_poly, mod=modulus)
-    return f0.sign_of_poly(reduced)
-
-
 def crossing_sign_raw(
     curve: RationalSpaceCurve,
     root: TriangularRoot,
@@ -99,20 +92,13 @@ def crossing_sign_raw(
     inter-component crossing with root.survivor the parameter on `other` and
     root.eliminated_poly recovering the parameter on `curve`.
     """
-    f0 = root.survivor
-    modulus = None if f0.is_exact else f0.defining
+    partner = curve if other is None else other
+    det = crossing_det_bipoly(curve, partner)
+    chart = BiPoly.from_upoly(curve.W, 0) * BiPoly.from_upoly(partner.W, 1)
     if other is None:
-        det = crossing_det_bipoly(curve, curve).symmetric_in_ef()
-        det_reduced = det.substitute_upoly(0, root.eliminated_poly, mod=modulus)
-        det_sign = f0.sign_of_poly(det_reduced)
-        chart_sign = _chart_product_sign_same(curve, root)
-    else:
-        det = crossing_det_bipoly(curve, other)
-        det_reduced = det.substitute_upoly(0, root.eliminated_poly, mod=modulus)
-        det_sign = f0.sign_of_poly(det_reduced)
-        wa_at_s = _compose_mod(curve.W, root.eliminated_poly, modulus)
-        chart = (wa_at_s * other.W) if modulus is None else (wa_at_s * other.W) % modulus
-        chart_sign = f0.sign_of_poly(chart)
+        det, chart = det.symmetric_in_ef(), chart.symmetric_in_ef()
+    det_sign = root.sign_of(det)
+    chart_sign = root.sign_of(chart)
     if chart_sign == 0:
         raise ZeroDeterminant("crossing image lies outside the affine chart")
     if det_sign == 0:
@@ -120,88 +106,20 @@ def crossing_sign_raw(
     return det_sign * chart_sign
 
 
-def _compose_mod(p: UPoly, inner: UPoly, modulus: Optional[UPoly]) -> UPoly:
-    acc = UPoly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * inner + UPoly.const(c)
-        if modulus is not None:
-            acc = acc % modulus
-    return acc
-
-
 # -- solitary determinant ---------------------------------------------------------
 
 
-def _eval_complex(p: UPoly, t: ComplexSqrtElem, ext: SqrtExtension) -> ComplexSqrtElem:
-    acc = ComplexSqrtElem(ext.from_rational(0), ext.from_rational(0))
-    for c in reversed(p.coeffs):
-        acc = acc * t + ComplexSqrtElem(ext.from_rational(c), ext.from_rational(0))
-    return acc
-
-
-def solitary_sign_raw(
-    curve: RationalSpaceCurve,
-    root: TriangularRoot,
-    use_other_branch: bool = False,
-) -> int:
-    """Local writhe of a solitary double point.
-
-    With use_other_branch=True the conjugate preimage is selected and the
-    fiber orientation flipped accordingly; the result is provably the same,
-    and the flag exists so tests can exercise that invariance.
-    """
-    f0 = root.survivor
-    e_poly = root.eliminated_poly
-    delta = UPoly((0, 4)) - e_poly * e_poly  # 4f - e^2 > 0 at a solitary point
-    ext = SqrtExtension(f0, delta)
-    half_e = e_poly * Fraction(1, 2)
-
-    candidates = []
-    for chi in (1, -1):
-        t_val = ComplexSqrtElem(
-            ext.element(half_e, UPoly.zero()),
-            ext.element(UPoly.zero(), UPoly.const(Fraction(chi, 2))),
-        )
-        z_val = _eval_complex(curve.Z, t_val, ext)
-        w_val = _eval_complex(curve.W, t_val, ext)
-        # Im(z/w) has the sign of Im(Z * conj(W)) on the chart
-        im_part = z_val.im * w_val.re - z_val.re * w_val.im
-        candidates.append((chi, t_val, im_part))
-
-    chosen = None
-    for chi, t_val, im_part in candidates:
-        s = im_part.sign()
-        if s == 0:
-            raise ZeroDeterminant(
-                "solitary fiber is degenerate (z-coordinate not imaginary)"
-            )
-        if s > 0:
-            chosen = (chi, t_val)
-            break
-    if chosen is None:
-        raise ZeroDeterminant("no preimage with positive imaginary z-part")
-    chi, t_val = chosen
-    fiber_flip = 1
-    if use_other_branch:
-        chi, t_val, _ = candidates[0] if candidates[0][0] != chosen[0] else candidates[1]
-        fiber_flip = -1
-
+def solitary_sign_raw(curve: RationalSpaceCurve, root: TriangularRoot) -> int:
+    """Local writhe of a solitary double point: -sign N * sign M at the (e, f)
+    root, with N = Q_ZW and M = Q_{nx,ny} (see the module docstring)."""
+    fiber = root.sign_of(symmetric_quotient(curve.Z, curve.W))
+    if fiber == 0:
+        raise ZeroDeterminant("solitary fiber is degenerate (z-coordinate not imaginary)")
     nx, ny, _nz = curve.derivative_numerators()
-    u1 = _eval_complex(nx, t_val, ext)
-    u2 = _eval_complex(ny, t_val, ext)
-    one = ext.from_rational(1)
-    zero = ext.from_rational(0)
-    rows = [
-        [u1.re, u1.im, u2.re, u2.im],
-        [-u1.im, u1.re, -u2.im, u2.re],
-        [one, zero, zero, zero],
-        [zero, zero, one, zero],
-    ]
-    det: SqrtElem = det_ring(rows)
-    sigma = det.sign()
-    if sigma == 0:
+    frame = root.sign_of(symmetric_quotient(nx, ny))
+    if frame == 0:
         raise ZeroDeterminant("solitary branch frame is degenerate")
-    return sigma * fiber_flip
+    return -fiber * frame
 
 
 # -- diagrams and writhe ----------------------------------------------------------

@@ -40,6 +40,8 @@ from encwrithe.writhe import (
     writhe_unoriented,
 )
 
+from solitary_oracle import solitary_signs_at_both_preimages
+
 
 def report(line: str) -> None:
     print(f"ACCEPTANCE {line}")
@@ -199,9 +201,11 @@ def test_criterion_8_choice_independence():
         down = writhe_oriented(build_diagram(link.with_orientations([-1]), seed=4))
         assert up == down
 
-    # conjugate-branch toggle on every solitary locus in the corpus; the
-    # canonical projections of the model at tau = 1 and of the wall quartic
-    # at tau = -1 are guaranteed to contain solitary points
+    # conjugate-branch toggle on every solitary locus in the corpus: the
+    # numeric oracle reads the sign from the definition at both conjugate
+    # preimages, and both readings must equal the exact sign. The canonical
+    # projections of the model at tau = 1 and of the wall quartic at
+    # tau = -1 are guaranteed to contain solitary points
     wall_curve = wall_quartic_family().instantiate(Fraction(-1))
     toggled = 0
     for link in (model_link(1), wall_curve):
@@ -209,9 +213,8 @@ def test_criterion_8_choice_independence():
         for locus in analysis.loci:
             if locus.kind is LocusKind.SOLITARY:
                 component = analysis.link.components[locus.comp_i]
-                assert solitary_sign_raw(component, locus.root) == solitary_sign_raw(
-                    component, locus.root, use_other_branch=True
-                )
+                exact = solitary_sign_raw(component, locus.root)
+                assert solitary_signs_at_both_preimages(component, locus) == [exact, exact]
                 toggled += 1
     assert toggled >= 2
     report(f"8 PASS choice independence (checked {toggled} conjugate toggles)")

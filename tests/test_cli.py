@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, SVG output."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,33 @@ class TestWritheCommand:
         assert code == 0
         assert "Cw = 0" in out
         assert "0 crossing(s), 0 solitary" in out
+
+    def test_sampled_center_on_a_common_image_root(self, capsys, tmp_path):
+        # with this seed the first sampled center puts a rational crossing
+        # image on W = 0, where the image resultant vanishes identically;
+        # the certificate rejects that center and sampling goes on
+        path = tmp_path / "quintic.jsonl"
+        path.write_text(
+            '{"kind": "link"}\n'
+            '{"x": [-1, 2, 2, 1, -2, -2], "y": [-1, 2, 2, 0, -1, -1], '
+            '"z": [2, -1, 1, 0, -2, 1], "w": [-1, 1, -2, -1, 1, 1]}\n'
+        )
+        code = main(["writhe", str(path), "--seed", "1118936630"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Cw = 0" in out
+
+    def test_family_json(self, capsys, tmp_path):
+        writhe_json = tmp_path / "writhe.json"
+        verify_json = tmp_path / "verify.json"
+        assert main(["writhe", str(MODEL_FAMILY_PATH), "--json", str(writhe_json)]) == 0
+        assert main(["verify", str(MODEL_FAMILY_PATH), "--json", str(verify_json)]) == 0
+        capsys.readouterr()
+        members = json.loads(writhe_json.read_text())["members"]
+        assert members == json.loads(verify_json.read_text())["members"]
+        assert [m["tau"] for m in members] == ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
+        assert [m["writhe"] for m in members] == [-1, -1, -1, None, -1, -1, -1]
+        assert members[3]["status"] == "degenerate-projection"
 
     def test_deterministic_output(self, capsys):
         main(["writhe", str(MODEL_CROSSING_PATH), "--seed", "4"])
@@ -181,6 +209,20 @@ class TestErrorPaths:
         )
         code = main(["writhe", str(path)])
         assert code == 2
+
+    def test_huge_power_in_family_rejected(self, capsys, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["2"]}\n'
+            '{"x": ["-tau**200000", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}\n'
+        )
+        for command in ("writhe", "verify"):
+            t0 = time.monotonic()
+            code = main([command, str(path)])
+            elapsed = time.monotonic() - t0
+            assert code == 2
+            assert "budget" in capsys.readouterr().err
+            assert elapsed < 1.0
 
     def test_missing_file(self, capsys):
         assert main(["writhe", "/nonexistent/file.jsonl"]) == 2

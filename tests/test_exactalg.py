@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from encwrithe.algnum import (
     AlgebraicNumber,
-    SqrtExtension,
     algebraic_value,
     certified_sign,
     det_ring,
@@ -26,6 +25,7 @@ from encwrithe.rationals import QI, Interval
 from encwrithe.upoly import (
     UPoly,
     count_real_roots,
+    gcd_of_minors,
     invert_mod,
     is_squarefree,
     poly_gcd,
@@ -74,7 +74,7 @@ class TestUPolyArithmetic:
         q = UPoly([1, 1])  # x + 1
         assert p.compose(q) == UPoly([2, 2, 1])
 
-    def test_eval_complex(self):
+    def test_eval_at_gaussian_rational(self):
         p = UPoly([1, 0, 1])  # x^2 + 1
         assert p(QI.of(0, 1)).is_zero()
 
@@ -273,46 +273,6 @@ class TestCertifiedSign:
                 assert iv.lo <= 0 <= iv.hi
 
 
-class TestSqrtExtension:
-    def test_quarter_root_signs(self):
-        # base sqrt(2), gamma = 2^(1/4) ~ 1.1892
-        base = isolate_real_roots(UPoly([-2, 0, 1]))[1]
-        ext = SqrtExtension(base, UPoly.x())
-        gamma = ext.sqrt_term()
-        assert (gamma * gamma - UPoly.x()).sign() == 0
-        assert (gamma - 1).sign() == 1
-        assert (gamma - Fraction(6, 5)).sign() == -1
-        # 2^(1/4) = 1.18920... so it clears 1.18 but not 1.19
-        assert (gamma - Fraction(118, 100)).sign() == 1
-        assert (gamma - Fraction(119, 100)).sign() == -1
-
-    def test_norm_zero_branch(self):
-        # gamma = 2 over a rational base: 3*gamma - 6 is exactly zero
-        base = AlgebraicNumber.from_rational(7)
-        ext = SqrtExtension(base, UPoly.const(4))
-        elem = ext.element(UPoly.const(-6), UPoly.const(3))
-        assert elem.sign() == 0
-        assert (elem + 1).sign() == 1
-
-    def test_negative_radicand_rejected(self):
-        base = AlgebraicNumber.from_rational(1)
-        with pytest.raises(InvalidInput):
-            SqrtExtension(base, UPoly.const(-1))
-
-    def test_complex_arithmetic_via_extension(self):
-        base = AlgebraicNumber.from_rational(0)
-        ext = SqrtExtension(base, UPoly.const(3))
-        from encwrithe.algnum import ComplexSqrtElem
-
-        one = ext.from_rational(1)
-        z = ComplexSqrtElem(one, ext.sqrt_term())  # 1 + i*sqrt(3)
-        w = z * z.conjugate()  # |z|^2 = 4
-        assert (w.re - 4).sign() == 0
-        assert w.im.sign() == 0
-        zi = z.times_i()
-        assert (zi.re + ext.sqrt_term()).sign() == 0
-
-
 class TestBiPoly:
     def test_symmetric_rewrite_examples(self):
         s, t = BiPoly.var(0), BiPoly.var(1)
@@ -384,6 +344,16 @@ class TestAlgebraicValue:
         roots = isolate_real_roots(UPoly([-2, 0, 1]))
         assert not roots[0].equals(roots[1])
 
+    def test_common_root_of_num_and_den_at_another_root(self):
+        # base sqrt 2 defined by (f^2 - 2)(f - 3): num and den share the root
+        # f = 3 of the defining polynomial, so the first resultant vanishes
+        # identically; the value is 1/(sqrt2 + 1) = sqrt2 - 1
+        base = AlgebraicNumber(UPoly([-2, 0, 1]) * UPoly([-3, 1]), 1, 2)
+        value = algebraic_value(base, UPoly([-3, 1]), UPoly([-3, 1]) * UPoly([1, 1]))
+        assert value.sign_of_poly(UPoly([-1, 2, 1])) == 0  # y^2 + 2y - 1
+        assert value.sign_of_poly(UPoly([Fraction(-41, 100), 1])) == 1
+        assert value.sign_of_poly(UPoly([Fraction(-42, 100), 1])) == -1
+
 
 class TestModularHelpers:
     def test_xgcd_bezout(self):
@@ -397,6 +367,16 @@ class TestModularHelpers:
         modulus = UPoly([-2, 0, 1])
         inv = invert_mod(UPoly([0, 1]), modulus)  # inverse of x mod x^2-2 is x/2
         assert (inv * UPoly([0, 1])) % modulus == UPoly.const(1)
+
+    def test_gcd_of_minors(self):
+        t = UPoly.x()
+        # (t, t^2) is proportional to (1, t) everywhere: every minor vanishes
+        assert gcd_of_minors([t, t * t], [UPoly.const(1), t]) is None
+        # (t, 1) points along (2, 1) only at t = 2
+        assert gcd_of_minors([t, UPoly.const(1)], [2, 1]) == UPoly([-2, 1])
+        # (t, 1, 0) is never along (0, 0, 1): the scan ends at a constant
+        one, zero = UPoly.const(1), UPoly.zero()
+        assert gcd_of_minors([t, one, zero], [0, 0, 1]).degree == 0
 
     def test_det_ring_hand_value(self):
         # expansion along the third row gives 1 * det[[2,2,0],[0,0,2],[0,1,0]] = -4

@@ -31,6 +31,8 @@ from encwrithe.writhe import (
     writhe_unoriented,
 )
 
+from solitary_oracle import solitary_signs_at_both_preimages
+
 MIRROR_Z = ProjectiveTransform.of(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
 )
@@ -109,12 +111,13 @@ class TestChoiceIndependence:
         assert crossing_det_bipoly(a, b) == crossing_det_bipoly(b, a).swap_vars()
 
     def test_conjugate_branch_toggle(self):
+        # the numeric oracle reads the sign at both conjugate preimages from
+        # the definition; both must equal the exact -sign N * sign M
         analysis = analyze_projection(model_link(1), CANONICAL_CENTER)
         locus = analysis.loci[0]
         curve = analysis.link.components[0]
-        assert solitary_sign_raw(curve, locus.root) == solitary_sign_raw(
-            curve, locus.root, use_other_branch=True
-        )
+        exact = solitary_sign_raw(curve, locus.root)
+        assert solitary_signs_at_both_preimages(curve, locus) == [exact, exact]
 
     def test_single_component_orientation_flip(self):
         link = model_link(-1)
