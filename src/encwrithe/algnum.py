@@ -181,15 +181,6 @@ class AlgebraicNumber:
 
     # -- structural helpers -------------------------------------------------
 
-    def separate_from(self, other: "AlgebraicNumber", max_rounds: int = 64) -> bool:
-        """Refine both numbers until their intervals are disjoint; False on budget."""
-        for _ in range(max_rounds):
-            if self.interval().disjoint(other.interval()):
-                return True
-            self.refine()
-            other.refine()
-        return self.interval().disjoint(other.interval())
-
     def equals(self, other: "AlgebraicNumber") -> bool:
         """Exact equality decision."""
         if self.is_exact and other.is_exact:

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import CurveFamily, parse_curve_file, write_link_file
-from .projection import ProjectionCenter, sample_generic_center
+from .projection import ProjectionCenter
 from .rationals import rat, rat_str
 from .verify import (
     scan_family,
@@ -164,9 +164,7 @@ def cmd_diagram(args) -> int:
 
     link = _load_link(args.file)
     center = _parse_center(args.center) if args.center else None
-    if center is None:
-        center = sample_generic_center(link, seed=args.seed)
-    diagram = build_diagram(link, center)
+    diagram = build_diagram(link, center, seed=args.seed)
     render_diagram_svg(diagram, out_path=args.out)
     print(args.out)
     return EXIT_OK

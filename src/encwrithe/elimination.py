@@ -39,12 +39,18 @@ class TriangularRoot:
     def eliminated_interval(self):
         return self.eliminated_poly.eval_interval(self.survivor.interval())
 
-    def sign_of(self, p: BiPoly) -> int:
-        """Certified sign of p at this root. Variable 0 of p is the eliminated
-        coordinate, variable 1 the survivor (e and f, or s and t)."""
+    def substitute(self, p: BiPoly) -> UPoly:
+        """p with the eliminated coordinate replaced by its polynomial in the
+        survivor, reduced modulo the survivor's defining polynomial. Variable 0
+        of p is the eliminated coordinate, variable 1 the survivor (e and f,
+        or s and t)."""
         f0 = self.survivor
         modulus = None if f0.is_exact else f0.defining
-        return f0.sign_of_poly(p.substitute_upoly(0, self.eliminated_poly, mod=modulus))
+        return p.substitute_upoly(0, self.eliminated_poly, mod=modulus)
+
+    def sign_of(self, p: BiPoly) -> int:
+        """Certified sign of p at this root (variables as in `substitute`)."""
+        return self.survivor.sign_of_poly(self.substitute(p))
 
 
 @dataclass

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .curves import Link, RationalSpaceCurve
 from .errors import InputTooLarge, InvalidInput, ParseError
@@ -45,57 +45,77 @@ class CurveFamily:
     orientations: Optional[tuple] = None
 
 
-def _eval_coeff_expr(text: str, parameter: str, value: Fraction) -> Fraction:
-    """Safely evaluate an arithmetic coefficient expression at a parameter value."""
+# a coefficient as parsed: a rational, or the evaluator of an expression in
+# the family parameter
+Coefficient = Union[Fraction, Callable[[Fraction], Fraction]]
+
+
+def _compile_coeff_expr(text: str, parameter: str, where: str) -> Callable[[Fraction], Fraction]:
+    """Check a coefficient expression once and return its evaluator.
+
+    Syntax, the allowed operations, integer literals and the parameter as the
+    only name are checked here and raise ParseError. What depends on the
+    parameter value (a division by zero, an exponent that is not a natural
+    number, a power beyond the bit budget) is raised by the evaluator.
+    """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
-        raise ParseError(f"bad coefficient expression {text!r}: {exc}") from exc
+        raise ParseError(f"{where}: bad coefficient expression {text!r}: {exc}") from exc
 
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
+    def check(node) -> None:
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
-                return Fraction(node.value)
-            raise ParseError(f"non-integer literal in {text!r}")
-        if isinstance(node, ast.Name):
-            if node.id == parameter:
-                return value
-            raise ParseError(f"unknown symbol {node.id!r} in {text!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = walk(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp) and isinstance(
+            if not isinstance(node.value, int):
+                raise ParseError(f"{where}: non-integer literal in {text!r}")
+        elif isinstance(node, ast.Name):
+            if node.id != parameter:
+                raise ParseError(f"{where}: unknown symbol {node.id!r} in {text!r}")
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            check(node.operand)
+        elif isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
         ):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                if right == 0:
-                    raise ParseError(f"division by zero in {text!r}")
-                return left / right
-            exp = right
-            if exp.denominator != 1 or exp < 0:
-                raise ParseError(f"bad exponent in {text!r}")
-            # |left| ** exp has at least exp * (bit length - 1) bits
-            base_bits = max(abs(left.numerator).bit_length(), left.denominator.bit_length())
-            if exp * (base_bits - 1) > _POWER_BIT_BUDGET:
-                raise InputTooLarge(
-                    f"{text!r} exceeds the {_POWER_BIT_BUDGET}-bit budget for a power"
-                )
-            return left ** int(exp)
-        raise ParseError(f"unsupported syntax in coefficient expression {text!r}")
+            check(node.left)
+            check(node.right)
+        else:
+            raise ParseError(f"{where}: unsupported syntax in coefficient expression {text!r}")
 
-    return walk(tree)
+    check(tree.body)
+
+    def walk(node, value: Fraction) -> Fraction:
+        if isinstance(node, ast.Constant):
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            return value
+        if isinstance(node, ast.UnaryOp):
+            v = walk(node.operand, value)
+            return -v if isinstance(node.op, ast.USub) else v
+        left, right = walk(node.left, value), walk(node.right, value)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if isinstance(node.op, ast.Div):
+            if right == 0:
+                raise ParseError(f"division by zero in {text!r}")
+            return left / right
+        exp = right
+        if exp.denominator != 1 or exp < 0:
+            raise ParseError(f"bad exponent in {text!r}")
+        # |left| ** exp has at least exp * (bit length - 1) bits
+        base_bits = max(abs(left.numerator).bit_length(), left.denominator.bit_length())
+        if exp * (base_bits - 1) > _POWER_BIT_BUDGET:
+            raise InputTooLarge(
+                f"{text!r} exceeds the {_POWER_BIT_BUDGET}-bit budget for a power"
+            )
+        return left ** int(exp)
+
+    return lambda value: walk(tree.body, value)
 
 
-def _parse_coefficient(entry, parameter: Optional[str], value: Optional[Fraction], where: str) -> Fraction:
+def _parse_coefficient(entry, parameter: Optional[str], where: str) -> Coefficient:
     if isinstance(entry, bool):
         raise ParseError(f"{where}: boolean is not a coefficient")
     if isinstance(entry, int):
@@ -108,15 +128,16 @@ def _parse_coefficient(entry, parameter: Optional[str], value: Optional[Fraction
             pass
         if parameter is None:
             raise ParseError(f"{where}: non-rational coefficient {entry!r} outside a family")
-        return _eval_coeff_expr(text, parameter, value)
+        return _compile_coeff_expr(text, parameter, where)
     if isinstance(entry, float):
         raise ParseError(f"{where}: floating point coefficient {entry!r}; use 'p/q' strings")
     raise ParseError(f"{where}: unreadable coefficient {entry!r}")
 
 
-def _component_from_record(
-    record: dict, index: int, parameter: Optional[str] = None, value: Optional[Fraction] = None
-) -> RationalSpaceCurve:
+def _parse_record(
+    record: dict, index: int, parameter: Optional[str] = None
+) -> list[list[Coefficient]]:
+    """The x, y, z, w coefficient lists of one component record."""
     coords = []
     for key in _COORD_KEYS:
         if key not in record:
@@ -126,10 +147,14 @@ def _component_from_record(
             raise ParseError(f"component {index}: coordinate {key!r} must be a nonempty list")
         coords.append(
             [
-                _parse_coefficient(entry, parameter, value, f"component {index}, {key}[{pos}]")
+                _parse_coefficient(entry, parameter, f"component {index}, {key}[{pos}]")
                 for pos, entry in enumerate(entries)
             ]
         )
+    return coords
+
+
+def _component(coords: list[list[Fraction]], index: int) -> RationalSpaceCurve:
     x, y, z, w = (UPoly(c) for c in coords)
     if x.is_zero and y.is_zero and z.is_zero and w.is_zero:
         raise ParseError(f"component {index}: zero quadruple")
@@ -175,7 +200,7 @@ def parse_curve_file(path) -> Link | CurveFamily:
 
     if header["kind"] == "link":
         components = [
-            _component_from_record(rec, idx) for idx, (_, rec) in enumerate(body)
+            _component(_parse_record(rec, idx), idx) for idx, (_, rec) in enumerate(body)
         ]
         try:
             return Link(components, orientations)
@@ -196,12 +221,18 @@ def parse_curve_file(path) -> Link | CurveFamily:
         center = header.get("center")
         if center is not None:
             center = tuple(rat(v) for v in center)
-        body_records = [rec for _, rec in body]
+        # every expression is checked here, once; only errors that depend on
+        # the parameter value are left to the members
+        parsed = [_parse_record(rec, idx, parameter) for idx, (_, rec) in enumerate(body)]
 
         def instantiate(tau: Fraction) -> Link:
+            tau = rat(tau)
             components = [
-                _component_from_record(rec, idx, parameter, rat(tau))
-                for idx, rec in enumerate(body_records)
+                _component(
+                    [[c(tau) if callable(c) else c for c in coeffs] for coeffs in coords],
+                    idx,
+                )
+                for idx, coords in enumerate(parsed)
             ]
             return Link(components, orientations)
 

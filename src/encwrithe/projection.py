@@ -17,9 +17,12 @@ conservative: it can reject a workable center, never accept a bad one.
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algnum import AlgebraicNumber, algebraic_value
@@ -48,7 +51,7 @@ from .errors import (
     TriplePoint,
     ZeroDeterminant,
 )
-from .rationals import rat
+from .rationals import Interval, rat
 from .upoly import UPoly, gcd_of_minors
 
 CANONICAL_CENTER = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
@@ -157,6 +160,11 @@ class DoublePointLocus:
     preimage parameter pair; inter-component loci carry the parameter pair
     (s on component i, t on component j) directly, with s recovered as a
     polynomial in t.
+
+    The image point is kept as three polynomials (num_x, num_y, den) in the
+    survivor coordinate, x = num_x/den and y = num_y/den at the survivor;
+    they are None when the image leaves the affine chart. `image_x` and
+    `image_y` are the exact coordinates, formed on first access.
     """
 
     comp_i: int
@@ -167,13 +175,26 @@ class DoublePointLocus:
     f: Optional[AlgebraicNumber] = None
     s: Optional[AlgebraicNumber] = None
     t: Optional[AlgebraicNumber] = None
-    image_x: Optional[AlgebraicNumber] = None
-    image_y: Optional[AlgebraicNumber] = None
+    image_fractions: Optional[tuple[UPoly, UPoly, UPoly]] = None
     raw_sign: Optional[int] = None
 
     @property
     def is_same_component(self) -> bool:
         return self.kind is not LocusKind.INTER_COMPONENT
+
+    @cached_property
+    def image_x(self) -> Optional[AlgebraicNumber]:
+        return self._image_coordinate(0)
+
+    @cached_property
+    def image_y(self) -> Optional[AlgebraicNumber]:
+        return self._image_coordinate(1)
+
+    def _image_coordinate(self, axis: int) -> Optional[AlgebraicNumber]:
+        if self.image_fractions is None:
+            return None
+        den = self.image_fractions[2]
+        return algebraic_value(self.root.survivor, self.image_fractions[axis], den)
 
     def describe(self) -> str:
         if self.is_same_component:
@@ -459,65 +480,91 @@ def _solve_inter_component(
     return out
 
 
-def _image_fractions(
-    component: RationalSpaceCurve, root: TriangularRoot, same_component: bool
-) -> Optional[tuple[UPoly, UPoly, UPoly]]:
-    """(num_x, num_y, den) as polynomials in the survivor coordinate."""
-    f0 = root.survivor
-    modulus = None if f0.is_exact else f0.defining
+def _image_polys(
+    component: RationalSpaceCurve, same_component: bool
+) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(num_x, num_y, den) of the image point in the root's two coordinates.
+
+    Same component: the image is (X(s)W(t) + X(t)W(s)) / (2 W(s)W(t)) in x
+    and likewise in y, symmetric in (s, t) and so written in (e, f).
+    Inter-component: X/W and Y/W of the first curve at s.
+    """
     X, Y, W = component.X, component.Y, component.W
-    if same_component:
-        xs = BiPoly.from_upoly(X, 0)
-        xt = BiPoly.from_upoly(X, 1)
-        ys = BiPoly.from_upoly(Y, 0)
-        yt = BiPoly.from_upoly(Y, 1)
-        ws = BiPoly.from_upoly(W, 0)
-        wt = BiPoly.from_upoly(W, 1)
-        num_x = (xs * wt + xt * ws).symmetric_in_ef()
-        num_y = (ys * wt + yt * ws).symmetric_in_ef()
-        den = (2 * ws * wt).symmetric_in_ef()
-        e_poly = root.eliminated_poly
-        return (
-            num_x.substitute_upoly(0, e_poly, mod=modulus),
-            num_y.substitute_upoly(0, e_poly, mod=modulus),
-            den.substitute_upoly(0, e_poly, mod=modulus),
-        )
-    return tuple(
-        BiPoly.from_upoly(p, 0).substitute_upoly(0, root.eliminated_poly, mod=modulus)
-        for p in (X, Y, W)
-    )
+    if not same_component:
+        return tuple(BiPoly.from_upoly(p, 0) for p in (X, Y, W))
+    ws, wt = BiPoly.from_upoly(W, 0), BiPoly.from_upoly(W, 1)
+
+    def symmetric_sum(p: UPoly) -> BiPoly:
+        return (BiPoly.from_upoly(p, 0) * wt + BiPoly.from_upoly(p, 1) * ws).symmetric_in_ef()
+
+    return symmetric_sum(X), symmetric_sum(Y), (2 * ws * wt).symmetric_in_ef()
 
 
 def _fill_images(
     link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
 ) -> None:
+    image_polys: dict[tuple[int, bool], tuple[BiPoly, BiPoly, BiPoly]] = {}
     for locus in loci:
-        component = link.components[locus.comp_i]
-        fractions = _image_fractions(component, locus.root, locus.is_same_component)
-        num_x, num_y, den = fractions
-        f0 = locus.root.survivor
-        if f0.sign_of_poly(den) == 0:
+        key = (locus.comp_i, locus.is_same_component)
+        if key not in image_polys:
+            image_polys[key] = _image_polys(link.components[locus.comp_i], key[1])
+        fractions = tuple(locus.root.substitute(p) for p in image_polys[key])
+        if locus.root.survivor.sign_of_poly(fractions[2]) == 0:
             certificate.transversal_crossings = False
             certificate.notes.append(
                 f"{locus.describe()}: image lies outside the affine chart"
             )
             continue
-        locus.image_x = algebraic_value(f0, num_x, den)
-        locus.image_y = algebraic_value(f0, num_y, den)
+        locus.image_fractions = fractions
+
+
+# refinement rounds of the two survivors before two image boxes that still
+# overlap are compared exactly
+_BOX_ROUNDS = 40
+
+
+def _image_box(locus: DoublePointLocus) -> Optional[tuple[Interval, Interval]]:
+    """Rational boxes around the image point, num/den evaluated on the
+    survivor's current interval; None while den's box contains zero."""
+    num_x, num_y, den = locus.image_fractions
+    iv = locus.root.survivor.interval()
+    den_box = den.eval_interval(iv)
+    if den_box.contains_zero():
+        return None
+    inverse = Interval(1 / den_box.hi, 1 / den_box.lo)
+    return num_x.eval_interval(iv) * inverse, num_y.eval_interval(iv) * inverse
+
+
+def _images_coincide(a: DoublePointLocus, b: DoublePointLocus) -> bool:
+    """Exact decision whether two loci share an image point."""
+    fa, fb = a.root.survivor, b.root.survivor
+    for _ in range(_BOX_ROUNDS):
+        box_a, box_b = _image_box(a), _image_box(b)
+        if box_a is not None and box_b is not None:
+            if box_a[0].disjoint(box_b[0]) or box_a[1].disjoint(box_b[1]):
+                return False
+        fa.refine()
+        fb.refine()
+    return a.image_x.equals(b.image_x) and a.image_y.equals(b.image_y)
 
 
 def _check_triple_points(
     loci: list[DoublePointLocus], certificate: GenericityCertificate
 ) -> None:
-    usable = [l for l in loci if l.image_x is not None]
+    """Flag two loci with the same image point.
+
+    Each pair is told apart by interval boxes first: num/den of both images
+    evaluated on the survivors' current intervals; the images are apart when
+    their x boxes or their y boxes are disjoint. Otherwise both survivors are
+    refined and the boxes tried again, for at most _BOX_ROUNDS rounds, after
+    which the image coordinates are formed exactly and compared with
+    AlgebraicNumber.equals.
+    """
+    usable = [l for l in loci if l.image_fractions is not None]
     for a_idx in range(len(usable)):
         for b_idx in range(a_idx + 1, len(usable)):
             a, b = usable[a_idx], usable[b_idx]
-            if a.image_x.separate_from(b.image_x, 12):
-                continue
-            if a.image_y.separate_from(b.image_y, 12):
-                continue
-            if a.image_x.equals(b.image_x) and a.image_y.equals(b.image_y):
+            if _images_coincide(a, b):
                 certificate.no_triple_points = False
                 certificate.notes.append(
                     f"coincident images: [{a.describe()}] and [{b.describe()}]"
@@ -528,23 +575,30 @@ def _check_transversality(
     link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
 ) -> None:
     # local imports: the writhe module owns the pinned frame conventions
-    from .writhe import crossing_sign_raw, solitary_sign_raw
+    from .writhe import (
+        crossing_sign_polys,
+        crossing_sign_raw,
+        solitary_sign_polys,
+        solitary_sign_raw,
+    )
 
+    # sign polynomials depend only on the component (or pair): build each once
+    sign_polys: dict[tuple, tuple[BiPoly, BiPoly]] = {}
     for locus in loci:
+        curve = link.components[locus.comp_i]
+        other = None if locus.is_same_component else link.components[locus.comp_j]
+        key = (locus.kind, locus.comp_i, locus.comp_j)
+        solitary = locus.kind is LocusKind.SOLITARY
+        if key not in sign_polys:
+            sign_polys[key] = (
+                solitary_sign_polys(curve) if solitary else crossing_sign_polys(curve, other)
+            )
         try:
-            if locus.kind is LocusKind.CROSSING:
-                locus.raw_sign = crossing_sign_raw(
-                    link.components[locus.comp_i], locus.root
-                )
-            elif locus.kind is LocusKind.SOLITARY:
-                locus.raw_sign = solitary_sign_raw(
-                    link.components[locus.comp_i], locus.root
-                )
+            if solitary:
+                locus.raw_sign = solitary_sign_raw(curve, locus.root, polys=sign_polys[key])
             else:
                 locus.raw_sign = crossing_sign_raw(
-                    link.components[locus.comp_i],
-                    locus.root,
-                    other=link.components[locus.comp_j],
+                    curve, locus.root, other=other, polys=sign_polys[key]
                 )
         except ZeroDeterminant as exc:
             certificate.transversal_crossings = False
@@ -612,11 +666,25 @@ def genericity_check(link: Link, center) -> GenericityCertificate:
         return cert
 
 
-def sample_generic_center(link: Link, seed: int = 0, budget: int = 240) -> ProjectionCenter:
-    """Deterministic-given-seed rational center passing the full certificate."""
+def _rejection_label(error: type) -> str:
+    """'TriplePoint' -> 'triple-point'."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", error.__name__).lower()
+
+
+def sample_generic_center(link: Link, seed: int = 0, budget: int = 240) -> ProjectionAnalysis:
+    """The analysis of the first drawn rational center that passes the full
+    certificate; its `.center` is that center.
+
+    The draws are a deterministic function of the seed and the number of
+    components. The accepted analysis is returned as it is, so a caller
+    never analyses the same center twice. After `budget` rejected draws,
+    SamplingExhausted names how many draws each failure rejected: the error
+    class a draw raised, or the one its first failing flag maps to.
+    """
     rng = random.Random(f"center-{seed}-{link.n_components}")
     bound = 3
     tries_at_bound = 0
+    rejected: Counter[str] = Counter()
     for _ in range(budget):
         coords = tuple(rng.randint(-bound, bound) for _ in range(4))
         tries_at_bound += 1
@@ -624,12 +692,18 @@ def sample_generic_center(link: Link, seed: int = 0, budget: int = 240) -> Proje
             bound *= 2
             tries_at_bound = 0
         if all(v == 0 for v in coords):
+            rejected["zero-vector"] += 1
             continue
         center = ProjectionCenter.of(coords)
         try:
             analysis = analyze_projection(link, center)
-        except (NonGenericProjection, DegenerateElimination, CenterOnCurve):
+        except (NonGenericProjection, DegenerateElimination, CenterOnCurve) as exc:
+            rejected[_rejection_label(type(exc))] += 1
             continue
         if analysis.certificate.all_ok:
-            return center
-    raise SamplingExhausted(f"no generic center found in {budget} draws (seed {seed})")
+            return analysis
+        rejected[_rejection_label(type(analysis.certificate.first_failure_error()))] += 1
+    counts = ", ".join(f"{n} {label}" for label, n in rejected.most_common())
+    raise SamplingExhausted(
+        f"no generic center found (seed {seed}); {budget} draws: {counts}"
+    )

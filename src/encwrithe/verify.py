@@ -22,7 +22,7 @@ from .errors import (
     NonGenericProjection,
     ProjectionError,
 )
-from .projection import CANONICAL_CENTER, ProjectionCenter, sample_generic_center
+from .projection import CANONICAL_CENTER, ProjectionCenter
 from .rationals import rat, rat_str
 from .writhe import build_diagram, writhe_unoriented
 
@@ -64,9 +64,9 @@ def verify_center_independence(link: Link, n: int, seed: int) -> VerificationRun
     run = VerificationRun("link", "center-independence", seed)
     values = []
     for k in range(n):
-        center = sample_generic_center(link, seed=_trial_seed(seed, k))
-        value = writhe_unoriented(build_diagram(link, center))
-        run.record(center=[rat_str(c) for c in center.coords], writhe=value)
+        diagram = build_diagram(link, seed=_trial_seed(seed, k))
+        value = writhe_unoriented(diagram)
+        run.record(center=[rat_str(c) for c in diagram.center], writhe=value)
         values.append(value)
     if len(set(values)) > 1:
         run.fail(f"writhe varies across centers: {sorted(set(values))}")
@@ -86,7 +86,7 @@ def random_transform(rng: random.Random, want_sign: int, bound: int = 5) -> Proj
 def verify_isotopy_invariance(link: Link, n: int, seed: int) -> VerificationRun:
     """n orientation-preserving transforms fix the writhe; n mirrors negate it."""
     run = VerificationRun("link", "isotopy-invariance-and-mirror", seed)
-    base = writhe_unoriented(build_diagram(link, sample_generic_center(link, seed=_trial_seed(seed, 0))))
+    base = writhe_unoriented(build_diagram(link, seed=_trial_seed(seed, 0)))
     run.record(transform="identity", writhe=base)
     rng = random.Random(f"isotopy-{seed}")
     for k in range(n):

@@ -81,22 +81,33 @@ def crossing_det_bipoly(
     return det_ring(rows)
 
 
-def crossing_sign_raw(
-    curve: RationalSpaceCurve,
-    root: TriangularRoot,
-    other: Optional[RationalSpaceCurve] = None,
-) -> int:
-    """Local writhe of a crossing, before any orientation flags.
-
-    Same-component when `other` is None (root lives in (e, f)); otherwise an
-    inter-component crossing with root.survivor the parameter on `other` and
-    root.eliminated_poly recovering the parameter on `curve`.
-    """
+def crossing_sign_polys(
+    curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None
+) -> tuple[BiPoly, BiPoly]:
+    """(cleared determinant, chart product W W) whose signs at a crossing
+    root give its local writhe; in (e, f) when `other` is None, else in (s, t)."""
     partner = curve if other is None else other
     det = crossing_det_bipoly(curve, partner)
     chart = BiPoly.from_upoly(curve.W, 0) * BiPoly.from_upoly(partner.W, 1)
     if other is None:
         det, chart = det.symmetric_in_ef(), chart.symmetric_in_ef()
+    return det, chart
+
+
+def crossing_sign_raw(
+    curve: RationalSpaceCurve,
+    root: TriangularRoot,
+    other: Optional[RationalSpaceCurve] = None,
+    polys: Optional[tuple[BiPoly, BiPoly]] = None,
+) -> int:
+    """Local writhe of a crossing, before any orientation flags.
+
+    Same-component when `other` is None (root lives in (e, f)); otherwise an
+    inter-component crossing with root.survivor the parameter on `other` and
+    root.eliminated_poly recovering the parameter on `curve`. `polys` are
+    crossing_sign_polys(curve, other), built here when not given.
+    """
+    det, chart = polys if polys is not None else crossing_sign_polys(curve, other)
     det_sign = root.sign_of(det)
     chart_sign = root.sign_of(chart)
     if chart_sign == 0:
@@ -109,14 +120,25 @@ def crossing_sign_raw(
 # -- solitary determinant ---------------------------------------------------------
 
 
-def solitary_sign_raw(curve: RationalSpaceCurve, root: TriangularRoot) -> int:
+def solitary_sign_polys(curve: RationalSpaceCurve) -> tuple[BiPoly, BiPoly]:
+    """(N, M) = (Q_ZW, Q_{nx,ny}) in (e, f), as in the module docstring."""
+    nx, ny, _nz = curve.derivative_numerators()
+    return symmetric_quotient(curve.Z, curve.W), symmetric_quotient(nx, ny)
+
+
+def solitary_sign_raw(
+    curve: RationalSpaceCurve,
+    root: TriangularRoot,
+    polys: Optional[tuple[BiPoly, BiPoly]] = None,
+) -> int:
     """Local writhe of a solitary double point: -sign N * sign M at the (e, f)
-    root, with N = Q_ZW and M = Q_{nx,ny} (see the module docstring)."""
-    fiber = root.sign_of(symmetric_quotient(curve.Z, curve.W))
+    root (see the module docstring). `polys` are solitary_sign_polys(curve),
+    built here when not given."""
+    fiber_poly, frame_poly = polys if polys is not None else solitary_sign_polys(curve)
+    fiber = root.sign_of(fiber_poly)
     if fiber == 0:
         raise ZeroDeterminant("solitary fiber is degenerate (z-coordinate not imaginary)")
-    nx, ny, _nz = curve.derivative_numerators()
-    frame = root.sign_of(symmetric_quotient(nx, ny))
+    frame = root.sign_of(frame_poly)
     if frame == 0:
         raise ZeroDeterminant("solitary branch frame is degenerate")
     return -fiber * frame
@@ -153,12 +175,15 @@ class Diagram:
 def build_diagram(link: Link, center=None, seed: int = 0) -> Diagram:
     """Find, classify, and sign every double point of a generic projection.
 
-    With center=None a deterministic generic center is sampled from `seed`.
-    Raises the typed error of the first failing certificate flag otherwise.
+    With center=None a deterministic generic center is sampled from `seed`,
+    and the sampler's accepted analysis is the diagram's: the center is
+    analysed once. With a given center, raises the typed error of the first
+    failing certificate flag.
     """
     if center is None:
-        center = sample_generic_center(link, seed)
-    analysis = analyze_projection(link, center)
+        analysis = sample_generic_center(link, seed)
+    else:
+        analysis = analyze_projection(link, center)
     if not analysis.certificate.all_ok:
         raise analysis.certificate.first_failure_error()
     for locus in analysis.loci:

@@ -3,10 +3,12 @@
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from encwrithe.cli import main
+from encwrithe.curves import Link, sample_random_curve
 from encwrithe.data import (
     LINKED_CIRCLES_PATH,
     MODEL_CROSSING_PATH,
@@ -81,6 +83,42 @@ class TestWritheCommand:
         assert [m["tau"] for m in members] == ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
         assert [m["writhe"] for m in members] == [-1, -1, -1, None, -1, -1, -1]
         assert members[3]["status"] == "degenerate-projection"
+
+    def test_sampled_center_reproduces_with_center(self, capsys, tmp_path):
+        path = tmp_path / "quartic.jsonl"
+        write_link_file(Link([sample_random_curve(4, seed=5)]), path)
+        assert main(["writhe", str(path), "--seed", "3"]) == 0
+        sampled = capsys.readouterr().out
+        line = next(l for l in sampled.splitlines() if l.startswith("center: "))
+        center = line[len("center: ("):-1].replace(" ", "")
+        assert main(["writhe", str(path), f"--center={center}"]) == 0
+        assert capsys.readouterr().out == sampled
+
+    def test_coincident_images_exit_2(self, capsys, tmp_path):
+        # a trisecant through the center: t = 1, 2, -3 all project to (0, 0)
+        path = tmp_path / "trisecant.jsonl"
+        path.write_text(
+            '{"kind": "link"}\n'
+            '{"x": [6, -7, 0, 1], "y": [0, 6, -7, 0, 1], "z": [0, 1], "w": [1, 0, 1]}\n'
+        )
+        code = main(["writhe", str(path), "--center", "0,0,1,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "coincident images" in captured.err
+
+    def test_sampling_exhausted_names_rejections(self, capsys, monkeypatch):
+        from encwrithe import projection
+
+        def always_triple(link, center):
+            cert = projection.GenericityCertificate(no_triple_points=False)
+            return SimpleNamespace(certificate=cert)
+
+        monkeypatch.setattr(projection, "analyze_projection", always_triple)
+        code = main(["writhe", str(MODEL_CROSSING_PATH), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "240 draws: " in captured.err and " triple-point" in captured.err
 
     def test_deterministic_output(self, capsys):
         main(["writhe", str(MODEL_CROSSING_PATH), "--seed", "4"])
@@ -223,6 +261,37 @@ class TestErrorPaths:
             assert code == 2
             assert "budget" in capsys.readouterr().err
             assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [("-tau + foo", "unknown symbol 'foo'"), ("-tau +", "bad coefficient expression")],
+    )
+    @pytest.mark.parametrize("command", ["writhe", "verify"])
+    def test_structural_family_error_rejected(self, capsys, tmp_path, command, entry, message):
+        # an error that does not depend on tau is a parse error, not a
+        # singular member
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["-1", "1"]}\n'
+            f'{{"x": ["{entry}", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}}\n'
+        )
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_member_error_stays_per_member(self, capsys, tmp_path):
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["0", "1"]}\n'
+            '{"x": ["-1/tau", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}\n'
+        )
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "tau = 0: singular-curve" in out
+        assert "tau = 1: Cw = -1" in out
 
     def test_missing_file(self, capsys):
         assert main(["writhe", "/nonexistent/file.jsonl"]) == 2

@@ -204,8 +204,9 @@ class TestRootIsolation:
             return
         roots = isolate_real_roots(p)
         for a, b in zip(roots, roots[1:]):
-            assert a.separate_from(b)
-            assert a.hi <= b.hi
+            # isolating intervals are open (or a single exact root), so
+            # neighbours meet at most in an endpoint
+            assert a.hi <= b.lo
 
 
 class TestCertifiedSign:

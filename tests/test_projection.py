@@ -1,15 +1,24 @@
 """Projection analysis: double-point systems, classification, genericity."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from encwrithe import projection
 from encwrithe.algnum import AlgebraicNumber
 from encwrithe.curves import Link, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link
-from encwrithe.errors import CenterOnCurve, DegenerateElimination
+from encwrithe.errors import (
+    CenterOnCurve,
+    DegenerateElimination,
+    SamplingExhausted,
+    TriplePoint,
+)
+from encwrithe.writhe import build_diagram
 from encwrithe.projection import (
     CANONICAL_CENTER,
+    GenericityCertificate,
     LocusKind,
     ProjectionCenter,
     analyze_projection,
@@ -17,6 +26,26 @@ from encwrithe.projection import (
     normalize_center,
     sample_generic_center,
 )
+
+
+def trisecant_quartic() -> Link:
+    """A quartic whose points at t = 1, 2, -3 lie on the z-axis, the fiber
+    of the canonical center: X = (t - 1)(t - 2)(t + 3), Y = t X, Z = t,
+    W = 1 + t^2. All three double points of its canonical projection, with
+    f = 2, -3, -6, have the image (0, 0)."""
+    x = [6, -7, 0, 1]
+    y = [0, 6, -7, 0, 1]
+    return Link([RationalSpaceCurve(x, y, [0, 1], [1, 0, 1])])
+
+
+def irrational_trisecant_quartic() -> Link:
+    """As trisecant_quartic, with the three points at t = sqrt 2, -sqrt 2, 3:
+    X = (t^2 - 2)(t - 3). The double points have f = -2, 3 sqrt 2 and
+    -3 sqrt 2, so two of the three coincident pairs have an irrational
+    survivor and one has two."""
+    x = [6, -2, -3, 1]
+    y = [0, 6, -2, -3, 1]
+    return Link([RationalSpaceCurve(x, y, [0, 1], [1, 0, 1])])
 
 
 def exact_pair(locus) -> tuple[Fraction, Fraction]:
@@ -62,14 +91,13 @@ class TestComplexCounts:
     def test_count_with_multiplicity(self, degree, expected):
         curve = sample_random_curve(degree, seed=11)
         link = Link([curve])
-        center = sample_generic_center(link, seed=2)
-        analysis = analyze_projection(link, center)
+        analysis = sample_generic_center(link, seed=2)
         assert analysis.complex_double_point_counts == [expected]
 
     def test_real_loci_partition(self):
         curve = sample_random_curve(4, seed=5)
         link = Link([curve])
-        analysis = analyze_projection(link, sample_generic_center(link, seed=1))
+        analysis = sample_generic_center(link, seed=1)
         for locus in analysis.loci:
             assert locus.kind in (LocusKind.CROSSING, LocusKind.SOLITARY)
 
@@ -99,6 +127,47 @@ class TestGenericityFailures:
         circle = RationalSpaceCurve([2], [0], [0, 2], [1, 0, 1])
         with pytest.raises(DegenerateElimination):
             analyze_projection(Link([circle]), CANONICAL_CENTER)
+
+    def test_trisecant_through_center_is_a_triple_point(self):
+        # coincident images cannot be told apart by boxes: each pair takes the
+        # exact comparison after the box rounds
+        link = trisecant_quartic()
+        assert link.validation().valid
+        cert = genericity_check(link, CANONICAL_CENTER)
+        assert cert.no_triple_points is False
+        assert cert.simple_roots and cert.no_tangential_pairs
+        assert cert.center_off_curve and cert.center_off_singular_lines
+        with pytest.raises(TriplePoint):
+            build_diagram(link, CANONICAL_CENTER)
+
+    def test_irrational_trisecant_reaches_the_exact_fallback(self, monkeypatch):
+        link = irrational_trisecant_quartic()
+        assert link.validation().valid
+        analysis = analyze_projection(link, CANONICAL_CENTER)
+        assert sorted(l.root.survivor.is_exact for l in analysis.loci) == [False, False, True]
+        compared = []
+        real_equals = AlgebraicNumber.equals
+
+        def counted(a, b):
+            compared.append((a, b))
+            return real_equals(a, b)
+
+        monkeypatch.setattr(AlgebraicNumber, "equals", counted)
+        cert = genericity_check(link, CANONICAL_CENTER)
+        assert cert.no_triple_points is False
+        assert sum("coincident images" in note for note in cert.notes) == 3
+        # every pair overlapped through all box rounds and was decided by
+        # equals on the exact x and then the exact y coordinates
+        assert len(compared) == 6
+        with pytest.raises(TriplePoint):
+            build_diagram(link, CANONICAL_CENTER)
+
+    def test_images_stay_exact_and_readable(self):
+        analysis = analyze_projection(trisecant_quartic(), CANONICAL_CENTER)
+        assert len(analysis.loci) == 3
+        for locus in analysis.loci:
+            assert locus.image_x.equals(AlgebraicNumber.from_rational(0))
+            assert locus.image_y.equals(AlgebraicNumber.from_rational(0))
 
     def test_model_zero_standard_projection_cusped(self):
         cert = genericity_check(model_link(0), CANONICAL_CENTER)
@@ -140,8 +209,7 @@ class TestNormalizeCenter:
 class TestInterComponent:
     def test_linked_circles_loci(self):
         link = linked_circles()
-        center = sample_generic_center(link, seed=3)
-        analysis = analyze_projection(link, center)
+        analysis = sample_generic_center(link, seed=3)
         inter = [l for l in analysis.loci if l.kind is LocusKind.INTER_COMPONENT]
         assert inter, "linked circles must cross in any generic projection"
         for locus in inter:
@@ -151,8 +219,7 @@ class TestInterComponent:
 
     def test_pair_count_bezout(self):
         link = linked_circles()
-        center = sample_generic_center(link, seed=3)
-        analysis = analyze_projection(link, center)
+        analysis = sample_generic_center(link, seed=3)
         # conic images meet in exactly 2*2 complex points
         # (the pair eliminant degree is certified during analysis; recompute)
         from encwrithe.elimination import cross_double_point_system, solve_system
@@ -177,9 +244,9 @@ class TestMoebiusCommutation:
         curve = sample_random_curve(4, seed=5)
         moved = reparametrize(curve, MoebiusReparam.of(1, -1, 1, 1))
         link_a, link_b = Link([curve]), Link([moved])
-        center = sample_generic_center(link_a, seed=1)
+        da = sample_generic_center(link_a, seed=1)
+        center = da.center
         assert genericity_check(link_b, center).all_ok
-        da = analyze_projection(link_a, center)
         db = analyze_projection(link_b, center)
         assert len(da.loci) == len(db.loci)
         for la, lb in zip(da.loci, db.loci):
@@ -219,15 +286,47 @@ class TestCenterSampling:
         link = model_link(-1)
         a = sample_generic_center(link, seed=9)
         b = sample_generic_center(link, seed=9)
-        assert a.coords == b.coords
+        assert a.center == b.center
 
     def test_certificate_passes(self):
         link = model_link(-1)
-        center = sample_generic_center(link, seed=0)
+        center = sample_generic_center(link, seed=0).center
         assert genericity_check(link, center).all_ok
 
     def test_line_first_sample_trivially_generic(self):
         line = Link([RationalSpaceCurve([0, 1], [0], [0], [1])])
-        center = sample_generic_center(line, seed=0)
-        analysis = analyze_projection(line, center)
+        analysis = sample_generic_center(line, seed=0)
         assert analysis.loci == []
+
+    def test_returns_its_analysis(self):
+        link = model_link(-1)
+        analysis = sample_generic_center(link, seed=5)
+        assert analysis.certificate.all_ok
+        again = analyze_projection(link, analysis.center)
+        assert [l.describe() for l in analysis.loci] == [l.describe() for l in again.loci]
+        assert [l.raw_sign for l in analysis.loci] == [l.raw_sign for l in again.loci]
+
+    def test_exhausted_names_the_rejections(self, monkeypatch):
+        def always_triple(link, center):
+            cert = GenericityCertificate(no_triple_points=False)
+            return SimpleNamespace(certificate=cert)
+
+        monkeypatch.setattr(projection, "analyze_projection", always_triple)
+        with pytest.raises(SamplingExhausted) as info:
+            sample_generic_center(model_link(-1), seed=0, budget=30)
+        assert str(info.value).endswith("30 draws: 30 triple-point")
+
+    def test_exhausted_counts_each_failure(self, monkeypatch):
+        draws = []
+
+        def alternate(link, center):
+            draws.append(center)
+            if len(draws) % 3 == 0:
+                raise CenterOnCurve("on the curve")
+            return SimpleNamespace(certificate=GenericityCertificate(no_tangential_pairs=False))
+
+        monkeypatch.setattr(projection, "analyze_projection", alternate)
+        with pytest.raises(SamplingExhausted) as info:
+            sample_generic_center(model_link(-1), seed=0, budget=30)
+        assert len(draws) == 30
+        assert "30 draws: 20 tangential-pair, 10 center-on-curve" in str(info.value)

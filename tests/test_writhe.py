@@ -9,12 +9,14 @@ value). Everything else is tested relative to these.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from encwrithe.curves import Link, ProjectiveTransform, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link, separated_circles
-from encwrithe.errors import MissingOrientation
+from encwrithe import projection, writhe
+from encwrithe.errors import CenterOnCurve, MissingOrientation
 from encwrithe.projection import (
     CANONICAL_CENTER,
     LocusKind,
@@ -84,10 +86,9 @@ class TestMirror:
         # same (e, f) loci with every sign negated, solitary points included
         curve = sample_random_curve(4, seed=11)
         link = Link([curve])
-        center = sample_generic_center(link, seed=2)
-        base = analyze_projection(link, center)
+        base = sample_generic_center(link, seed=2)
         flipped = analyze_projection(
-            link.transformed(MIRROR_Z), MIRROR_Z.apply_point(center.coords)
+            link.transformed(MIRROR_Z), MIRROR_Z.apply_point(base.center)
         )
         assert len(base.loci) == len(flipped.loci) == 3
         assert any(l.kind is LocusKind.SOLITARY for l in base.loci)
@@ -184,3 +185,57 @@ class TestReport:
         report = writhe_report(separated_circles(), seed=1)
         assert report.unoriented == 0
         assert report.oriented == 0
+
+
+class TestOneAnalysisPerDiagram:
+    """A sampled center is analysed once: the sampler's accepted analysis is
+    the diagram's."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """Every analysis made, as (center, certificate passed); the first
+        `reject` draws are refused before any analysis. The counter replaces
+        the name in both modules that call it: the sampler's draws resolve it
+        in projection, a diagram at a given center resolves it in writhe."""
+        real = projection.analyze_projection
+        record = SimpleNamespace(calls=[], reject=0)
+
+        def counted(link, center):
+            if len(record.calls) < record.reject:
+                record.calls.append((center, False))
+                raise CenterOnCurve("refused by the test")
+            analysis = real(link, center)
+            record.calls.append((center, analysis.certificate.all_ok))
+            return analysis
+
+        monkeypatch.setattr(projection, "analyze_projection", counted)
+        monkeypatch.setattr(writhe, "analyze_projection", counted)
+        return record
+
+    def test_build_diagram_one_analysis_per_draw(self, analyses):
+        analyses.reject = 2
+        diagram = build_diagram(model_link(-1), seed=4)
+        # every draw is analysed once: refused draws, then the accepted one,
+        # which is not analysed again
+        passed = [ok for _, ok in analyses.calls]
+        assert len(passed) >= 3 and passed[-1] and not any(passed[:-1])
+        assert diagram.center == analyses.calls[-1][0].coords
+        assert writhe_unoriented(diagram) == -1
+
+    def test_verify_runs_analyse_each_accepted_center_once(self, analyses):
+        from encwrithe.verify import verify_center_independence, verify_isotopy_invariance
+
+        verify_center_independence(model_link(-1), n=3, seed=1)
+        assert sum(ok for _, ok in analyses.calls) == 3
+        analyses.calls.clear()
+        verify_isotopy_invariance(model_link(-1), n=1, seed=1)
+        assert sum(ok for _, ok in analyses.calls) == 3  # base, det > 0, det < 0
+
+    def test_diagram_command_analyses_once(self, analyses, capsys, tmp_path):
+        from encwrithe.cli import main
+        from encwrithe.data import MODEL_CROSSING_PATH
+
+        out = tmp_path / "d.svg"
+        assert main(["diagram", str(MODEL_CROSSING_PATH), "--seed", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sum(ok for _, ok in analyses.calls) == 1
