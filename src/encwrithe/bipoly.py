@@ -1,9 +1,15 @@
 """Sparse bivariate polynomials over the rationals.
 
 Used for the double-point systems: minors in the two preimage parameters
-(s, t), their symmetric rewrite in (e, f) = (s + t, s*t), and resultant
-elimination down to univariate polynomials. Exponent pairs map to Fraction
-coefficients; variable 0 is the first parameter, variable 1 the second.
+(s, t), polynomials in the symmetric coordinates (e, f) = (s + t, s*t)
+(built in closed form by elimination.symmetric_quotient and
+elimination.symmetric_sum), and resultant elimination down to univariate
+polynomials. Exponent pairs map to Fraction coefficients; variable 0 is the
+first parameter, variable 1 the second.
+
+The resultant runs on the integer kernel of upoly: each input is cleared
+to integer coefficient lists over Z[x] (integer_rows) and its Sylvester
+matrix is reduced by fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Iterable
 
 from .errors import InvalidInput
 from .rationals import rat
-from .upoly import UPoly, det_bareiss, sylvester_matrix
+from .upoly import UPoly, _cleared, _imul, det_bareiss, sylvester_matrix
 
 
 class BiPoly:
@@ -52,6 +58,18 @@ class BiPoly:
         if index == 0:
             return BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
         return BiPoly({(0, k): c for k, c in enumerate(p.coeffs)})
+
+    @staticmethod
+    def outer(pairs: Iterable[tuple[UPoly, UPoly]]) -> "BiPoly":
+        """Sum of the products A(s) * B(t) over the pairs (A, B)."""
+        terms: dict[tuple[int, int], Fraction] = {}
+        for a, b in pairs:
+            for i, x in enumerate(a.coeffs):
+                if x:
+                    for j, y in enumerate(b.coeffs):
+                        if y:
+                            terms[(i, j)] = terms.get((i, j), 0) + x * y
+        return BiPoly(terms)
 
     # -- structure ----------------------------------------------------
 
@@ -203,56 +221,23 @@ class BiPoly:
 
     # -- the operations the double-point pipeline needs -----------------
 
-    def exact_div_s_minus_t(self) -> "BiPoly":
-        """Exact quotient by (s - t); the input must vanish on the diagonal."""
-        coeffs = self.as_univar_in(0)  # in s, coefficients UPoly in t
-        if not coeffs:
-            return BiPoly.zero()
-        t = UPoly.x()
-        n = len(coeffs) - 1
-        q: list[UPoly] = [UPoly.zero()] * max(n, 0)
-        carry = UPoly.zero()
-        for k in range(n, 0, -1):
-            qk = coeffs[k] + t * carry if k < n else coeffs[k]
-            q[k - 1] = qk
-            carry = qk
-        remainder = coeffs[0] + t * carry if n >= 0 else coeffs[0]
-        if not remainder.is_zero:
-            raise InvalidInput("polynomial is not divisible by (s - t)")
-        out = BiPoly.zero()
-        for k, poly in enumerate(q):
-            out = out + BiPoly.from_upoly(poly, 1) * BiPoly({(k, 0): Fraction(1)})
-        return out
-
-    def is_symmetric(self) -> bool:
-        return all(self.terms.get((j, i), Fraction(0)) == c for (i, j), c in self.terms.items())
-
-    def symmetric_in_ef(self) -> "BiPoly":
-        """Rewrite a symmetric polynomial in (s, t) as a polynomial in (e, f).
-
-        Uses power sums p_k = s^k + t^k with p_0 = 2, p_1 = e and
-        p_k = e*p_{k-1} - f*p_{k-2}; variable 0 of the result is e,
-        variable 1 is f.
-        """
-        if not self.is_symmetric():
-            raise InvalidInput("not symmetric in (s, t)")
-        max_gap = 0
-        for (i, j) in self.terms:
-            max_gap = max(max_gap, abs(i - j))
-        e = BiPoly.var(0)
-        f = BiPoly.var(1)
-        power_sums = [BiPoly.const(2), e]
-        while len(power_sums) <= max_gap:
-            power_sums.append(e * power_sums[-1] - f * power_sums[-2])
-        out = BiPoly.zero()
-        for (i, j), c in self.terms.items():
-            if i < j:
-                continue
-            if i == j:
-                out = out + BiPoly({(0, i): c})
-            else:
-                out = out + BiPoly({(0, j): c}) * power_sums[i - j]
-        return out
+    def integer_rows(self, index: int) -> tuple[list[list[int]], int]:
+        """(rows, D): self * D as integer coefficient lists in the other
+        variable, one per power of variable `index` (low first); D > 0 is the
+        lcm of the denominators."""
+        ints, den = _cleared(self.terms.values())
+        buckets: dict[int, dict[int, int]] = {}
+        for (i, j), v in zip(self.terms, ints):
+            k, other = (i, j) if index == 0 else (j, i)
+            buckets.setdefault(k, {})[other] = v
+        rows = []
+        for k in range(max(buckets) + 1 if buckets else 0):
+            bucket = buckets.get(k, {})
+            row = [0] * (max(bucket) + 1) if bucket else []
+            for other, v in bucket.items():
+                row[other] = v
+            rows.append(row)
+        return rows, den
 
     def resultant_with(self, other: "BiPoly", index: int) -> UPoly:
         """Resultant of self and other eliminating variable `index`.
@@ -271,28 +256,26 @@ def _as_bipoly(value) -> BiPoly:
     return BiPoly.const(rat(value))
 
 
-def _resultant_upoly_lists(p: list[UPoly], q: list[UPoly]) -> UPoly:
-    while p and p[-1].is_zero:
-        p.pop()
-    while q and q[-1].is_zero:
-        q.pop()
+def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
+    """Resultant of a and b eliminating variable `index` (univariate in the other).
+
+    With a = P / D_p and b = Q / D_q for integer P, Q, the Sylvester
+    determinant R' of P and Q over Z[x] is taken by fraction-free Bareiss, and
+    Res(a, b) = R' / (D_p^n * D_q^m), m and n the degrees of a and b in the
+    eliminated variable.
+    """
+    p, dp = a.integer_rows(index)
+    q, dq = b.integer_rows(index)
     if not p or not q:
         raise InvalidInput("resultant of a zero polynomial")
-    if len(p) == 1:
-        return p[0] ** (len(q) - 1)
-    if len(q) == 1:
-        return q[0] ** (len(p) - 1)
-    rows = sylvester_matrix(p, q, UPoly.zero())
-    return det_bareiss(
-        rows,
-        UPoly.zero(),
-        lambda v: v.is_zero,
-        lambda a, b: a.exact_div(b),
-    )
-
-
-def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
-    """Resultant of a and b eliminating variable `index` (univariate in the other)."""
-    p = a.as_univar_in(index)
-    q = b.as_univar_in(index)
-    return _resultant_upoly_lists(p, q)
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 or n == 0:
+        # one input is constant in the eliminated variable: its power
+        base, power = (p[0], n) if m == 0 else (q[0], m)
+        det = [1]
+        for _ in range(power):
+            det = _imul(det, base)
+    else:
+        det = det_bareiss(sylvester_matrix(p, q, []))
+    scale = dp**n * dq**m
+    return UPoly([Fraction(c, scale) for c in det])

@@ -20,12 +20,23 @@ simple by a single degree comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algnum import AlgebraicNumber, isolate_real_roots
 from .bipoly import BiPoly, resultant_bivariate
 from .errors import DegenerateElimination
-from .upoly import UPoly, invert_mod, poly_gcd, squarefree_part
+from .upoly import (
+    UPoly,
+    _iexact_div,
+    _igcd_poly,
+    _imul,
+    _isub,
+    invert_mod,
+    poly_gcd,
+    squarefree_part,
+)
 
 
 @dataclass
@@ -78,41 +89,52 @@ class SystemSolution:
         return self.gcd_eliminant.degree == self.squarefree_eliminant.degree
 
 
-def _linear_prs_member(p: list[UPoly], q: list[UPoly]) -> tuple[UPoly, UPoly] | None:
+def _content_free(c: list[list[int]]) -> list[list[int]]:
+    """c divided by its content over Z[f]: the gcd of its coefficients."""
+    g = None
+    for entry in c:
+        if entry:
+            g = entry if g is None else _igcd_poly(g, entry)
+            if len(g) == 1:
+                break
+    if g is not None and len(g) > 1:
+        c = [_iexact_div(entry, g) for entry in c]
+    k = 0
+    for entry in c:
+        for v in entry:
+            k = math.gcd(k, v)
+    if k > 1:
+        c = [[v // k for v in entry] for entry in c]
+    return c
+
+
+def _linear_prs_member(
+    p: list[list[int]], q: list[list[int]]
+) -> tuple[UPoly, UPoly] | None:
     """Degree-1 member (u, v) ~ u*x + v of the primitive PRS of p, q in x.
 
     p, q are coefficient lists (low first, in the eliminated variable) over
-    Q[f]. Returns None when the sequence skips degree 1.
+    Z[f], as BiPoly.integer_rows gives them; every pseudo-remainder is taken
+    over Z[f] and divided by its content. (u, v) is determined up to a common
+    constant factor, which the completion -v/u does not see. Returns None
+    when the sequence skips degree 1.
     """
 
-    def norm(c: list[UPoly]) -> list[UPoly]:
-        while c and c[-1].is_zero:
+    def norm(c: list[list[int]]) -> list[list[int]]:
+        while c and not c[-1]:
             c.pop()
         return c
 
-    def primitive(c: list[UPoly]) -> list[UPoly]:
-        g = None
-        for entry in c:
-            if entry.is_zero:
-                continue
-            g = entry if g is None else poly_gcd(g, entry)
-            if g.degree == 0:
-                g = None
-                break
-        if g is None or g.degree == 0:
-            return c
-        return [entry.exact_div(g) if not entry.is_zero else entry for entry in c]
-
-    def prem(a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
-        da, db = len(a) - 1, len(b) - 1
+    def prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        db = len(b) - 1
         lead = b[-1]
         r = list(a)
         while r and len(r) - 1 >= db:
             k = len(r) - 1 - db
             top = r[-1]
-            r = [lead * c for c in r]
+            r = [_imul(lead, c) for c in r]
             for i in range(db + 1):
-                r[k + i] = r[k + i] - top * b[i]
+                r[k + i] = _isub(r[k + i], _imul(top, b[i]))
             r = norm(r)
         return r
 
@@ -121,10 +143,10 @@ def _linear_prs_member(p: list[UPoly], q: list[UPoly]) -> tuple[UPoly, UPoly] | 
         a, b = b, a
     while b:
         if len(b) - 1 == 1:
-            return b[1], b[0]
+            return UPoly(b[1]), UPoly(b[0])
         if len(b) - 1 == 0:
             return None
-        r = primitive(prem(a, b))
+        r = _content_free(prem(a, b))
         a, b = b, r
     return None
 
@@ -180,13 +202,13 @@ def solve_system(
         return SystemSolution([], one, one, eliminate)
 
     sf = squarefree_part(g)
-    coeff_lists = [p.as_univar_in(eliminate) for p in nonzero]
+    coeff_lists = [p.integer_rows(eliminate)[0] for p in nonzero]
     members = []
     # an input polynomial linear in the eliminated variable is already a
     # completion relation; prefer those before any PRS computation
     for coeffs in coeff_lists:
         if len(coeffs) - 1 == 1:
-            members.append((coeffs[1], coeffs[0]))
+            members.append((UPoly(coeffs[1]), UPoly(coeffs[0])))
     for i in range(len(nonzero)):
         for j in range(i + 1, len(nonzero)):
             member = _linear_prs_member(coeff_lists[i], coeff_lists[j])
@@ -240,15 +262,73 @@ def _verify_candidate(
 # -- system construction helpers ---------------------------------------------
 
 
+def _ef_sequence(n: int, x0: int) -> list[dict[tuple[int, int], int]]:
+    """x_0, ..., x_{n-1} of x_k = e*x_{k-1} - f*x_{k-2} with x_1 = e, as
+    {(degree in e, degree in f): integer}. x0 = 1 gives the complete
+    homogeneous sums h_k, x0 = 2 the power sums p_k = s^k + t^k."""
+    seq = [{(0, 0): x0}, {(1, 0): 1}]
+    while len(seq) < n:
+        nxt: dict[tuple[int, int], int] = {}
+        for (i, j), c in seq[-1].items():
+            nxt[(i + 1, j)] = nxt.get((i + 1, j), 0) + c
+        for (i, j), c in seq[-2].items():
+            nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) - c
+        seq.append({k: c for k, c in nxt.items() if c})
+    return seq[:n]
+
+
+def _ef_combination(
+    groups: dict[tuple[int, int], int], seq: list[dict[tuple[int, int], int]], den: int
+) -> BiPoly:
+    """(1/den) * sum of c * f^j * seq[k] over groups {(k, j): c}, in (e, f)."""
+    terms: dict[tuple[int, int], int] = {}
+    for (k, j), c in groups.items():
+        for (pe, pf), sc in seq[k].items():
+            key = (pe, pf + j)
+            terms[key] = terms.get(key, 0) + c * sc
+    return BiPoly({key: Fraction(v, den) for key, v in terms.items() if v})
+
+
 def symmetric_quotient(a: UPoly, b: UPoly) -> BiPoly:
     """Q_AB = (A(s)B(t) - A(t)B(s)) / (s - t), rewritten in (e, f) = (s + t, s*t).
 
-    The minor vanishes on the diagonal, so the quotient is exact, and it is
-    symmetric in (s, t). Variable 0 of the result is e, variable 1 is f.
+    In closed form, Q_AB = sum over i > j of (a_i b_j - a_j b_i) f^j h_{i-j-1}
+    with h_0 = 1, h_1 = e and h_k = e h_{k-1} - f h_{k-2}, since
+    s^i t^j - s^j t^i = (st)^j (s^(i-j) - t^(i-j)). Variable 0 of the result
+    is e, variable 1 is f.
     """
-    a_s, a_t = BiPoly.from_upoly(a, 0), BiPoly.from_upoly(a, 1)
-    b_s, b_t = BiPoly.from_upoly(b, 0), BiPoly.from_upoly(b, 1)
-    return (a_s * b_t - a_t * b_s).exact_div_s_minus_t().symmetric_in_ef()
+    ia, da = a.cleared()
+    ib, db = b.cleared()
+    n = max(len(ia), len(ib))
+    ia += [0] * (n - len(ia))
+    ib += [0] * (n - len(ib))
+    groups: dict[tuple[int, int], int] = {}
+    for i in range(1, n):
+        for j in range(i):
+            c = ia[i] * ib[j] - ia[j] * ib[i]
+            if c:
+                groups[(i - j - 1, j)] = c
+    return _ef_combination(groups, _ef_sequence(n - 1, 1), da * db)
+
+
+def symmetric_sum(a: UPoly, b: UPoly) -> BiPoly:
+    """A(s)B(t) + A(t)B(s), rewritten in (e, f) = (s + t, s*t).
+
+    In closed form, sum over i, j of a_i b_j f^min(i, j) p_|i-j| with the
+    power sums p_0 = 2, p_1 = e and p_k = e p_{k-1} - f p_{k-2}. Variable 0
+    of the result is e, variable 1 is f.
+    """
+    ia, da = a.cleared()
+    ib, db = b.cleared()
+    groups: dict[tuple[int, int], int] = {}
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib):
+                if y:
+                    key = (abs(i - j), min(i, j))
+                    groups[key] = groups.get(key, 0) + x * y
+    n = max(len(ia), len(ib))
+    return _ef_combination(groups, _ef_sequence(n, 2), da * db)
 
 
 def symmetric_double_point_system(coords: list[UPoly]) -> list[BiPoly]:

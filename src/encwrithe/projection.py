@@ -39,6 +39,7 @@ from .elimination import (
     cross_double_point_system,
     solve_system,
     symmetric_double_point_system,
+    symmetric_sum,
 )
 from .errors import (
     CenterOnCurve,
@@ -492,12 +493,7 @@ def _image_polys(
     X, Y, W = component.X, component.Y, component.W
     if not same_component:
         return tuple(BiPoly.from_upoly(p, 0) for p in (X, Y, W))
-    ws, wt = BiPoly.from_upoly(W, 0), BiPoly.from_upoly(W, 1)
-
-    def symmetric_sum(p: UPoly) -> BiPoly:
-        return (BiPoly.from_upoly(p, 0) * wt + BiPoly.from_upoly(p, 1) * ws).symmetric_in_ef()
-
-    return symmetric_sum(X), symmetric_sum(Y), (2 * ws * wt).symmetric_in_ef()
+    return symmetric_sum(X, W), symmetric_sum(Y, W), symmetric_sum(W, W)
 
 
 def _fill_images(

@@ -22,35 +22,45 @@ from .elimination import symmetric_quotient
 from .projection import DoublePointLocus, LocusKind
 from .rationals import rat_str
 from .upoly import UPoly
-from .writhe import Diagram
+from .writhe import Diagram, chart_product
 
 _SAMPLES_PER_COMPONENT = 800
 _COLORS = ("#1f4e9c", "#b0343c", "#2c7a3f", "#8a5d00", "#5b3794")
 
 
-def _under_strand_is_first(diagram: Diagram, locus: DoublePointLocus) -> bool:
+def _over_under_polys(diagram: Diagram, locus: DoublePointLocus) -> tuple[BiPoly, BiPoly]:
+    """(numerator, chart product) whose signs at the locus root decide which
+    branch passes under; they depend only on the component (or pair)."""
+    ci = diagram.link.components[locus.comp_i]
+    if locus.is_same_component:
+        # z(s)-z(t) = (s-t) * Q_ZW / (W(s)W(t))
+        return symmetric_quotient(ci.Z, ci.W), chart_product(ci)
+    cj = diagram.link.components[locus.comp_j]
+    # z(s)-z(t) = (Z_i(s)W_j(t) - Z_j(t)W_i(s)) / (W_i(s)W_j(t))
+    numerator = BiPoly.outer([(ci.Z, cj.W), (-ci.W, cj.Z)])
+    return numerator, chart_product(ci, cj)
+
+
+def _under_strand_is_first(
+    locus: DoublePointLocus, polys: tuple[BiPoly, BiPoly]
+) -> bool:
     """True when the branch with the *smaller* parameter is the under-strand.
 
     The viewer sits at z = +infinity, so the branch with smaller z passes
-    under. Decided exactly from the sign of z(s0) - z(t0).
+    under. Decided exactly from the sign of z(s0) - z(t0); `polys` are
+    _over_under_polys of the locus.
     """
-    link = diagram.link
-    root = locus.root
-    ci = link.components[locus.comp_i]
+    numerator, chart = polys
+    sign_diff = locus.root.sign_of(numerator) * locus.root.sign_of(chart)
     if locus.is_same_component:
-        numerator = symmetric_quotient(ci.Z, ci.W)
-        chart = (BiPoly.from_upoly(ci.W, 0) * BiPoly.from_upoly(ci.W, 1)).symmetric_in_ef()
-        # z(s)-z(t) = (s-t) * numerator / (W(s)W(t)) and s0 < t0
-        sign_diff = -root.sign_of(numerator) * root.sign_of(chart)
-    else:
-        cj = link.components[locus.comp_j]
-        zi, wi = BiPoly.from_upoly(ci.Z, 0), BiPoly.from_upoly(ci.W, 0)
-        zj, wj = BiPoly.from_upoly(cj.Z, 1), BiPoly.from_upoly(cj.W, 1)
-        sign_diff = root.sign_of(zi * wj - zj * wi) * root.sign_of(wi * wj)
+        # s0 < t0, so s0 - t0 < 0
+        sign_diff = -sign_diff
     return sign_diff < 0
 
 
-def _crossing_preimages_float(diagram: Diagram, locus: DoublePointLocus) -> tuple:
+def _crossing_preimages_float(
+    locus: DoublePointLocus, polys: tuple[BiPoly, BiPoly]
+) -> tuple:
     """(component, parameter) float pairs for the two branches, under first."""
     if locus.is_same_component:
         e = float(locus.e)
@@ -63,7 +73,7 @@ def _crossing_preimages_float(diagram: Diagram, locus: DoublePointLocus) -> tupl
     else:
         first = (locus.comp_i, float(locus.s))
         second = (locus.comp_j, float(locus.t))
-    if _under_strand_is_first(diagram, locus):
+    if _under_strand_is_first(locus, polys):
         return first, second
     return second, first
 
@@ -114,8 +124,13 @@ def render_diagram_svg(diagram: Diagram, out_path=None, size: int = 480) -> str:
 
     gaps: dict[int, list[float]] = {i: [] for i in range(link.n_components)}
     markers = []
+    # over/under polynomials depend only on the component (or pair): build each once
+    over_under: dict[tuple[int, int], tuple[BiPoly, BiPoly]] = {}
     for locus in crossings:
-        (under_comp, under_t), _over = _crossing_preimages_float(diagram, locus)
+        key = (locus.comp_i, locus.comp_j)
+        if key not in over_under:
+            over_under[key] = _over_under_polys(diagram, locus)
+        (under_comp, under_t), _over = _crossing_preimages_float(locus, over_under[key])
         gaps[under_comp].append(under_t)
         markers.append(
             ("crossing", float(locus.image_x), float(locus.image_y), locus.raw_sign)

@@ -4,17 +4,27 @@ Coefficients are stored lowest degree first, trailing zeros stripped, so
 degree == len(coeffs) - 1 for nonzero polynomials and the zero polynomial
 has an empty coefficient tuple.
 
-The sign-critical kernels (Sturm chains, gcd, pseudo-remainders) run on
-primitive integer coefficient lists; rescaling a polynomial by a positive
-rational never changes any sign pattern, which is the only fact the
-certified pipeline relies on.
+The hot kernels run on integer coefficient lists (lowest degree first),
+never on Fractions:
+
+* Sturm chains, gcds and pseudo-remainders take primitive integer lists;
+  rescaling a polynomial by a positive rational never changes any sign
+  pattern, which is the only fact the certified pipeline relies on.
+* Determinants are fraction-free Bareiss eliminations over Z[x]
+  (det_bareiss), with exact integer polynomial division. Resultants, here
+  and in bipoly.resultant_bivariate, clear the denominators of each input
+  first and divide the known power of them out of the integer result, so
+  they stay exact.
+* elimination's completion PRS uses the same list helpers (_imul, _isub,
+  _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
+  on the cleared integer coefficients (UPoly.cleared).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInput
 from .rationals import QI, Interval, rat, sign
@@ -202,18 +212,13 @@ class UPoly:
 
     # -- integer normal form -------------------------------------------
 
+    def cleared(self) -> tuple[list[int], int]:
+        """(ints, D): self == ints / D, D > 0 the lcm of the denominators."""
+        return _cleared(self.coeffs)
+
     def int_primitive(self) -> list[int]:
         """Integer coefficients of self scaled by a positive rational (primitive)."""
-        if self.is_zero:
-            return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        return [v // g for v in ints]
+        return _iprim(_cleared(self.coeffs)[0])
 
     def primitive(self) -> "UPoly":
         return UPoly(self.int_primitive())
@@ -249,6 +254,79 @@ def _inorm(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """(ints, D) with coeffs == ints / D, D > 0 the lcm of the denominators."""
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _imul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials (normalized in, normalized out)."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _isub(a: list[int], b: list[int]) -> list[int]:
+    """a - b, normalized."""
+    if len(a) >= len(b):
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] -= y
+    else:
+        out = [-y for y in b]
+        for i, x in enumerate(a):
+            out[i] += x
+    return _inorm(out)
+
+
+def _iexact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b over Z[x]; raises InvalidInput unless b divides a exactly."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return []
+    db = len(b) - 1
+    lead = b[-1]
+    if db == 0:
+        q = []
+        for v in a:
+            c, rem = divmod(v, lead)
+            if rem:
+                raise InvalidInput("inexact integer polynomial division")
+            q.append(c)
+        return q
+    if len(a) - 1 < db:
+        raise InvalidInput("inexact integer polynomial division")
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lead)
+        if rem:
+            raise InvalidInput("inexact integer polynomial division")
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise InvalidInput("inexact integer polynomial division")
+    return q
 
 
 def _iprim(a: list[int]) -> list[int]:
@@ -383,8 +461,12 @@ def invert_mod(u: UPoly, modulus: UPoly) -> UPoly:
 # -- determinants and resultants --------------------------------------
 
 
-def det_bareiss(matrix: list[list], zero, is_zero: Callable, exact_div: Callable):
-    """Fraction-free Bareiss determinant over an integral domain."""
+def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
+    """Determinant of a matrix over Z[x] by fraction-free Bareiss elimination.
+
+    Entries are integer coefficient lists (low first, [] for zero); every
+    division by the previous pivot is exact (Bareiss 1968) and is checked.
+    """
     m = [row[:] for row in matrix]
     n = len(m)
     if n == 0:
@@ -392,22 +474,28 @@ def det_bareiss(matrix: list[list], zero, is_zero: Callable, exact_div: Callable
     sgn = 1
     prev = None
     for k in range(n - 1):
-        if is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sgn = -sgn
                     break
             else:
-                return zero
+                return []
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = m[i]
+            below = row[k]
             for j in range(k + 1, n):
-                t = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = t if prev is None else exact_div(t, prev)
-            m[i][k] = zero
-        prev = m[k][k]
+                t = _imul(row[j], pivot)
+                if below and pivot_row[j]:
+                    t = _isub(t, _imul(below, pivot_row[j]))
+                row[j] = t if prev is None or not t else _iexact_div(t, prev)
+            row[k] = []
+        prev = pivot
     out = m[n - 1][n - 1]
-    return out if sgn == 1 else -out
+    return out if sgn == 1 else _ineg(out)
 
 
 def sylvester_matrix(p: list, q: list, zero) -> list[list]:
@@ -434,8 +522,12 @@ def resultant(p: UPoly, q: UPoly) -> Fraction:
         return p.lc ** q.degree
     if q.degree == 0:
         return q.lc ** p.degree
-    rows = sylvester_matrix(list(p.coeffs), list(q.coeffs), Fraction(0))
-    return det_bareiss(rows, Fraction(0), lambda v: v == 0, lambda a, b: a / b)
+    ip, dp = _cleared(p.coeffs)
+    iq, dq = _cleared(q.coeffs)
+    rows = sylvester_matrix([[c] if c else [] for c in ip], [[c] if c else [] for c in iq], [])
+    det = det_bareiss(rows)
+    # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q)
+    return Fraction(det[0] if det else 0, dp ** q.degree * dq ** p.degree)
 
 
 # -- Sturm machinery ---------------------------------------------------

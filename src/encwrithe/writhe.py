@@ -16,6 +16,15 @@ out -1); everything else in the package is relative to these choices:
   numerator. For a same-component crossing the cleared determinant is
   symmetric under s <-> t, hence a polynomial in (e, f).
 
+  The cleared determinant needs no cofactor expansion. With P = (X, Y, Z),
+  the chord numerator is L = W_a(s) P_b(t) - W_b(t) P_a(s), and by linearity
+  in the middle row and the triple product det[u; v; w] = u . (v x w),
+      det[V_a(s); L; V_b(t)]
+        = sum_k (W_a V_a,k)(s) C_b,k(t) + C_a,k(s) (W_b V_b,k)(t),
+  with C = P x V. So it is six products of one-variable polynomials, and for
+  one component it is sum_k (A_k(s)B_k(t) + A_k(t)B_k(s)) with A = W V,
+  B = C, which elimination.symmetric_sum writes in (e, f) in closed form.
+
 * Solitary point. Of the two conjugate imaginary preimages choose t_a with
   Im z(P(t_a)) > 0, which orients the real fiber line along +z. With
   u = (x', y')(t_a) the complex velocity of the projected branch, the local
@@ -43,10 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algnum import det_ring
 from .bipoly import BiPoly
 from .curves import Link, RationalSpaceCurve
-from .elimination import TriangularRoot, symmetric_quotient
+from .elimination import TriangularRoot, symmetric_quotient, symmetric_sum
 from .errors import MissingOrientation, ZeroDeterminant
 from .projection import (
     DoublePointLocus,
@@ -54,31 +62,44 @@ from .projection import (
     analyze_projection,
     sample_generic_center,
 )
+from .upoly import UPoly
 
 
 # -- crossing determinant -------------------------------------------------------
+
+
+def _triple_product_factors(
+    curve: RationalSpaceCurve,
+) -> tuple[list[UPoly], list[UPoly]]:
+    """(W V_k, C_k) for k = x, y, z, with V the velocity numerators and
+    C = (X, Y, Z) x V."""
+    X, Y, Z, W = curve.coords
+    vx, vy, vz = curve.derivative_numerators()
+    wv = [W * vx, W * vy, W * vz]
+    c = [Y * vz - Z * vy, Z * vx - X * vz, X * vy - Y * vx]
+    return wv, c
 
 
 def crossing_det_bipoly(
     curve_a: RationalSpaceCurve, curve_b: RationalSpaceCurve
 ) -> BiPoly:
     """Cleared chart determinant det[V_a(s); chord; V_b(t)] as a polynomial in
-    (s, t); variable 0 is the parameter on curve_a, variable 1 on curve_b."""
-    na = curve_a.derivative_numerators()
-    nb = curve_b.derivative_numerators()
-    rows = []
-    rows.append([BiPoly.from_upoly(p, 0) for p in na])
-    chord = []
-    for pa, pb in zip(
-        (curve_a.X, curve_a.Y, curve_a.Z), (curve_b.X, curve_b.Y, curve_b.Z)
-    ):
-        chord.append(
-            BiPoly.from_upoly(pb, 1) * BiPoly.from_upoly(curve_a.W, 0)
-            - BiPoly.from_upoly(pa, 0) * BiPoly.from_upoly(curve_b.W, 1)
-        )
-    rows.append(chord)
-    rows.append([BiPoly.from_upoly(p, 1) for p in nb])
-    return det_ring(rows)
+    (s, t); variable 0 is the parameter on curve_a, variable 1 on curve_b.
+    By the triple-product identity of the module docstring it is the sum of
+    the six products (W_a V_a,k)(s) C_b,k(t) and C_a,k(s) (W_b V_b,k)(t)."""
+    wv_a, c_a = _triple_product_factors(curve_a)
+    wv_b, c_b = _triple_product_factors(curve_b)
+    return BiPoly.outer(list(zip(wv_a, c_b)) + list(zip(c_a, wv_b)))
+
+
+def chart_product(
+    curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None
+) -> BiPoly:
+    """W(s) W(t): half of symmetric_sum(W, W) in (e, f) when `other` is None,
+    else W(s) W_other(t) in (s, t)."""
+    if other is None:
+        return symmetric_sum(curve.W, curve.W) * Fraction(1, 2)
+    return BiPoly.outer([(curve.W, other.W)])
 
 
 def crossing_sign_polys(
@@ -86,12 +107,13 @@ def crossing_sign_polys(
 ) -> tuple[BiPoly, BiPoly]:
     """(cleared determinant, chart product W W) whose signs at a crossing
     root give its local writhe; in (e, f) when `other` is None, else in (s, t)."""
-    partner = curve if other is None else other
-    det = crossing_det_bipoly(curve, partner)
-    chart = BiPoly.from_upoly(curve.W, 0) * BiPoly.from_upoly(partner.W, 1)
-    if other is None:
-        det, chart = det.symmetric_in_ef(), chart.symmetric_in_ef()
-    return det, chart
+    if other is not None:
+        return crossing_det_bipoly(curve, other), chart_product(curve, other)
+    wv, c = _triple_product_factors(curve)
+    det = BiPoly.zero()
+    for wv_k, c_k in zip(wv, c):
+        det = det + symmetric_sum(wv_k, c_k)
+    return det, chart_product(curve)
 
 
 def crossing_sign_raw(

@@ -297,6 +297,61 @@ class TestErrorPaths:
         assert main(["writhe", "/nonexistent/file.jsonl"]) == 2
 
 
+class TestHostileCoefficients:
+    """Coefficients of 10^60 and denominators of 7^20 change no answer.
+
+    Scaling all four coordinates by one constant leaves the projective curve
+    unchanged, and so the whole stdout. The constructor already takes a
+    common factor out, so the reparametrizations t -> 10^20 t and
+    t -> t / 7^20 are what put coefficients of 10^60 and 7^60 into the
+    resultants: the same curve and projection, with the e and f values
+    rescaled, so Cw, the kinds and the signs must not move.
+    """
+
+    CENTER = "1,2,3,5"
+    BOUND_S = 10.0
+
+    def writhe_stdout(self, capsys, path) -> str:
+        capsys.readouterr()
+        assert main(["writhe", str(path), "--center", self.CENTER]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def kinds_and_signs(out: str) -> list[str]:
+        lines = [l for l in out.splitlines() if not l.startswith("center:")]
+        return [l.split(":")[0] if l.lstrip().startswith("[") else l for l in lines]
+
+    @pytest.mark.parametrize("source", [MODEL_CROSSING_PATH, MODEL_SOLITARY_PATH])
+    def test_scaled_coordinates_same_output(self, capsys, tmp_path, source):
+        from fractions import Fraction
+
+        header, record = [json.loads(l) for l in source.read_text().splitlines()]
+        base = self.writhe_stdout(capsys, source)
+        for scale in (Fraction(10**60), Fraction(1, 7**20)):
+            scaled = {k: [str(Fraction(c) * scale) for c in v] for k, v in record.items()}
+            path = tmp_path / "scaled.jsonl"
+            path.write_text(json.dumps(header) + "\n" + json.dumps(scaled) + "\n")
+            start = time.perf_counter()
+            assert self.writhe_stdout(capsys, path) == base
+            assert time.perf_counter() - start < self.BOUND_S
+
+    @pytest.mark.parametrize("source", [MODEL_CROSSING_PATH, MODEL_SOLITARY_PATH])
+    def test_reparametrized_huge_coefficients(self, capsys, tmp_path, source):
+        from encwrithe.curves import MoebiusReparam, reparametrize
+
+        link = parse_curve_file(source)
+        base = self.writhe_stdout(capsys, source)
+        for moebius in (MoebiusReparam.of(10**20, 0, 0, 1), MoebiusReparam.of(1, 0, 0, 7**20)):
+            curve = reparametrize(link.components[0], moebius)
+            assert max(abs(c) for p in curve.coords for c in p.coeffs) >= 10**50
+            path = tmp_path / "reparametrized.jsonl"
+            write_link_file(Link([curve]), path)
+            start = time.perf_counter()
+            out = self.writhe_stdout(capsys, path)
+            assert time.perf_counter() - start < self.BOUND_S
+            assert self.kinds_and_signs(out) == self.kinds_and_signs(base)
+
+
 class TestRoundTrip:
     def test_parse_write_reproduces_coefficients(self, tmp_path):
         link = parse_curve_file(LINKED_CIRCLES_PATH)

@@ -5,6 +5,7 @@ paper) or come from independent oracles: sympy's resultant/real-root
 machinery is used as the second route wherever our kernel is the first.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,12 @@ from encwrithe.algnum import (
     isolate_real_roots,
 )
 from encwrithe.bipoly import BiPoly, resultant_bivariate
+from encwrithe.elimination import symmetric_quotient, symmetric_sum
 from encwrithe.errors import InvalidInput
 from encwrithe.rationals import QI, Interval
 from encwrithe.upoly import (
     UPoly,
+    _iexact_div,
     count_real_roots,
     gcd_of_minors,
     invert_mod,
@@ -98,6 +101,18 @@ class TestResultant:
         p = BiPoly.var(0) - BiPoly.var(1)
         q = BiPoly.var(0) + BiPoly.var(1)
         assert resultant_bivariate(p, q, 0) == UPoly([0, 2])
+
+    def test_integer_division_is_exact_or_raises(self):
+        # the Bareiss kernel divides by the previous pivot over Z[x]; a
+        # remainder there means a broken invariant, never a rounded result
+        assert _iexact_div([-1, 0, 1], [1, 1]) == [-1, 1]  # (x^2 - 1) / (x + 1)
+        assert _iexact_div([2, 4], [2]) == [1, 2]
+        with pytest.raises(InvalidInput):
+            _iexact_div([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+        with pytest.raises(InvalidInput):
+            _iexact_div([3, 6], [2])  # not divisible over Z
+        with pytest.raises(InvalidInput):
+            _iexact_div([1, 1], [0, 0, 1])
 
     def test_self_resultant_zero(self):
         p = UPoly([1, 2, 3, 4])
@@ -274,43 +289,49 @@ class TestCertifiedSign:
                 assert iv.lo <= 0 <= iv.hi
 
 
+def ef_to_st(p: BiPoly) -> BiPoly:
+    """A polynomial in (e, f) written back in (s, t) through e = s + t, f = st."""
+    s, t = BiPoly.var(0), BiPoly.var(1)
+    back = BiPoly.zero()
+    for (i, j), c in p.terms.items():
+        back = back + c * (s + t) ** i * (s * t) ** j
+    return back
+
+
+def st_pair(a: UPoly, b: UPoly) -> tuple[BiPoly, BiPoly]:
+    """(A(s)B(t), A(t)B(s)) built by BiPoly products."""
+    ab = BiPoly.from_upoly(a, 0) * BiPoly.from_upoly(b, 1)
+    return ab, ab.swap_vars()
+
+
 class TestBiPoly:
     def test_symmetric_rewrite_examples(self):
-        s, t = BiPoly.var(0), BiPoly.var(1)
         e, f = BiPoly.var(0), BiPoly.var(1)
-        assert (s * s * t + s * t * t).symmetric_in_ef() == e * f
-        assert (s * s + t * t).symmetric_in_ef() == e * e - 2 * f
+        # s^2 t + s t^2 = A(s)B(t) + A(t)B(s) with A = x^2, B = x
+        assert symmetric_sum(UPoly([0, 0, 1]), UPoly([0, 1])) == e * f
+        # s^2 + t^2 with A = x^2, B = 1
+        assert symmetric_sum(UPoly([0, 0, 1]), UPoly([1])) == e * e - 2 * f
 
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), small_coeffs), max_size=6))
+    @given(upolys(4), upolys(4))
     @settings(max_examples=60)
-    def test_symmetric_roundtrip(self, spec):
-        q = BiPoly({(i, j): c for i, j, c in spec})
-        p = q + q.swap_vars()
-        rewritten = p.symmetric_in_ef()
-        s, t = BiPoly.var(0), BiPoly.var(1)
-        back = BiPoly.zero()
-        for (i, j), c in rewritten.terms.items():
-            back = back + c * (s + t) ** i * (s * t) ** j
-        assert back == p
+    def test_symmetric_roundtrip(self, a, b):
+        ab, ba = st_pair(a, b)
+        assert ef_to_st(symmetric_sum(a, b)) == ab + ba
 
     def test_diagonal_division(self):
         s, t = BiPoly.var(0), BiPoly.var(1)
-        cubes = s**3 - t**3
-        assert cubes.exact_div_s_minus_t() == s * s + s * t + t * t
+        e, f = BiPoly.var(0), BiPoly.var(1)
+        # (s^3 - t^3) / (s - t) = s^2 + s t + t^2 = e^2 - f, with A = x^3, B = 1
+        quotient = symmetric_quotient(UPoly([0, 0, 0, 1]), UPoly([1]))
+        assert quotient == e * e - f
+        assert ef_to_st(quotient) == s * s + s * t + t * t
 
-    def test_division_rejects_nondivisible(self):
-        s, t = BiPoly.var(0), BiPoly.var(1)
-        with pytest.raises(InvalidInput):
-            (s + t).exact_div_s_minus_t()
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), small_coeffs), max_size=5))
+    @given(upolys(4), upolys(4))
     @settings(max_examples=60)
-    def test_antisymmetric_division_roundtrip(self, spec):
-        q = BiPoly({(i, j): c for i, j, c in spec})
-        m = q - q.swap_vars()
+    def test_antisymmetric_division_roundtrip(self, a, b):
+        ab, ba = st_pair(a, b)
         s_minus_t = BiPoly.var(0) - BiPoly.var(1)
-        quotient = m.exact_div_s_minus_t()
-        assert quotient * s_minus_t == m
+        assert ef_to_st(symmetric_quotient(a, b)) * s_minus_t == ab - ba
 
     def test_bivariate_resultant_matches_sympy(self):
         s, t = sympy.symbols("s t")
@@ -322,6 +343,118 @@ class TestBiPoly:
         theirs = sympy.Poly(sympy.resultant(s**2 - t, s * t - 2, s), t)
         coeffs = list(reversed([sympy.Rational(c) for c in ours.coeffs]))
         assert coeffs == theirs.all_coeffs()
+
+
+S, T = sympy.symbols("s t")
+
+
+def bipoly_to_sympy(p: BiPoly, u=S, v=T):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * u**i * v**j for (i, j), c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def upoly_to_sympy(p: UPoly, var):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * var**k for k, c in enumerate(p.coeffs)),
+        sympy.Integer(0),
+    )
+
+
+def random_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 7, 10**12]))
+
+
+def random_bipoly(rng, max_terms=7, max_degree=3) -> BiPoly:
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        terms[(rng.randint(0, max_degree), rng.randint(0, max_degree))] = random_fraction(rng)
+    return BiPoly(terms)
+
+
+def random_upoly(rng, max_degree=5) -> UPoly:
+    return UPoly([random_fraction(rng) for _ in range(rng.randint(1, max_degree + 1))])
+
+
+class TestResultantOracle:
+    """resultant_bivariate against sympy.resultant, an independent route
+    (subresultant PRS over sympy's own domains).
+
+    sympy puts the polynomial of larger degree first, so when deg a < deg b
+    in the eliminated variable its value is Res(b, a) = (-1)^(mn) Res(a, b).
+    """
+
+    @staticmethod
+    def assert_matches(a: BiPoly, b: BiPoly, index: int):
+        var, keep = (S, T) if index == 0 else (T, S)
+        m, n = a.degree_in(index), b.degree_in(index)
+        theirs = sympy.resultant(bipoly_to_sympy(a), bipoly_to_sympy(b), var)
+        if m < n and (m * n) % 2:
+            theirs = -theirs
+        ours = upoly_to_sympy(resultant_bivariate(a, b, index), keep)
+        assert sympy.expand(ours - theirs) == 0
+
+    def test_seeded_pairs_with_fraction_coefficients(self):
+        rng = random.Random(5162)
+        checked = with_fractions = 0
+        while checked < 60:
+            a, b = random_bipoly(rng), random_bipoly(rng)
+            if a.is_zero or b.is_zero:
+                continue
+            for index in (0, 1):
+                self.assert_matches(a, b, index)
+            checked += 1
+            coeffs = list(a.terms.values()) + list(b.terms.values())
+            with_fractions += any(c.denominator > 1 for c in coeffs)
+        assert with_fractions >= 30
+
+    def test_leading_coefficient_vanishing_at_a_survivor_value(self):
+        # the coefficient of s^2 in a is (t - 1)/3, zero at t = 1
+        a = BiPoly({(2, 1): Fraction(1, 3), (2, 0): Fraction(-1, 3), (1, 0): 1, (0, 1): 2})
+        b = BiPoly({(2, 0): 1, (1, 1): Fraction(-5, 2), (0, 0): 7})
+        self.assert_matches(a, b, 0)
+        self.assert_matches(b, a, 0)
+        # at t = 1 the degree of a drops; the resultant still is the determinant
+        r = resultant_bivariate(a, b, 0)
+        assert not r.is_zero
+
+    def test_input_constant_in_the_eliminated_variable(self):
+        a = BiPoly({(0, 2): Fraction(3, 7), (0, 0): -2})  # 3/7 t^2 - 2
+        b = BiPoly({(3, 0): 1, (1, 1): Fraction(1, 2), (0, 0): 1})  # s^3 + t s / 2 + 1
+        for first, second in ((a, b), (b, a)):
+            self.assert_matches(first, second, 0)
+        # a^3 exactly, whichever order
+        assert resultant_bivariate(a, b, 0) == UPoly([-2, 0, Fraction(3, 7)]) ** 3
+
+    def test_identically_vanishing_resultant(self):
+        s, t = BiPoly.var(0), BiPoly.var(1)
+        common = s - t * Fraction(2, 3)
+        a = common * (s * s + t)
+        b = common * (s + 1)
+        assert resultant_bivariate(a, b, 0).is_zero
+        self.assert_matches(a, b, 0)
+        self.assert_matches(a, b, 1)
+
+
+class TestSymmetricFormsOracle:
+    """symmetric_quotient and symmetric_sum against sympy: expand the result
+    through e = s + t, f = st and compare with the (s, t) definition."""
+
+    @staticmethod
+    def through_ef(p: BiPoly):
+        return sympy.expand(bipoly_to_sympy(p).subs({S: S + T, T: S * T}, simultaneous=True))
+
+    def test_seeded_pairs(self):
+        rng = random.Random(2000)
+        for _ in range(40):
+            a, b = random_upoly(rng), random_upoly(rng)
+            a_s, a_t = upoly_to_sympy(a, S), upoly_to_sympy(a, T)
+            b_s, b_t = upoly_to_sympy(b, S), upoly_to_sympy(b, T)
+            quotient = sympy.cancel((a_s * b_t - a_t * b_s) / (S - T))
+            assert sympy.expand(self.through_ef(symmetric_quotient(a, b)) - quotient) == 0
+            total = a_s * b_t + a_t * b_s
+            assert sympy.expand(self.through_ef(symmetric_sum(a, b)) - total) == 0
 
 
 class TestAlgebraicValue:

@@ -8,15 +8,18 @@ solitary point of local writhe -1 (the 4x4 intersection determinant is
 value). Everything else is tested relative to these.
 """
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from encwrithe.curves import Link, ProjectiveTransform, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link, separated_circles
 from encwrithe import projection, writhe
-from encwrithe.errors import CenterOnCurve, MissingOrientation
+from encwrithe.errors import CenterOnCurve, InvalidInput, MissingOrientation
 from encwrithe.projection import (
     CANONICAL_CENTER,
     LocusKind,
@@ -26,6 +29,7 @@ from encwrithe.projection import (
 from encwrithe.writhe import (
     build_diagram,
     crossing_det_bipoly,
+    crossing_sign_polys,
     linking_matrix,
     solitary_sign_raw,
     writhe_oriented,
@@ -125,6 +129,74 @@ class TestChoiceIndependence:
         up = writhe_oriented(build_diagram(link.with_orientations([1]), CANONICAL_CENTER))
         down = writhe_oriented(build_diagram(link.with_orientations([-1]), CANONICAL_CENTER))
         assert up == down == -1
+
+
+S, T = sympy.symbols("s t")
+
+
+def _sym(p, var) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in p.coeffs]
+    return sympy.Poly(sum((c * var**k for k, c in enumerate(coeffs)), sympy.Integer(0)), S, T, domain="QQ")
+
+
+def _sym2(p) -> sympy.Poly:
+    terms = {(i, j): sympy.Rational(c.numerator, c.denominator) for (i, j), c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, S, T, domain="QQ")
+
+
+def _through_ef(p) -> sympy.Poly:
+    """A polynomial in (e, f) written in (s, t) through e = s + t, f = st."""
+    expr = _sym2(p).as_expr().subs({S: S + T, T: S * T}, simultaneous=True)
+    return sympy.Poly(expr, S, T, domain="QQ")
+
+
+def _random_curve(rng) -> RationalSpaceCurve:
+    def coords():
+        return [
+            Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+            for _ in range(rng.randint(2, 4))
+        ]
+
+    while True:
+        try:
+            return RationalSpaceCurve(coords(), coords(), coords(), coords())
+        except InvalidInput:
+            continue
+
+
+def _determinant_by_definition(curve_a, curve_b) -> sympy.Poly:
+    """det[V_a(s); L; V_b(t)] by sympy's determinant over QQ[s, t], from the
+    definition: V = P'W - PW' for P = X, Y, Z and L = P_b(t) W_a(s) - P_a(s) W_b(t)."""
+
+    def rows(curve, var):
+        X, Y, Z, W = (_sym(p, var) for p in curve.coords)
+        return [p.diff(var) * W - p * W.diff(var) for p in (X, Y, Z)], (X, Y, Z), W
+
+    u, pa, wa = rows(curve_a, S)
+    w, pb, wb = rows(curve_b, T)
+    l = [pb[k] * wa - pa[k] * wb for k in range(3)]
+    ring = sympy.QQ[S, T]
+    matrix = DomainMatrix([[ring.convert(p.as_expr()) for p in row] for row in (u, l, w)], (3, 3), ring)
+    return sympy.Poly(ring.to_sympy(matrix.det()), S, T, domain="QQ")
+
+
+class TestCrossingDeterminantOracle:
+    """The six-product crossing determinant against sympy's 3x3 determinant
+    of the definition, on seeded random curves (Fraction coefficients)."""
+
+    def test_pairs_of_curves(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            a, b = _random_curve(rng), _random_curve(rng)
+            assert _sym2(crossing_det_bipoly(a, b)) == _determinant_by_definition(a, b)
+
+    def test_same_curve_in_ef(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            curve = _random_curve(rng)
+            det, chart = crossing_sign_polys(curve)
+            assert _through_ef(det) == _determinant_by_definition(curve, curve)
+            assert _through_ef(chart) == _sym(curve.W, S) * _sym(curve.W, T)
 
 
 class TestOrientedWrithe:
