@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroDeterminant,
 )
-from .algnum import AlgebraicNumber, certified_sign, isolate_real_roots
+from .algnum import AlgebraicNumber, isolate_real_roots
 from .bipoly import BiPoly, resultant_bivariate
 from .curves import (
     INFINITY,

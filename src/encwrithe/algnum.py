@@ -282,64 +282,3 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
                 value.try_exact_collapse()
                 return value
         base.refine()
-
-
-# -- determinants over a commutative ring ------------------------------------
-
-
-def det_ring(rows: list[list]) -> object:
-    """Determinant by cofactor expansion; entries form a commutative ring."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInput("determinant of a non-square matrix")
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * det_ring(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-# -- the public certified sign ----------------------------------------------
-
-
-def certified_sign(expr, point) -> int:
-    """Exact sign of a polynomial at a point with exact-rational or algebraic coords.
-
-    expr is a UPoly (one coordinate) or BiPoly (two coordinates); point is a
-    sequence of Fractions/ints or AlgebraicNumbers. At most one coordinate may
-    be algebraic: two independent algebraic coordinates are not supported.
-    The double-point pipeline presents its points triangularly and takes their
-    signs through TriangularRoot.sign_of instead.
-    """
-    coords = list(point)
-    if isinstance(expr, UPoly):
-        if len(coords) != 1:
-            raise InvalidInput("univariate expression needs exactly one coordinate")
-        c = coords[0]
-        if isinstance(c, AlgebraicNumber):
-            return c.sign_of_poly(expr)
-        return sign(expr(rat(c)))
-    if isinstance(expr, BiPoly):
-        if len(coords) != 2:
-            raise InvalidInput("bivariate expression needs exactly two coordinates")
-        algebraic = [isinstance(c, AlgebraicNumber) for c in coords]
-        if not any(algebraic):
-            return sign(expr.eval(rat(coords[0]), rat(coords[1])))
-        if all(algebraic):
-            raise InvalidInput(
-                "two independent algebraic coordinates are not supported; "
-                "present the point as a triangular root"
-            )
-        if algebraic[0]:
-            reduced = expr.substitute_upoly(1, UPoly.const(rat(coords[1])))
-            return coords[0].sign_of_poly(reduced)
-        reduced = expr.substitute_upoly(0, UPoly.const(rat(coords[0])))
-        return coords[1].sign_of_poly(reduced)
-    raise InvalidInput("expression must be a UPoly or BiPoly")

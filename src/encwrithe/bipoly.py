@@ -86,9 +86,6 @@ class BiPoly:
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -178,22 +175,6 @@ class BiPoly:
             coeffs[(i, j)[index]] = c
         return UPoly(coeffs)
 
-    def eval(self, x, y):
-        """Evaluate at exact scalars (Fraction or QI)."""
-        from .rationals import QI
-
-        total = None
-        for (i, j), c in self.terms.items():
-            term = c
-            for _ in range(i):
-                term = term * x
-            for _ in range(j):
-                term = term * y
-            total = term if total is None else total + term
-        if total is None:
-            return QI.of(0) if isinstance(x, QI) or isinstance(y, QI) else Fraction(0)
-        return total
-
     def substitute_upoly(self, index: int, value: UPoly, mod: UPoly | None = None) -> UPoly:
         """Substitute `value(other)` for variable `index`; result univariate in the other.
 
@@ -238,14 +219,6 @@ class BiPoly:
                 row[other] = v
             rows.append(row)
         return rows, den
-
-    def resultant_with(self, other: "BiPoly", index: int) -> UPoly:
-        """Resultant of self and other eliminating variable `index`.
-
-        The exact Sylvester determinant, computed fraction-free; result is
-        univariate in the remaining variable.
-        """
-        return resultant_bivariate(self, other, index)
 
 
 def _as_bipoly(value) -> BiPoly:

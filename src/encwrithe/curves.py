@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algnum import AlgebraicNumber, algebraic_value, det_ring
 from .elimination import solve_system, symmetric_double_point_system
 from .errors import (
     ComponentsIntersect,
@@ -32,8 +31,8 @@ from .errors import (
     SamplingExhausted,
     SingularMatrix,
 )
-from .rationals import QI, rat, sign
-from .upoly import UPoly, gcd_of_minors, poly_gcd
+from .rationals import rat, sign
+from .upoly import UPoly, det_rational, gcd_of_minors, poly_gcd
 
 
 class _ParameterInfinity:
@@ -86,21 +85,9 @@ class RationalSpaceCurve:
         return self.coefficient_vector(self.degree - 1)
 
     def evaluate(self, t):
-        """Exact projective point P(t); t may be rational, Gaussian rational,
-        an AlgebraicNumber, or INFINITY."""
+        """Exact projective point P(t); t is rational or INFINITY."""
         if t is INFINITY:
             return self.leading_vector()
-        if isinstance(t, AlgebraicNumber):
-            if t.is_exact:
-                t = t.exact_value
-            else:
-                one = UPoly.const(1)
-                return tuple(algebraic_value(t, p, one) for p in self.coords)
-        if isinstance(t, QI):
-            if t.im == 0:
-                t = t.re
-            else:
-                return tuple(p(t) for p in self.coords)
         t = rat(t)
         return tuple(p(t) for p in self.coords)
 
@@ -116,12 +103,6 @@ class RationalSpaceCurve:
         if t is INFINITY:
             raise InvalidInput("tangent at parameter infinity is not chart-defined")
         nums = self.derivative_numerators()
-        if isinstance(t, QI) and t.im != 0:
-            w = self.W(t)
-            if w.is_zero():
-                raise InvalidInput("curve point lies outside the affine chart")
-            w2 = w * w
-            return tuple(n(t) / w2 for n in nums) + (QI.of(0),)
         t = rat(t)
         w = self.W(t)
         if w == 0:
@@ -228,7 +209,7 @@ class ProjectiveTransform:
 
     @property
     def det(self) -> Fraction:
-        return det_ring([list(r) for r in self.rows])
+        return det_rational(self.rows)
 
     @property
     def orientation_class(self) -> int:
@@ -501,12 +482,6 @@ def _intersection_witness(
     if parallel:
         return "both parameter-infinity points coincide"
     return None
-
-
-def apply_transform(link: Link, transform: ProjectiveTransform) -> Link:
-    """Transform every component; the caller reads transform.orientation_class
-    to learn whether downstream writhe values flip."""
-    return link.transformed(transform)
 
 
 def reparametrize(curve: RationalSpaceCurve, moebius: MoebiusReparam) -> RationalSpaceCurve:

@@ -216,11 +216,16 @@ def parse_curve_file(path) -> Link | CurveFamily:
             raise ParseError(f"{path}: family needs a nonempty 'grid'")
         try:
             grid = [rat(v) for v in raw_grid]
-        except (InvalidInput, ValueError) as exc:
+        except InvalidInput as exc:
             raise ParseError(f"{path}: bad grid entry: {exc}") from exc
         center = header.get("center")
         if center is not None:
-            center = tuple(rat(v) for v in center)
+            if not isinstance(center, list):
+                raise ParseError(f"{path}: family 'center' must be a list")
+            try:
+                center = tuple(rat(v) for v in center)
+            except InvalidInput as exc:
+                raise ParseError(f"{path}: bad center entry: {exc}") from exc
         # every expression is checked here, once; only errors that depend on
         # the parameter value are left to the members
         parsed = [_parse_record(rec, idx, parameter) for idx, (_, rec) in enumerate(body)]

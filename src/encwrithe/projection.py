@@ -84,9 +84,6 @@ class ProjectionCenter:
             raise InvalidInput("center must be a nonzero 4-tuple")
         return ProjectionCenter(vals)
 
-    def is_canonical(self) -> bool:
-        return _proportional(self.coords, CANONICAL_CENTER)
-
 
 def _proportional(a, b) -> bool:
     n = len(a)
@@ -119,8 +116,6 @@ def normalize_center(link: Link, center) -> tuple[Link, ProjectiveTransform]:
     pivot = next(i for i in range(4) if c[i] != 0)
     basis = [i for i in range(4) if i != pivot]
     # columns: standard basis vectors around c placed as the third column
-    columns = []
-    inserted = False
     slots = []
     for position in range(4):
         if position == 2:
@@ -157,10 +152,11 @@ class LocusKind(Enum):
 class DoublePointLocus:
     """A classified double point of the projection.
 
-    Same-component loci carry the symmetric coordinates (e, f) of the
-    preimage parameter pair; inter-component loci carry the parameter pair
-    (s on component i, t on component j) directly, with s recovered as a
-    polynomial in t.
+    The triangular root is the only record of the point. Same-component
+    loci are roots in the symmetric coordinates (e, f) of the preimage
+    parameter pair, inter-component loci in the parameter pair (s on
+    component i, t on component j): f or t is the survivor, and e or s is
+    `root.eliminated_poly` at the survivor.
 
     The image point is kept as three polynomials (num_x, num_y, den) in the
     survivor coordinate, x = num_x/den and y = num_y/den at the survivor;
@@ -172,10 +168,6 @@ class DoublePointLocus:
     comp_j: int
     kind: LocusKind
     root: TriangularRoot
-    e: Optional[AlgebraicNumber] = None
-    f: Optional[AlgebraicNumber] = None
-    s: Optional[AlgebraicNumber] = None
-    t: Optional[AlgebraicNumber] = None
     image_fractions: Optional[tuple[UPoly, UPoly, UPoly]] = None
     raw_sign: Optional[int] = None
 
@@ -198,14 +190,16 @@ class DoublePointLocus:
         return algebraic_value(self.root.survivor, self.image_fractions[axis], den)
 
     def describe(self) -> str:
+        eliminated = self.root.eliminated_interval()
+        survivor = self.root.survivor.interval()
         if self.is_same_component:
             return (
                 f"{self.kind.value} on component {self.comp_i}: "
-                f"e in {self.e.interval()!r}, f in {self.f.interval()!r}"
+                f"e in {eliminated!r}, f in {survivor!r}"
             )
         return (
             f"{self.kind.value} between components {self.comp_i} and {self.comp_j}: "
-            f"s in {self.s.interval()!r}, t in {self.t.interval()!r}"
+            f"s in {eliminated!r}, t in {survivor!r}"
         )
 
 
@@ -426,18 +420,7 @@ def _classify_same_component(
         kind = LocusKind.CROSSING  # placeholder; certificate already failed
     else:
         kind = LocusKind.CROSSING if disc_sign > 0 else LocusKind.SOLITARY
-    if e_poly.degree < 1:
-        e_num = AlgebraicNumber.from_rational(e_poly[0])
-    else:
-        e_num = algebraic_value(f0, e_poly, UPoly.const(1))
-    return DoublePointLocus(
-        comp_i=idx,
-        comp_j=idx,
-        kind=kind,
-        root=root,
-        e=e_num,
-        f=f0,
-    )
+    return DoublePointLocus(comp_i=idx, comp_j=idx, kind=kind, root=root)
 
 
 def _solve_inter_component(
@@ -461,24 +444,10 @@ def _solve_inter_component(
             f"components {i},{j}: pair eliminant degree {solution.multiplicity_count} "
             f"(expected {expected}, square-free: {solution.is_simple})"
         )
-    out = []
-    for root in solution.roots:
-        t0 = root.survivor
-        if root.eliminated_poly.degree < 1:
-            s_num = AlgebraicNumber.from_rational(root.eliminated_poly[0])
-        else:
-            s_num = algebraic_value(t0, root.eliminated_poly, UPoly.const(1))
-        out.append(
-            DoublePointLocus(
-                comp_i=i,
-                comp_j=j,
-                kind=LocusKind.INTER_COMPONENT,
-                root=root,
-                s=s_num,
-                t=t0,
-            )
-        )
-    return out
+    return [
+        DoublePointLocus(comp_i=i, comp_j=j, kind=LocusKind.INTER_COMPONENT, root=root)
+        for root in solution.roots
+    ]
 
 
 def _image_polys(
@@ -622,10 +591,9 @@ def _singular_line_flag(
 
 
 def _locus_sort_key(locus: DoublePointLocus):
-    primary = (locus.comp_i, locus.comp_j, locus.kind.value)
-    anchor = locus.f if locus.is_same_component else locus.t
-    secondary = locus.e if locus.is_same_component else locus.s
-    return primary + (anchor.lo, anchor.hi, secondary.lo, secondary.hi)
+    # survivor intervals of one eliminant are disjoint, so they decide the order
+    survivor = locus.root.survivor
+    return (locus.comp_i, locus.comp_j, locus.kind.value, survivor.lo, survivor.hi)
 
 
 def double_point_system(curve: RationalSpaceCurve) -> SystemSolution:

@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, Gaussian rationals, interval arithmetic.
+"""Exact rational scalars: parsing, serialization, interval arithmetic.
 
 Everything in the certified pipeline is built on fractions.Fraction.
 Intervals carry rational endpoints and are used only to *separate* exact
@@ -18,13 +18,20 @@ Rat = Union[int, Fraction]
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+
+    Anything else, a malformed string or a zero denominator included,
+    raises InvalidInput.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvalidInput(f"not an exact rational: {value!r}")
 
 
@@ -38,68 +45,6 @@ def rat_str(value: Fraction) -> str:
 
 def sign(value: Fraction | int) -> int:
     return (value > 0) - (value < 0)
-
-
-@dataclass(frozen=True)
-class QI:
-    """Gaussian rational a + b*i with exact components."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re, im=0) -> "QI":
-        return QI(rat(re), rat(im))
-
-    def __add__(self, other: "QI") -> "QI":
-        other = _as_qi(other)
-        return QI(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QI") -> "QI":
-        other = _as_qi(other)
-        return QI(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "QI":
-        return _as_qi(other) - self
-
-    def __mul__(self, other: "QI") -> "QI":
-        other = _as_qi(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QI") -> "QI":
-        other = _as_qi(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by complex zero")
-        return self * QI(other.re / n, -other.im / n)
-
-    def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
-
-    def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __repr__(self) -> str:
-        return f"QI({rat_str(self.re)}, {rat_str(self.im)})"
-
-
-I = QI(Fraction(0), Fraction(1))
-
-
-def _as_qi(value) -> QI:
-    if isinstance(value, QI):
-        return value
-    return QI(rat(value), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -160,9 +105,6 @@ class Interval:
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo

@@ -25,6 +25,9 @@ from .upoly import UPoly
 from .writhe import Diagram, chart_product
 
 _SAMPLES_PER_COMPONENT = 800
+# a crossing's preimages are read as floats once both coordinates of its
+# root are known to within this width
+_PREIMAGE_WIDTH = Fraction(1, 10**9)
 _COLORS = ("#1f4e9c", "#b0343c", "#2c7a3f", "#8a5d00", "#5b3794")
 
 
@@ -62,17 +65,21 @@ def _crossing_preimages_float(
     locus: DoublePointLocus, polys: tuple[BiPoly, BiPoly]
 ) -> tuple:
     """(component, parameter) float pairs for the two branches, under first."""
+    root = locus.root
+    root.survivor.refine_below(_PREIMAGE_WIDTH)
+    while root.eliminated_interval().width > _PREIMAGE_WIDTH:
+        root.survivor.refine()
+    eliminated = float(root.eliminated_interval().mid)
+    survivor = float(root.survivor)
     if locus.is_same_component:
-        e = float(locus.e)
-        f = float(locus.f)
-        disc = max(e * e - 4.0 * f, 0.0)
-        root = math.sqrt(disc)
-        s0, t0 = (e - root) / 2.0, (e + root) / 2.0
-        first = (locus.comp_i, s0)
-        second = (locus.comp_i, t0)
+        # the preimages are the roots s0 < t0 of x^2 - e x + f
+        e, f = eliminated, survivor
+        gap = math.sqrt(max(e * e - 4.0 * f, 0.0))
+        first = (locus.comp_i, (e - gap) / 2.0)
+        second = (locus.comp_i, (e + gap) / 2.0)
     else:
-        first = (locus.comp_i, float(locus.s))
-        second = (locus.comp_j, float(locus.t))
+        first = (locus.comp_i, eliminated)
+        second = (locus.comp_j, survivor)
     if _under_strand_is_first(locus, polys):
         return first, second
     return second, first

@@ -11,10 +11,11 @@ never on Fractions:
   rescaling a polynomial by a positive rational never changes any sign
   pattern, which is the only fact the certified pipeline relies on.
 * Determinants are fraction-free Bareiss eliminations over Z[x]
-  (det_bareiss), with exact integer polynomial division. Resultants, here
-  and in bipoly.resultant_bivariate, clear the denominators of each input
-  first and divide the known power of them out of the integer result, so
-  they stay exact.
+  (det_bareiss), with exact integer polynomial division; it is the one
+  determinant algorithm of the package. Resultants, here and in
+  bipoly.resultant_bivariate, and the rational determinants of transforms
+  (det_rational) clear the denominators of their inputs first and divide
+  the known power of them out of the integer result, so they stay exact.
 * elimination's completion PRS uses the same list helpers (_imul, _isub,
   _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
   on the cleared integer coefficients (UPoly.cleared).
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput
-from .rationals import QI, Interval, rat, sign
+from .rationals import Interval, rat, sign
 
 
 class UPoly:
@@ -52,10 +53,6 @@ class UPoly:
     @staticmethod
     def x() -> "UPoly":
         return UPoly((0, 1))
-
-    @staticmethod
-    def monomial(k: int, c=1) -> "UPoly":
-        return UPoly((0,) * k + (rat(c),))
 
     # -- structure ----------------------------------------------------
 
@@ -179,14 +176,12 @@ class UPoly:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation at a Fraction, QI, Interval or UPoly."""
+        """Horner evaluation at a rational or an Interval."""
         if isinstance(x, Interval):
             return self.eval_interval(x)
         if self.is_zero:
-            return QI.of(0) if isinstance(x, QI) else Fraction(0)
-        acc = self.coeffs[-1] if not isinstance(x, (QI, UPoly)) else None
-        if acc is None:
-            acc = QI.of(self.coeffs[-1]) if isinstance(x, QI) else UPoly.const(self.coeffs[-1])
+            return Fraction(0)
+        acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
@@ -222,11 +217,6 @@ class UPoly:
 
     def primitive(self) -> "UPoly":
         return UPoly(self.int_primitive())
-
-    def monic(self) -> "UPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lc)
 
     def cauchy_root_bound(self) -> Fraction:
         """B with every real root in (-B, B), strict."""
@@ -496,6 +486,19 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
         prev = pivot
     out = m[n - 1][n - 1]
     return out if sgn == 1 else _ineg(out)
+
+
+def det_rational(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix of rationals: det_bareiss of the rows
+    cleared of their denominators, divided by the product of those."""
+    scale = 1
+    matrix = []
+    for row in rows:
+        ints, den = _cleared(row)
+        scale *= den
+        matrix.append([[v] if v else [] for v in ints])
+    det = det_bareiss(matrix)
+    return Fraction(det[0] if det else 0, scale)
 
 
 def sylvester_matrix(p: list, q: list, zero) -> list[list]:

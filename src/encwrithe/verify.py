@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algnum import det_ring
 from .curves import Link, ProjectiveTransform, sample_random_curve
 from .errors import (
     DegenerateElimination,
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .projection import CANONICAL_CENTER, ProjectionCenter
 from .rationals import rat, rat_str
+from .upoly import det_rational
 from .writhe import build_diagram, writhe_unoriented
 
 
@@ -78,7 +78,7 @@ def random_transform(rng: random.Random, want_sign: int, bound: int = 5) -> Proj
     requested sign."""
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(4)]
-        det = det_ring([[Fraction(v) for v in row] for row in rows])
+        det = det_rational(rows)
         if det != 0 and (det > 0) == (want_sign > 0):
             return ProjectiveTransform.of(rows)
 

@@ -41,7 +41,8 @@ def solitary_signs_at_both_preimages(curve, locus) -> list[int]:
     """sign Im z * sign det[u; i*u; e_x; e_y] at t and at conj(t)."""
     out = []
     with mpmath.workdps(_DIGITS):
-        e, f = _midpoint(locus.e), _midpoint(locus.f)
+        f = _midpoint(locus.root.survivor)
+        e, _ = _value_and_slope(locus.root.eliminated_poly, f)
         half_gap = mpmath.sqrt(4 * f - e * e) / 2
         for t in (e / 2 + 1j * half_gap, e / 2 - 1j * half_gap):
             (x, dx), (y, dy), (z, _dz), (w, dw) = (

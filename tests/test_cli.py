@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from encwrithe import svg
 from encwrithe.cli import main
 from encwrithe.curves import Link, sample_random_curve
 from encwrithe.data import (
@@ -15,8 +16,12 @@ from encwrithe.data import (
     MODEL_FAMILY_PATH,
     MODEL_SOLITARY_PATH,
     WALL_QUARTIC_FAMILY_PATH,
+    linked_circles,
+    model_link,
 )
 from encwrithe.fileio import link_to_lines, parse_curve_file, write_link_file
+from encwrithe.projection import CANONICAL_CENTER, LocusKind
+from encwrithe.writhe import build_diagram
 
 
 class TestWritheCommand:
@@ -213,6 +218,25 @@ class TestDiagramCommand:
         assert "stroke-dasharray" in text
         assert '"kind": "solitary"' in text
 
+    @pytest.mark.parametrize(
+        "link,center", [(model_link(-1), CANONICAL_CENTER), (linked_circles(), None)]
+    )
+    def test_crossing_preimages_share_an_image(self, link, center):
+        # the under-strand break is placed at float preimages read from the
+        # root: both branches of a crossing must reach its image point
+        diagram = build_diagram(link, center, seed=3)
+        crossings = [l for l in diagram.loci if l.kind is not LocusKind.SOLITARY]
+        assert crossings
+        for locus in crossings:
+            polys = svg._over_under_polys(diagram, locus)
+            images = []
+            for comp, t in svg._crossing_preimages_float(locus, polys):
+                curve = diagram.link.components[comp]
+                w = svg._feval(curve.W, t)
+                images.append((svg._feval(curve.X, t) / w, svg._feval(curve.Y, t) / w))
+            (xa, ya), (xb, yb) = images
+            assert abs(xa - xb) < 1e-6 and abs(ya - yb) < 1e-6
+
     def test_svg_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for target in (a, b):
@@ -280,6 +304,44 @@ class TestErrorPaths:
         assert code == 2
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc"])
+    @pytest.mark.parametrize(
+        "command,source",
+        [("writhe", "flag"), ("diagram", "flag"), ("writhe", "family"), ("verify", "family")],
+    )
+    def test_malformed_center_rejected(self, capsys, tmp_path, command, source, bad):
+        # a center entry that is not a rational, or has a zero denominator, is
+        # an input error; `verify` reads a center only from a family header.
+        # An exception escaping main fails the test, as a traceback would.
+        if source == "flag":
+            argv = [command, str(MODEL_CROSSING_PATH), "--center", f"{bad},0,1,0"]
+            if command == "diagram":
+                argv += ["--out", str(tmp_path / "out.svg")]
+        else:
+            path = tmp_path / "family.jsonl"
+            path.write_text(
+                '{"kind": "family", "parameter": "tau", "grid": ["-1", "1"], '
+                f'"center": ["0", "0", "{bad}", "0"]}}\n'
+                '{"x": ["-tau", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}\n'
+            )
+            argv = [command, str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert repr(bad) in captured.err
+
+    @pytest.mark.parametrize("command", ["writhe", "verify"])
+    def test_family_center_must_be_a_list(self, capsys, tmp_path, command):
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["-1", "1"], "center": 5}\n'
+            '{"x": ["-tau", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}\n'
+        )
+        code = main([command, str(path)])
+        assert code == 2
+        assert "'center' must be a list" in capsys.readouterr().err
 
     def test_member_error_stays_per_member(self, capsys, tmp_path):
         path = tmp_path / "family.jsonl"

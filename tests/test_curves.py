@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from encwrithe.algnum import AlgebraicNumber, isolate_real_roots
+from encwrithe.algnum import AlgebraicNumber, algebraic_value, isolate_real_roots
 from encwrithe.curves import (
     INFINITY,
     Link,
@@ -17,12 +18,21 @@ from encwrithe.curves import (
 )
 from encwrithe.data import linked_circles, model_curve, separated_circles
 from encwrithe.errors import InvalidInput, SingularMatrix
-from encwrithe.rationals import QI
 from encwrithe.upoly import UPoly
 
 MIRROR_Z = ProjectiveTransform.of(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
 )
+
+
+def sympy_chart(curve):
+    """The parameter symbol and the coordinates (X, Y, Z, W) of a curve as
+    sympy polynomials, built from its coefficients."""
+    t = sympy.Symbol("t")
+    X, Y, Z, W = (
+        sum(sympy.Rational(c) * t**k for k, c in enumerate(p.coeffs)) for p in curve.coords
+    )
+    return t, (X, Y, Z, W)
 
 
 def proportional(a, b) -> bool:
@@ -99,10 +109,11 @@ class TestEvaluation:
         assert model_curve(-1).evaluate(-1) == (0, 0, 1, 1)
 
     def test_model_solitary_imaginary_point(self):
-        p = model_curve(1).evaluate(QI.of(0, -1))  # t = -i
-        assert p[0].is_zero() and p[1].is_zero()
-        assert p[2] == QI.of(0, 1)
-        assert p[3] == QI.of(1, 0)
+        # the solitary double point of the tau = 1 model is P(i) = P(-i);
+        # checked in sympy, which evaluates at Gaussian rationals
+        t, coords = sympy_chart(model_curve(1))
+        p = [sympy.expand(c.subs(t, -sympy.I)) for c in coords]
+        assert p == [0, 0, sympy.I, 1]
 
     def test_constant_term_at_zero(self):
         curve = model_curve(Fraction(3, 2))
@@ -112,10 +123,11 @@ class TestEvaluation:
         assert model_curve(-1).evaluate(INFINITY) == (0, -1, 0, 0)
 
     def test_evaluate_at_algebraic_number(self):
+        # a coordinate at an algebraic parameter is formed by algebraic_value
         sqrt2 = isolate_real_roots(UPoly([-2, 0, 1]))[1]
-        p = model_curve(-1).evaluate(sqrt2)
+        x = algebraic_value(sqrt2, model_curve(-1).X, UPoly.const(1))
         # X(sqrt2) = 1 - 2 = -1 exactly
-        assert p[0].equals(AlgebraicNumber.from_rational(-1))
+        assert x.equals(AlgebraicNumber.from_rational(-1))
 
     def test_never_zero_quadruple(self):
         curve = model_curve(-1)
@@ -130,10 +142,10 @@ class TestTangent:
         assert v[3] == 0
 
     def test_model_imaginary_tangent(self):
-        v = model_curve(1).tangent(QI.of(0, -1))
-        assert v[0] == QI.of(0, 2)  # 2i
-        assert v[1] == QI.of(2, 0)
-        assert v[2] == QI.of(-1, 0)
+        # the velocity of the affine chart at t = -i, differentiated in sympy
+        t, (X, Y, Z, W) = sympy_chart(model_curve(1))
+        v = [sympy.simplify(sympy.diff(c / W, t).subs(t, -sympy.I)) for c in (X, Y, Z)]
+        assert v == [2 * sympy.I, 2, -1]
 
     def test_line_tangent(self):
         line = RationalSpaceCurve([0, 1], [0], [0], [1])

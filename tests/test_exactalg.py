@@ -16,18 +16,17 @@ from hypothesis import strategies as st
 from encwrithe.algnum import (
     AlgebraicNumber,
     algebraic_value,
-    certified_sign,
-    det_ring,
     isolate_real_roots,
 )
 from encwrithe.bipoly import BiPoly, resultant_bivariate
-from encwrithe.elimination import symmetric_quotient, symmetric_sum
+from encwrithe.elimination import TriangularRoot, symmetric_quotient, symmetric_sum
 from encwrithe.errors import InvalidInput
-from encwrithe.rationals import QI, Interval
+from encwrithe.rationals import Interval
 from encwrithe.upoly import (
     UPoly,
     _iexact_div,
     count_real_roots,
+    det_rational,
     gcd_of_minors,
     invert_mod,
     is_squarefree,
@@ -76,10 +75,6 @@ class TestUPolyArithmetic:
         p = UPoly([1, 0, 1])  # 1 + x^2
         q = UPoly([1, 1])  # x + 1
         assert p.compose(q) == UPoly([2, 2, 1])
-
-    def test_eval_at_gaussian_rational(self):
-        p = UPoly([1, 0, 1])  # x^2 + 1
-        assert p(QI.of(0, 1)).is_zero()
 
     def test_interval_eval_contains_true_value(self):
         p = UPoly([-2, 0, 1])
@@ -224,34 +219,34 @@ class TestRootIsolation:
             assert a.hi <= b.lo
 
 
+def point_root(e, f) -> TriangularRoot:
+    """The triangular root at the rational point (e, f)."""
+    return TriangularRoot(AlgebraicNumber.from_rational(f), UPoly.const(e))
+
+
 class TestCertifiedSign:
     def test_discriminant_crossing_case(self):
         expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)  # e^2 - 4f
-        assert certified_sign(expr, (Fraction(0), Fraction(-1))) == 1
+        assert point_root(0, -1).sign_of(expr) == 1
 
     def test_discriminant_solitary_case(self):
         expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)
-        assert certified_sign(expr, (Fraction(0), Fraction(1))) == -1
+        assert point_root(0, 1).sign_of(expr) == -1
 
     def test_defining_poly_vanishes(self):
         p = UPoly([-2, 0, 1])
         alpha = isolate_real_roots(p)[1]
-        assert certified_sign(p, (alpha,)) == 0
+        assert alpha.sign_of_poly(p) == 0
 
     def test_mixed_rational_and_algebraic_coordinates(self):
-        # e^2 - 4f at (sqrt2, 1/2): 2 - 2 = 0 exactly; at (1/2, sqrt2) negative
+        # e^2 - 4f at (sqrt2, 1/2): 2 - 2 = 0 exactly; at (1/2, sqrt2) negative.
+        # The survivor of a triangular root is variable 1, so the first point
+        # takes the variables swapped: e survives and f = 1/2 is eliminated.
         expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)
         sqrt2 = isolate_real_roots(UPoly([-2, 0, 1]))[1]
-        assert certified_sign(expr, (sqrt2, Fraction(1, 2))) == 0
+        assert TriangularRoot(sqrt2, UPoly.const(Fraction(1, 2))).sign_of(expr.swap_vars()) == 0
         sqrt2b = isolate_real_roots(UPoly([-2, 0, 1]))[1]
-        assert certified_sign(expr, (Fraction(1, 2), sqrt2b)) == -1
-
-    def test_two_independent_algebraic_coordinates_rejected(self):
-        expr = BiPoly.var(0) - BiPoly.var(1)
-        a = isolate_real_roots(UPoly([-2, 0, 1]))[1]
-        b = isolate_real_roots(UPoly([-3, 0, 1]))[1]
-        with pytest.raises(InvalidInput):
-            certified_sign(expr, (a, b))
+        assert TriangularRoot(sqrt2b, UPoly.const(Fraction(1, 2))).sign_of(expr) == -1
 
     def test_sqrt2_signs(self):
         alpha = isolate_real_roots(UPoly([-2, 0, 1]))[1]  # sqrt(2)
@@ -270,7 +265,7 @@ class TestCertifiedSign:
     @given(upolys(5, nonzero=True), st.fractions(min_value=-5, max_value=5))
     @settings(max_examples=60)
     def test_rational_point_matches_eval(self, p, r):
-        got = certified_sign(p, (r,))
+        got = AlgebraicNumber.from_rational(r).sign_of_poly(p)
         v = p(Fraction(r))
         assert got == (v > 0) - (v < 0)
 
@@ -512,7 +507,7 @@ class TestModularHelpers:
         one, zero = UPoly.const(1), UPoly.zero()
         assert gcd_of_minors([t, one, zero], [0, 0, 1]).degree == 0
 
-    def test_det_ring_hand_value(self):
+    def test_det_rational_hand_value(self):
         # expansion along the third row gives 1 * det[[2,2,0],[0,0,2],[0,1,0]] = -4
         rows = [
             [Fraction(0), Fraction(2), Fraction(2), Fraction(0)],
@@ -520,7 +515,10 @@ class TestModularHelpers:
             [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
         ]
-        assert det_ring(rows) == Fraction(-4)
+        assert det_rational(rows) == Fraction(-4)
+        # a row scaled by 1/3 scales the determinant by 1/3
+        rows[0] = [v / 3 for v in rows[0]]
+        assert det_rational(rows) == Fraction(-4, 3)
 
     def test_sturm_chain_endpoints(self):
         chain = sturm_chain(UPoly([0, -1, 0, 1]))

@@ -1,12 +1,13 @@
 """Projection analysis: double-point systems, classification, genericity."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from encwrithe import projection
-from encwrithe.algnum import AlgebraicNumber
+from encwrithe.algnum import AlgebraicNumber, algebraic_value
 from encwrithe.curves import Link, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link
 from encwrithe.errors import (
@@ -15,6 +16,7 @@ from encwrithe.errors import (
     SamplingExhausted,
     TriplePoint,
 )
+from encwrithe.upoly import UPoly
 from encwrithe.writhe import build_diagram
 from encwrithe.projection import (
     CANONICAL_CENTER,
@@ -49,8 +51,10 @@ def irrational_trisecant_quartic() -> Link:
 
 
 def exact_pair(locus) -> tuple[Fraction, Fraction]:
-    assert locus.e.is_exact and locus.f.is_exact
-    return locus.e.exact_value, locus.f.exact_value
+    """(e, f) of a locus whose root is rational, read through the root."""
+    f = locus.root.survivor
+    assert f.is_exact
+    return locus.root.eliminated_poly(f.exact_value), f.exact_value
 
 
 class TestModelSystem:
@@ -213,9 +217,12 @@ class TestInterComponent:
         inter = [l for l in analysis.loci if l.kind is LocusKind.INTER_COMPONENT]
         assert inter, "linked circles must cross in any generic projection"
         for locus in inter:
-            # both parameters real algebraic with certified intervals
-            assert isinstance(locus.s, AlgebraicNumber)
-            assert isinstance(locus.t, AlgebraicNumber)
+            # t is the root's survivor, a real algebraic number; s formed from
+            # it exactly lies in the interval the locus prints for s
+            t = locus.root.survivor
+            assert isinstance(t, AlgebraicNumber)
+            s = algebraic_value(t, locus.root.eliminated_poly, UPoly.const(1))
+            assert not s.interval().disjoint(locus.root.eliminated_interval())
 
     def test_pair_count_bezout(self):
         link = linked_circles()
@@ -232,6 +239,42 @@ class TestInterComponent:
         )
         solution = solve_system(system, eliminate=0, strict=True)
         assert solution.multiplicity_count == 4
+
+
+# the interval a locus prints for its eliminated coordinate, e or s
+_ELIMINATED = re.compile(r"\b[es] in \[(\S+), (\S+)\]")
+
+
+class TestRootIsTheOnlyRecord:
+    @pytest.mark.parametrize(
+        "name,center", [("quintic", (3, -1, 3, -2)), ("linked circles", (1, -3, 3, 3))]
+    )
+    def test_analysis_forms_no_algebraic_value(self, monkeypatch, name, center):
+        # at these centers every pair of image boxes comes apart within the box
+        # rounds, so the exact triple-point fallback is never reached, and
+        # nothing else in the analysis forms a standalone algebraic number
+        if name == "quintic":
+            link = Link([sample_random_curve(5, seed=11)])
+        else:
+            link = linked_circles()
+        calls = []
+        real = projection.algebraic_value
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(projection, "algebraic_value", counted)
+        analysis = analyze_projection(link, center)
+        assert analysis.certificate.all_ok and analysis.loci
+        assert calls == []
+        # the printed e (or s) interval encloses the exact eliminated coordinate
+        for locus in analysis.loci:
+            lo, hi = map(Fraction, _ELIMINATED.search(locus.describe()).groups())
+            root = locus.root
+            value = algebraic_value(root.survivor, root.eliminated_poly, UPoly.const(1))
+            assert value.sign_of_poly(UPoly([-lo, 1])) >= 0
+            assert value.sign_of_poly(UPoly([-hi, 1])) <= 0
 
 
 class TestMoebiusCommutation:
