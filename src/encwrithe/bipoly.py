@@ -9,7 +9,9 @@ first parameter, variable 1 the second.
 
 The resultant runs on the integer kernel of upoly: each input is cleared
 to integer coefficient lists over Z[x] (integer_rows) and its Sylvester
-matrix is reduced by fraction-free Bareiss elimination.
+matrix is reduced by fraction-free Bareiss elimination. Substitution is
+not done here: elimination.TriangularRoot.substitute reduces a BiPoly at a
+root, from the same integer_rows.
 """
 
 from __future__ import annotations
@@ -149,21 +151,6 @@ class BiPoly:
 
     # -- views and conversions -----------------------------------------
 
-    def as_univar_in(self, index: int) -> list[UPoly]:
-        """Coefficient list (low degree first in `index`) of UPolys in the other variable."""
-        d = self.degree_in(index)
-        if d < 0:
-            return []
-        buckets: list[dict[int, Fraction]] = [dict() for _ in range(d + 1)]
-        for (i, j), c in self.terms.items():
-            k, other = (i, j) if index == 0 else (j, i)
-            buckets[k][other] = c
-        out = []
-        for bucket in buckets:
-            n = max(bucket) + 1 if bucket else 0
-            out.append(UPoly([bucket.get(m, Fraction(0)) for m in range(n)]))
-        return out
-
     def to_upoly(self, index: int) -> UPoly:
         """Convert to univariate in `index`; the other variable must not occur."""
         other = 1 - index
@@ -174,19 +161,6 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             coeffs[(i, j)[index]] = c
         return UPoly(coeffs)
-
-    def substitute_upoly(self, index: int, value: UPoly, mod: UPoly | None = None) -> UPoly:
-        """Substitute `value(other)` for variable `index`; result univariate in the other.
-
-        With `mod` given, intermediate products are reduced modulo it.
-        """
-        coeffs = self.as_univar_in(index)
-        acc = UPoly.zero()
-        for c in reversed(coeffs):
-            acc = acc * value + c
-            if mod is not None:
-                acc = acc % mod
-        return acc
 
     def swap_vars(self) -> "BiPoly":
         return BiPoly({(j, i): c for (i, j), c in self.terms.items()})

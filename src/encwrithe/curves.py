@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .elimination import solve_system, symmetric_double_point_system
+from .elimination import (
+    cross_double_point_system,
+    pairwise_eliminant,
+    solve_system,
+    symmetric_double_point_system,
+)
 from .errors import (
     ComponentsIntersect,
     CuspDetected,
@@ -387,7 +392,7 @@ def _check_space_double_points(
 ) -> None:
     system = symmetric_double_point_system(list(curve.coords))
     try:
-        solution = solve_system(system, eliminate=0, strict=False)
+        solution = solve_system(system, strict=False)
     except DegenerateElimination:
         report.birational = False
         return
@@ -445,27 +450,13 @@ def _intersection_witness(
 ) -> Optional[str]:
     """None iff the complexifications are certifiably disjoint (including the
     parameter-infinity points); otherwise a description of the failure."""
-    from .elimination import cross_double_point_system
-    from .bipoly import resultant_bivariate
-
     system = [m for m in cross_double_point_system(list(a.coords), list(b.coords)) if not m.is_zero]
     if not system:
         return "coincidence system vanishes identically"
     if not any(m.is_constant for m in system):
         if len(system) < 2:
             return "coincidence system is not zero-dimensional"
-        g = None
-        for i in range(len(system)):
-            if g is not None and g.degree == 0:
-                break
-            for j in range(i + 1, len(system)):
-                r = resultant_bivariate(system[i], system[j], 0)
-                if r.is_zero:
-                    continue
-                r = r.primitive()
-                g = r if g is None else poly_gcd(g, r)
-                if g.degree == 0:
-                    break
+        g = pairwise_eliminant(system)
         if g is None:
             return "all coincidence resultants vanish"
         if g.degree > 0:

@@ -4,13 +4,16 @@ Every system in the pipeline is a list of bivariate polynomials whose
 common zeros are finite in number (double points of a projection, or of
 the space curve itself). The strategy is fixed:
 
-  1. eliminate one variable by pairwise resultants,
+  1. eliminate variable 0 by pairwise resultants,
   2. intersect: the true eliminant divides the gcd of all nonzero pairwise
-     resultants,
+     resultants (pairwise_eliminant),
   3. isolate the real roots of its square-free part,
   4. recover the eliminated coordinate from a linear subresultant member,
-     as a polynomial in the surviving coordinate modulo its defining data,
-  5. verify every candidate against *all* the input polynomials exactly.
+     as a polynomial in the surviving coordinate modulo its defining
+     polynomial (x - a for a rational root found by isolation, so an exact
+     survivor is no special case),
+  5. verify every candidate against *all* the input polynomials exactly,
+     each reduced at the candidate root by TriangularRoot.substitute.
 
 Extraneous resultant roots are killed by step 5. Counting certificate: the
 gcd degree is always >= the true solution count with multiplicity, so a
@@ -33,6 +36,7 @@ from .upoly import (
     _igcd_poly,
     _imul,
     _isub,
+    _prem_signed,
     invert_mod,
     poly_gcd,
     squarefree_part,
@@ -54,10 +58,28 @@ class TriangularRoot:
         """p with the eliminated coordinate replaced by its polynomial in the
         survivor, reduced modulo the survivor's defining polynomial. Variable 0
         of p is the eliminated coordinate, variable 1 the survivor (e and f,
-        or s and t)."""
-        f0 = self.survivor
-        modulus = None if f0.is_exact else f0.defining
-        return p.substitute_upoly(0, self.eliminated_poly, mod=modulus)
+        or s and t).
+
+        Horner in the eliminated coordinate on integer lists, the value kept
+        as A/D with D > 0: each pseudo-division of A by the primitive defining
+        polynomial P (upoly._prem_signed) multiplies it by
+        |lc P|^(deg A - deg P + 1), and D by the same; then both are divided
+        by their common content.
+        """
+        rows, dp = p.integer_rows(0)
+        e, de = self.eliminated_poly.cleared()
+        modulus = self.survivor.defining.int_primitive()
+        lead = abs(modulus[-1])
+        acc, den = [], 1
+        for row in reversed(rows):
+            den *= de
+            acc = _isub(_imul(acc, e), [-den * v for v in row])
+            if len(acc) >= len(modulus):
+                den *= lead ** (len(acc) - len(modulus) + 1)
+                acc = _prem_signed(acc, modulus)
+            g = math.gcd(den, *acc)
+            acc, den = [v // g for v in acc], den // g
+        return UPoly([Fraction(v, den * dp) for v in acc])
 
     def sign_of(self, p: BiPoly) -> int:
         """Certified sign of p at this root (variables as in `substitute`)."""
@@ -71,7 +93,6 @@ class SystemSolution:
     roots: list[TriangularRoot]
     gcd_eliminant: UPoly
     squarefree_eliminant: UPoly
-    eliminated_var: int
 
     @property
     def multiplicity_count(self) -> int:
@@ -151,58 +172,62 @@ def _linear_prs_member(
     return None
 
 
-def solve_system(
-    polys: list[BiPoly], eliminate: int, strict: bool = True
-) -> SystemSolution:
+def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:
+    """gcd of the nonzero pairwise resultants of polys eliminating variable 0,
+    primitive; None when every pairwise resultant vanishes identically.
+
+    Any common zero's survivor coordinate is a root of every nonzero pairwise
+    resultant, so the gcd of a subset is still a sound (possibly larger)
+    eliminant, and the scan stops as soon as the gcd is constant.
+    """
+    g: UPoly | None = None
+    for i in range(len(polys)):
+        if g is not None and g.degree == 0:
+            break
+        for j in range(i + 1, len(polys)):
+            pi, pj = polys[i], polys[j]
+            if pi.degree_in(0) == 0 and pj.degree_in(0) == 0:
+                # the Sylvester matrix of two constants is empty (resultant 1),
+                # but the elimination ideal of the pair is generated by the gcd
+                r = poly_gcd(pi.to_upoly(1), pj.to_upoly(1))
+            else:
+                r = resultant_bivariate(pi, pj, 0)
+            if r.is_zero:
+                continue
+            r = r.primitive()
+            g = r if g is None else poly_gcd(g, r)
+            if g.degree == 0:
+                break
+    return g
+
+
+def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
     """Solve a zero-dimensional bivariate system for its real points.
 
-    `eliminate` is the variable removed by resultants (0 or 1); the
-    survivor coordinate of each root is the other one. With strict=True a
-    real eliminant root that cannot be completed and verified raises
-    DegenerateElimination; otherwise such roots are discarded as extraneous.
+    Variable 0 is eliminated by resultants; the survivor coordinate of each
+    root is variable 1. With strict=True a real eliminant root that cannot be
+    completed and verified raises DegenerateElimination; otherwise such roots
+    are discarded as extraneous.
     """
-    survivor_var = 1 - eliminate
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
         raise DegenerateElimination("all system polynomials vanish identically")
     for p in nonzero:
         if p.is_constant:
             empty = UPoly.const(1)
-            return SystemSolution([], empty, empty, eliminate)
+            return SystemSolution([], empty, empty)
     if len(nonzero) == 1:
         raise DegenerateElimination("single bivariate equation is not zero-dimensional")
 
-    # incremental gcd of pairwise resultants; any true solution divides every
-    # nonzero pairwise resultant, so a subset gcd is still a sound (possibly
-    # larger) eliminant and we may stop as soon as it collapses to a constant
-    g: UPoly | None = None
-    saw_nonzero = False
-    for i in range(len(nonzero)):
-        if g is not None and g.degree == 0:
-            break
-        for j in range(i + 1, len(nonzero)):
-            pi, pj = nonzero[i], nonzero[j]
-            if pi.degree_in(eliminate) == 0 and pj.degree_in(eliminate) == 0:
-                # the Sylvester matrix of two constants is empty (resultant 1),
-                # but the elimination ideal of the pair is generated by the gcd
-                r = poly_gcd(pi.to_upoly(survivor_var), pj.to_upoly(survivor_var))
-            else:
-                r = resultant_bivariate(pi, pj, eliminate)
-            if r.is_zero:
-                continue
-            saw_nonzero = True
-            r = r.primitive()
-            g = r if g is None else poly_gcd(g, r)
-            if g.degree == 0:
-                break
-    if not saw_nonzero:
+    g = pairwise_eliminant(nonzero)
+    if g is None:
         raise DegenerateElimination("every pairwise resultant vanishes identically")
     if g.degree <= 0:
         one = UPoly.const(1)
-        return SystemSolution([], one, one, eliminate)
+        return SystemSolution([], one, one)
 
     sf = squarefree_part(g)
-    coeff_lists = [p.integer_rows(eliminate)[0] for p in nonzero]
+    coeff_lists = [p.integer_rows(0)[0] for p in nonzero]
     members = []
     # an input polynomial linear in the eliminated variable is already a
     # completion relation; prefer those before any PRS computation
@@ -217,7 +242,7 @@ def solve_system(
 
     roots: list[TriangularRoot] = []
     for f0 in isolate_real_roots(sf):
-        record = _complete_root(f0, nonzero, members, eliminate)
+        record = _complete_root(f0, nonzero, members)
         if record is None:
             if strict:
                 raise DegenerateElimination(
@@ -225,38 +250,21 @@ def solve_system(
                 )
             continue
         roots.append(record)
-    return SystemSolution(roots, g, sf, eliminate)
+    return SystemSolution(roots, g, sf)
 
 
 def _complete_root(
-    f0: AlgebraicNumber,
-    polys: list[BiPoly],
-    members: list[tuple[UPoly, UPoly]],
-    eliminate: int,
+    f0: AlgebraicNumber, polys: list[BiPoly], members: list[tuple[UPoly, UPoly]]
 ) -> TriangularRoot | None:
     for u, v in members:
         if f0.sign_of_poly(u) == 0:
             continue
-        if f0.is_exact:
-            e_poly = UPoly.const(-v(f0.exact_value) / u(f0.exact_value))
-        else:
-            f0.split_defining_coprime_to(u)
-            e_poly = (-v * invert_mod(u, f0.defining)) % f0.defining
-        if _verify_candidate(f0, e_poly, polys, eliminate):
-            return TriangularRoot(f0, e_poly)
+        f0.split_defining_coprime_to(u)
+        root = TriangularRoot(f0, (-v * invert_mod(u, f0.defining)) % f0.defining)
+        if all(f0.is_root_of(root.substitute(p)) for p in polys):
+            return root
         # verification failed: this member's candidate is extraneous; try others
     return None
-
-
-def _verify_candidate(
-    f0: AlgebraicNumber, e_poly: UPoly, polys: list[BiPoly], eliminate: int
-) -> bool:
-    modulus = None if f0.is_exact else f0.defining
-    for p in polys:
-        reduced = p.substitute_upoly(eliminate, e_poly, mod=modulus)
-        if not f0.is_root_of(reduced):
-            return False
-    return True
 
 
 # -- system construction helpers ---------------------------------------------

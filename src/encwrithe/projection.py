@@ -161,7 +161,10 @@ class DoublePointLocus:
     The image point is kept as three polynomials (num_x, num_y, den) in the
     survivor coordinate, x = num_x/den and y = num_y/den at the survivor;
     they are None when the image leaves the affine chart. `image_x` and
-    `image_y` are the exact coordinates, formed on first access.
+    `image_y` are the exact coordinates, formed on first access by a
+    resultant; only the exact triple-point fallback (and tests) read them.
+    Everything else, the SVG markers included, works on the interval boxes
+    of `_image_box`.
     """
 
     comp_i: int
@@ -356,7 +359,7 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
         expected = _expected_count(component.degree)
         expected_counts.append(expected)
         try:
-            solution = solve_system(system, eliminate=0, strict=True)
+            solution = solve_system(system, strict=True)
         except DegenerateElimination as exc:
             certificate.simple_roots = False
             certificate.notes.append(f"component {idx}: {exc}")
@@ -432,7 +435,7 @@ def _solve_inter_component(
 ) -> list[DoublePointLocus]:
     system = cross_double_point_system(projected_triple(comp_i), projected_triple(comp_j))
     try:
-        solution = solve_system(system, eliminate=0, strict=True)
+        solution = solve_system(system, strict=True)
     except DegenerateElimination as exc:
         certificate.simple_roots = False
         certificate.notes.append(f"components {i},{j}: {exc}")
@@ -600,7 +603,7 @@ def double_point_system(curve: RationalSpaceCurve) -> SystemSolution:
     """Solve the same-parametrization double-point system of the canonical
     projection of a single curve (already in the normalized frame)."""
     system = symmetric_double_point_system(projected_triple(curve))
-    return solve_system(system, eliminate=0, strict=True)
+    return solve_system(system, strict=True)
 
 
 def classify_double_points(link: Link, center) -> list[DoublePointLocus]:

@@ -19,14 +19,14 @@ from pathlib import Path
 
 from .bipoly import BiPoly
 from .elimination import symmetric_quotient
-from .projection import DoublePointLocus, LocusKind
+from .projection import DoublePointLocus, LocusKind, _image_box
 from .rationals import rat_str
 from .upoly import UPoly
 from .writhe import Diagram, chart_product
 
 _SAMPLES_PER_COMPONENT = 800
-# a crossing's preimages are read as floats once both coordinates of its
-# root are known to within this width
+# a crossing's preimages, and every marker's image point, are read as floats
+# once they are known to within this width
 _PREIMAGE_WIDTH = Fraction(1, 10**9)
 _COLORS = ("#1f4e9c", "#b0343c", "#2c7a3f", "#8a5d00", "#5b3794")
 
@@ -85,6 +85,17 @@ def _crossing_preimages_float(
     return second, first
 
 
+def _image_point_float(locus: DoublePointLocus) -> tuple[float, float]:
+    """The image point as floats: midpoints of the num/den box of
+    projection._image_box, the survivor refined until both sides of the box
+    are narrower than _PREIMAGE_WIDTH."""
+    while True:
+        box = _image_box(locus)
+        if box is not None and max(box[0].width, box[1].width) < _PREIMAGE_WIDTH:
+            return float(box[0].mid), float(box[1].mid)
+        locus.root.survivor.refine()
+
+
 def _sample_component(curve, t_lo: float, t_hi: float) -> list[list[tuple]]:
     """(x, y, t) polyline segments of the projected real branch, split at
     chart poles."""
@@ -139,13 +150,9 @@ def render_diagram_svg(diagram: Diagram, out_path=None, size: int = 480) -> str:
             over_under[key] = _over_under_polys(diagram, locus)
         (under_comp, under_t), _over = _crossing_preimages_float(locus, over_under[key])
         gaps[under_comp].append(under_t)
-        markers.append(
-            ("crossing", float(locus.image_x), float(locus.image_y), locus.raw_sign)
-        )
+        markers.append(("crossing", *_image_point_float(locus), locus.raw_sign))
     for locus in solitary:
-        markers.append(
-            ("solitary", float(locus.image_x), float(locus.image_y), locus.raw_sign)
-        )
+        markers.append(("solitary", *_image_point_float(locus), locus.raw_sign))
 
     interesting = [abs(t) for ts in gaps.values() for t in ts] or [1.0]
     t_range = max(3.0, 2.0 * max(interesting))

@@ -19,6 +19,10 @@ never on Fractions:
 * elimination's completion PRS uses the same list helpers (_imul, _isub,
   _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
   on the cleared integer coefficients (UPoly.cleared).
+* The reduction of a polynomial at a triangular root
+  (elimination.TriangularRoot.substitute) is Horner on integer lists with
+  _prem_signed by the primitive defining polynomial, the denominator kept
+  apart and the common content divided out at every step.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from encwrithe import svg
+from encwrithe import projection, svg
+from encwrithe.algnum import algebraic_value
 from encwrithe.cli import main
 from encwrithe.curves import Link, sample_random_curve
 from encwrithe.data import (
@@ -236,6 +238,40 @@ class TestDiagramCommand:
                 images.append((svg._feval(curve.X, t) / w, svg._feval(curve.Y, t) / w))
             (xa, ya), (xb, yb) = images
             assert abs(xa - xb) < 1e-6 and abs(ya - yb) < 1e-6
+
+    @pytest.mark.parametrize(
+        "path,seed", [(LINKED_CIRCLES_PATH, 3), (MODEL_CROSSING_PATH, 0)]
+    )
+    def test_markers_form_no_algebraic_value(self, capsys, tmp_path, monkeypatch, path, seed):
+        # a marker sits at the midpoints of the image's interval box, so
+        # drawing it forms no exact image coordinate
+        calls = []
+        real = projection.algebraic_value
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(projection, "algebraic_value", counted)
+        argv = ["diagram", str(path), "--seed", str(seed), "--out", str(tmp_path / "d.svg")]
+        code = main(argv)
+        capsys.readouterr()
+        assert code == 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "path,seed", [(LINKED_CIRCLES_PATH, 3), (MODEL_CROSSING_PATH, 0)]
+    )
+    def test_markers_lie_at_the_exact_image(self, path, seed):
+        diagram = build_diagram(parse_curve_file(path), None, seed=seed)
+        assert diagram.loci
+        for locus in diagram.loci:
+            x, y = svg._image_point_float(locus)
+            num_x, num_y, den = locus.image_fractions
+            for value, num in ((x, num_x), (y, num_y)):
+                exact = algebraic_value(locus.root.survivor, num, den)
+                exact.refine_below(Fraction(1, 10**9))
+                assert abs(value - float(exact)) < 1e-6
 
     def test_svg_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -1,6 +1,7 @@
 """Package-wide constraints that no single module's tests see."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,3 +28,26 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_bench_span_targets_resolve():
+    # the bench wraps these (module, qualname) targets from outside; a target
+    # the package lost would turn its per-layer metric into a silent zero
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("SPAN_TARGETS", "COUNT_TARGETS")
+    }
+    assert set(tables) == {"SPAN_TARGETS", "COUNT_TARGETS"}
+    missing = []
+    for module_name, qualname, _metric in tables["SPAN_TARGETS"] + tables["COUNT_TARGETS"]:
+        owner = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []

@@ -237,7 +237,7 @@ class TestInterComponent:
             projected_triple(nlink.components[0]),
             projected_triple(nlink.components[1]),
         )
-        solution = solve_system(system, eliminate=0, strict=True)
+        solution = solve_system(system, strict=True)
         assert solution.multiplicity_count == 4
 
 
