@@ -240,8 +240,7 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
         raise InvalidInput("denominator vanishes at the base number")
     if base.is_exact:
         return AlgebraicNumber.from_rational(num(base.lo) / den(base.lo))
-    y = BiPoly.var(1)
-    target = BiPoly.from_upoly(num, 0) - y * BiPoly.from_upoly(den, 0)
+    target = BiPoly.outer([(num, UPoly.const(1)), (-den, UPoly.x())])
     h = resultant_bivariate(BiPoly.from_upoly(base.defining, 0), target, 0)
     if h.is_zero:
         # another root of the defining polynomial is a common root of num and

@@ -1,11 +1,16 @@
 """Sparse bivariate polynomials over the rationals.
 
 Used for the double-point systems: minors in the two preimage parameters
-(s, t), polynomials in the symmetric coordinates (e, f) = (s + t, s*t)
-(built in closed form by elimination.symmetric_quotient and
-elimination.symmetric_sum), and resultant elimination down to univariate
-polynomials. Exponent pairs map to Fraction coefficients; variable 0 is the
-first parameter, variable 1 the second.
+(s, t), polynomials in the symmetric coordinates (e, f) = (s + t, s*t), and
+resultant elimination down to univariate polynomials. Exponent pairs map to
+Fraction coefficients; variable 0 is the first parameter, variable 1 the
+second.
+
+A BiPoly is built, never computed with: every one in the program is a sum
+of products A(s)B(t) (BiPoly.outer), or the (e, f) closed form of such a
+sum symmetrized or divided by s - t (elimination.symmetric_sum and
+elimination.symmetric_quotient), formed on cleared integers. There is no
+ring arithmetic on BiPolys.
 
 The resultant runs on the integer kernel of upoly: each input is cleared
 to integer coefficient lists over Z[x] (integer_rows) and its Sylvester
@@ -37,23 +42,6 @@ class BiPoly:
         self.terms = {k: v for k, v in d.items() if v}
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def const(c) -> "BiPoly":
-        c = rat(c)
-        return BiPoly({(0, 0): c}) if c else BiPoly()
-
-    @staticmethod
-    def var(index: int) -> "BiPoly":
-        if index == 0:
-            return BiPoly({(1, 0): Fraction(1)})
-        if index == 1:
-            return BiPoly({(0, 1): Fraction(1)})
-        raise InvalidInput("variable index must be 0 or 1")
 
     @staticmethod
     def from_upoly(p: UPoly, index: int) -> "BiPoly":
@@ -105,50 +93,6 @@ class BiPoly:
         ]
         return "BiPoly(" + " + ".join(parts) + ")"
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "BiPoly":
-        other = _as_bipoly(other)
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            d[k] = d.get(k, Fraction(0)) + c
-        return BiPoly(d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BiPoly":
-        return self + (-_as_bipoly(other))
-
-    def __rsub__(self, other) -> "BiPoly":
-        return _as_bipoly(other) - self
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = rat(other)
-            return BiPoly({k: c * other for k, c in self.terms.items()})
-        other = _as_bipoly(other)
-        d: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                d[k] = d.get(k, Fraction(0)) + c1 * c2
-        return BiPoly(d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- views and conversions -----------------------------------------
 
     def to_upoly(self, index: int) -> UPoly:
@@ -164,15 +108,6 @@ class BiPoly:
 
     def swap_vars(self) -> "BiPoly":
         return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
-
-    def derivative(self, index: int) -> "BiPoly":
-        d: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            k = (i, j)[index]
-            if k:
-                nk = (i - 1, j) if index == 0 else (i, j - 1)
-                d[nk] = d.get(nk, Fraction(0)) + c * k
-        return BiPoly(d)
 
     # -- the operations the double-point pipeline needs -----------------
 
@@ -195,14 +130,6 @@ class BiPoly:
         return rows, den
 
 
-def _as_bipoly(value) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, UPoly):
-        raise InvalidInput("ambiguous UPoly to BiPoly conversion; use from_upoly")
-    return BiPoly.const(rat(value))
-
-
 def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
     """Resultant of a and b eliminating variable `index` (univariate in the other).
 
@@ -223,6 +150,6 @@ def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
         for _ in range(power):
             det = _imul(det, base)
     else:
-        det = det_bareiss(sylvester_matrix(p, q, []))
+        det = det_bareiss(sylvester_matrix(p, q))
     scale = dp**n * dq**m
     return UPoly([Fraction(c, scale) for c in det])

@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrix,
 )
 from .rationals import rat, sign
-from .upoly import UPoly, det_rational, gcd_of_minors, poly_gcd
+from .upoly import UPoly, det_rational, gcd_of_minors, poly_gcd, proportional
 
 
 class _ParameterInfinity:
@@ -375,14 +375,7 @@ def _check_immersion(curve: RationalSpaceCurve, report: CurveValidationReport) -
         return
     # at parameter infinity the velocity direction is the subleading
     # coefficient vector of the homogenization
-    lead = curve.leading_vector()
-    sub = curve.subleading_vector()
-    rank2 = any(
-        lead[i] * sub[j] - lead[j] * sub[i] != 0
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    if not rank2:
+    if proportional(curve.leading_vector(), curve.subleading_vector()):
         report.immersion = False
         report.cusp_witness = "cusp at parameter infinity"
 
@@ -466,11 +459,7 @@ def _intersection_witness(
         g = gcd_of_minors(other.coords, lead)
         if g is None or g.degree > 0:
             return "coincidence at a parameter-infinity point"
-    la, lb = a.leading_vector(), b.leading_vector()
-    parallel = all(
-        la[i] * lb[j] - la[j] * lb[i] == 0 for i in range(4) for j in range(i + 1, 4)
-    )
-    if parallel:
+    if proportional(a.leading_vector(), b.leading_vector()):
         return "both parameter-infinity points coincide"
     return None
 

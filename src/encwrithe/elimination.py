@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .algnum import AlgebraicNumber, isolate_real_roots
 from .bipoly import BiPoly, resultant_bivariate
@@ -319,24 +320,29 @@ def symmetric_quotient(a: UPoly, b: UPoly) -> BiPoly:
     return _ef_combination(groups, _ef_sequence(n - 1, 1), da * db)
 
 
-def symmetric_sum(a: UPoly, b: UPoly) -> BiPoly:
-    """A(s)B(t) + A(t)B(s), rewritten in (e, f) = (s + t, s*t).
+def symmetric_sum(pairs: Iterable[tuple[UPoly, UPoly]]) -> BiPoly:
+    """Sum of A(s)B(t) + A(t)B(s) over the pairs (A, B), rewritten in
+    (e, f) = (s + t, s*t).
 
     In closed form, sum over i, j of a_i b_j f^min(i, j) p_|i-j| with the
-    power sums p_0 = 2, p_1 = e and p_k = e p_{k-1} - f p_{k-2}. Variable 0
+    power sums p_0 = 2, p_1 = e and p_k = e p_{k-1} - f p_{k-2}. Each pair
+    is cleared to integers and scaled to the common denominator. Variable 0
     of the result is e, variable 1 is f.
     """
-    ia, da = a.cleared()
-    ib, db = b.cleared()
+    cleared = [(a.cleared(), b.cleared()) for a, b in pairs]
+    den = math.lcm(*(da * db for (_, da), (_, db) in cleared))
     groups: dict[tuple[int, int], int] = {}
-    for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib):
-                if y:
-                    key = (abs(i - j), min(i, j))
-                    groups[key] = groups.get(key, 0) + x * y
-    n = max(len(ia), len(ib))
-    return _ef_combination(groups, _ef_sequence(n, 2), da * db)
+    n = 0
+    for (ia, da), (ib, db) in cleared:
+        scale = den // (da * db)
+        n = max(n, len(ia), len(ib))
+        for i, x in enumerate(ia):
+            if x:
+                for j, y in enumerate(ib):
+                    if y:
+                        key = (abs(i - j), min(i, j))
+                        groups[key] = groups.get(key, 0) + scale * x * y
+    return _ef_combination(groups, _ef_sequence(n, 2), den)
 
 
 def symmetric_double_point_system(coords: list[UPoly]) -> list[BiPoly]:
@@ -357,15 +363,13 @@ def symmetric_double_point_system(coords: list[UPoly]) -> list[BiPoly]:
 def cross_double_point_system(
     coords_a: list[UPoly], coords_b: list[UPoly]
 ) -> list[BiPoly]:
-    """Two-parametrization coincidence system; variable 0 is the parameter on
-    the first curve, variable 1 the parameter on the second."""
-    out = []
+    """Two-parametrization coincidence system: the minors
+    A_i(s)B_j(t) - A_j(s)B_i(t) of the coordinate lists A = coords_a and
+    B = coords_b; variable 0 is the parameter on the first curve, variable 1
+    the parameter on the second."""
     n = len(coords_a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a_s = BiPoly.from_upoly(coords_a[i], 0)
-            b_s = BiPoly.from_upoly(coords_a[j], 0)
-            a_t = BiPoly.from_upoly(coords_b[i], 1)
-            b_t = BiPoly.from_upoly(coords_b[j], 1)
-            out.append(a_s * b_t - a_t * b_s)
-    return out
+    return [
+        BiPoly.outer([(coords_a[i], coords_b[j]), (-coords_a[j], coords_b[i])])
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]

@@ -53,7 +53,7 @@ from .errors import (
     ZeroDeterminant,
 )
 from .rationals import Interval, rat
-from .upoly import UPoly, gcd_of_minors
+from .upoly import UPoly, gcd_of_minors, proportional
 
 CANONICAL_CENTER = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
 
@@ -85,17 +85,10 @@ class ProjectionCenter:
         return ProjectionCenter(vals)
 
 
-def _proportional(a, b) -> bool:
-    n = len(a)
-    return all(
-        a[i] * b[j] - a[j] * b[i] == 0 for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def center_on_component(curve: RationalSpaceCurve, center) -> bool:
     """Exact test: does the projective point `center` lie on the curve?"""
     c = [rat(v) for v in center]
-    if _proportional(curve.leading_vector(), c):
+    if proportional(curve.leading_vector(), c):
         return True
     g = gcd_of_minors(curve.coords, c)
     # on a validated curve a nonconstant gcd always certifies a hit
@@ -287,7 +280,7 @@ def _infinity_involved(curve: RationalSpaceCurve, other: RationalSpaceCurve | No
         # some finite parameter (possibly complex) maps to the image of the
         # point at parameter infinity
         return True
-    if other is not None and _proportional(_projected_lead(curve), _projected_lead(other)):
+    if other is not None and proportional(_projected_lead(curve), _projected_lead(other)):
         return True
     return False
 
@@ -465,7 +458,7 @@ def _image_polys(
     X, Y, W = component.X, component.Y, component.W
     if not same_component:
         return tuple(BiPoly.from_upoly(p, 0) for p in (X, Y, W))
-    return symmetric_sum(X, W), symmetric_sum(Y, W), symmetric_sum(W, W)
+    return symmetric_sum([(X, W)]), symmetric_sum([(Y, W)]), symmetric_sum([(W, W)])
 
 
 def _fill_images(

@@ -196,19 +196,6 @@ class UPoly:
             acc = acc * iv + Interval.point(c)
         return acc
 
-    def compose(self, inner: "UPoly") -> "UPoly":
-        acc = UPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly.const(c)
-        return acc
-
-    def reversed_coeffs(self, degree: int | None = None) -> "UPoly":
-        """Coefficients reversed relative to a nominal degree (t -> 1/t)."""
-        d = self.degree if degree is None else degree
-        if d < self.degree:
-            raise InvalidInput("nominal degree below actual degree")
-        return UPoly([self[d - k] for k in range(d + 1)])
-
     # -- integer normal form -------------------------------------------
 
     def cleared(self) -> tuple[list[int], int]:
@@ -406,6 +393,15 @@ def gcd_of_minors(p: Sequence[UPoly], v: Sequence) -> UPoly | None:
     return g
 
 
+def proportional(a: Sequence, b: Sequence) -> bool:
+    """Are the scalar vectors a and b proportional: do all 2x2 minors
+    a_i*b_j - a_j*b_i vanish? The scalar twin of gcd_of_minors."""
+    n = len(a)
+    return all(
+        a[i] * b[j] - a[j] * b[i] == 0 for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def squarefree_part(p: UPoly) -> UPoly:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero:
@@ -505,8 +501,9 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(det[0] if det else 0, scale)
 
 
-def sylvester_matrix(p: list, q: list, zero) -> list[list]:
-    """Sylvester matrix of p, q given as low-first coefficient lists of ring elements."""
+def sylvester_matrix(p: list, q: list) -> list[list]:
+    """Sylvester matrix of p, q given as low-first coefficient lists over Z[x]
+    (each entry an integer coefficient list, [] for zero)."""
     m, n = len(p) - 1, len(q) - 1
     if m < 0 or n < 0:
         raise InvalidInput("resultant of a zero polynomial")
@@ -515,9 +512,9 @@ def sylvester_matrix(p: list, q: list, zero) -> list[list]:
     ph = list(reversed(p))
     qh = list(reversed(q))
     for i in range(n):
-        rows.append([zero] * i + ph + [zero] * (size - m - 1 - i))
+        rows.append([[]] * i + ph + [[]] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([zero] * i + qh + [zero] * (size - n - 1 - i))
+        rows.append([[]] * i + qh + [[]] * (size - n - 1 - i))
     return rows
 
 
@@ -531,7 +528,7 @@ def resultant(p: UPoly, q: UPoly) -> Fraction:
         return q.lc ** p.degree
     ip, dp = _cleared(p.coeffs)
     iq, dq = _cleared(q.coeffs)
-    rows = sylvester_matrix([[c] if c else [] for c in ip], [[c] if c else [] for c in iq], [])
+    rows = sylvester_matrix([[c] if c else [] for c in ip], [[c] if c else [] for c in iq])
     det = det_bareiss(rows)
     # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q)
     return Fraction(det[0] if det else 0, dp ** q.degree * dq ** p.degree)

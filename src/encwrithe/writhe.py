@@ -95,10 +95,10 @@ def crossing_det_bipoly(
 def chart_product(
     curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None
 ) -> BiPoly:
-    """W(s) W(t): half of symmetric_sum(W, W) in (e, f) when `other` is None,
-    else W(s) W_other(t) in (s, t)."""
+    """W(s) W(t): symmetric_sum of the pair (W/2, W) in (e, f) when `other`
+    is None, else W(s) W_other(t) in (s, t)."""
     if other is None:
-        return symmetric_sum(curve.W, curve.W) * Fraction(1, 2)
+        return symmetric_sum([(curve.W * Fraction(1, 2), curve.W)])
     return BiPoly.outer([(curve.W, other.W)])
 
 
@@ -110,10 +110,7 @@ def crossing_sign_polys(
     if other is not None:
         return crossing_det_bipoly(curve, other), chart_product(curve, other)
     wv, c = _triple_product_factors(curve)
-    det = BiPoly.zero()
-    for wv_k, c_k in zip(wv, c):
-        det = det + symmetric_sum(wv_k, c_k)
-    return det, chart_product(curve)
+    return symmetric_sum(zip(wv, c)), chart_product(curve)
 
 
 def crossing_sign_raw(

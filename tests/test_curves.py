@@ -210,7 +210,7 @@ class TestReparametrization:
         inverted = MoebiusReparam.of(0, 1, 1, 0).apply(curve)  # t -> 1/t
         d = curve.degree
         for original, new in zip(curve.coords, inverted.coords):
-            assert new == original.reversed_coeffs(d)
+            assert new == UPoly([original[d - k] for k in range(d + 1)])
 
     def test_point_set_preserved_projectively(self):
         curve = model_curve(-1)

@@ -68,12 +68,12 @@ class TestSolveSystem:
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateElimination):
-            solve_system([BiPoly.zero()])
+            solve_system([BiPoly()])
 
     def test_proportional_pair_rejected(self):
         p = bp({(1, 0): 1, (0, 1): -1})
         with pytest.raises(DegenerateElimination):
-            solve_system([p, 2 * p])
+            solve_system([p, bp({(1, 0): 2, (0, 1): -2})])
 
 
 class TestSystemBuilders:

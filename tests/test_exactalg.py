@@ -19,7 +19,12 @@ from encwrithe.algnum import (
     isolate_real_roots,
 )
 from encwrithe.bipoly import BiPoly, resultant_bivariate
-from encwrithe.elimination import TriangularRoot, symmetric_quotient, symmetric_sum
+from encwrithe.elimination import (
+    TriangularRoot,
+    cross_double_point_system,
+    symmetric_quotient,
+    symmetric_sum,
+)
 from encwrithe.errors import InvalidInput
 from encwrithe.rationals import Interval
 from encwrithe.upoly import (
@@ -71,11 +76,6 @@ class TestUPolyArithmetic:
         quo, rem = p.divmod(q)
         assert quo * q + rem == p
 
-    def test_compose(self):
-        p = UPoly([1, 0, 1])  # 1 + x^2
-        q = UPoly([1, 1])  # x + 1
-        assert p.compose(q) == UPoly([2, 2, 1])
-
     def test_interval_eval_contains_true_value(self):
         p = UPoly([-2, 0, 1])
         iv = p.eval_interval(Interval.of(1, 2))
@@ -93,8 +93,8 @@ class TestResultant:
         # specialized at a=2, b=5 this is -3 (the convention fixes b-a up to sign)
         assert resultant(UPoly([-2, 1]), UPoly([-5, 1])) == -3
         # symbolic variant with the second variable kept: Res_s(s - t, s + t) = 2t
-        p = BiPoly.var(0) - BiPoly.var(1)
-        q = BiPoly.var(0) + BiPoly.var(1)
+        p = BiPoly({(1, 0): 1, (0, 1): -1})
+        q = BiPoly({(1, 0): 1, (0, 1): 1})
         assert resultant_bivariate(p, q, 0) == UPoly([0, 2])
 
     def test_integer_division_is_exact_or_raises(self):
@@ -226,11 +226,11 @@ def point_root(e, f) -> TriangularRoot:
 
 class TestCertifiedSign:
     def test_discriminant_crossing_case(self):
-        expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)  # e^2 - 4f
+        expr = BiPoly({(2, 0): 1, (0, 1): -4})  # e^2 - 4f
         assert point_root(0, -1).sign_of(expr) == 1
 
     def test_discriminant_solitary_case(self):
-        expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)
+        expr = BiPoly({(2, 0): 1, (0, 1): -4})
         assert point_root(0, 1).sign_of(expr) == -1
 
     def test_defining_poly_vanishes(self):
@@ -242,7 +242,7 @@ class TestCertifiedSign:
         # e^2 - 4f at (sqrt2, 1/2): 2 - 2 = 0 exactly; at (1/2, sqrt2) negative.
         # The survivor of a triangular root is variable 1, so the first point
         # takes the variables swapped: e survives and f = 1/2 is eliminated.
-        expr = BiPoly.var(0) ** 2 - 4 * BiPoly.var(1)
+        expr = BiPoly({(2, 0): 1, (0, 1): -4})
         sqrt2 = isolate_real_roots(UPoly([-2, 0, 1]))[1]
         assert TriangularRoot(sqrt2, UPoly.const(Fraction(1, 2))).sign_of(expr.swap_vars()) == 0
         sqrt2b = isolate_real_roots(UPoly([-2, 0, 1]))[1]
@@ -284,62 +284,6 @@ class TestCertifiedSign:
                 assert iv.lo <= 0 <= iv.hi
 
 
-def ef_to_st(p: BiPoly) -> BiPoly:
-    """A polynomial in (e, f) written back in (s, t) through e = s + t, f = st."""
-    s, t = BiPoly.var(0), BiPoly.var(1)
-    back = BiPoly.zero()
-    for (i, j), c in p.terms.items():
-        back = back + c * (s + t) ** i * (s * t) ** j
-    return back
-
-
-def st_pair(a: UPoly, b: UPoly) -> tuple[BiPoly, BiPoly]:
-    """(A(s)B(t), A(t)B(s)) built by BiPoly products."""
-    ab = BiPoly.from_upoly(a, 0) * BiPoly.from_upoly(b, 1)
-    return ab, ab.swap_vars()
-
-
-class TestBiPoly:
-    def test_symmetric_rewrite_examples(self):
-        e, f = BiPoly.var(0), BiPoly.var(1)
-        # s^2 t + s t^2 = A(s)B(t) + A(t)B(s) with A = x^2, B = x
-        assert symmetric_sum(UPoly([0, 0, 1]), UPoly([0, 1])) == e * f
-        # s^2 + t^2 with A = x^2, B = 1
-        assert symmetric_sum(UPoly([0, 0, 1]), UPoly([1])) == e * e - 2 * f
-
-    @given(upolys(4), upolys(4))
-    @settings(max_examples=60)
-    def test_symmetric_roundtrip(self, a, b):
-        ab, ba = st_pair(a, b)
-        assert ef_to_st(symmetric_sum(a, b)) == ab + ba
-
-    def test_diagonal_division(self):
-        s, t = BiPoly.var(0), BiPoly.var(1)
-        e, f = BiPoly.var(0), BiPoly.var(1)
-        # (s^3 - t^3) / (s - t) = s^2 + s t + t^2 = e^2 - f, with A = x^3, B = 1
-        quotient = symmetric_quotient(UPoly([0, 0, 0, 1]), UPoly([1]))
-        assert quotient == e * e - f
-        assert ef_to_st(quotient) == s * s + s * t + t * t
-
-    @given(upolys(4), upolys(4))
-    @settings(max_examples=60)
-    def test_antisymmetric_division_roundtrip(self, a, b):
-        ab, ba = st_pair(a, b)
-        s_minus_t = BiPoly.var(0) - BiPoly.var(1)
-        assert ef_to_st(symmetric_quotient(a, b)) * s_minus_t == ab - ba
-
-    def test_bivariate_resultant_matches_sympy(self):
-        s, t = sympy.symbols("s t")
-        ours = resultant_bivariate(
-            BiPoly({(2, 0): 1, (0, 1): -1}),  # s^2 - t
-            BiPoly({(1, 1): 1, (0, 0): -2}),  # s*t - 2
-            0,
-        )
-        theirs = sympy.Poly(sympy.resultant(s**2 - t, s * t - 2, s), t)
-        coeffs = list(reversed([sympy.Rational(c) for c in ours.coeffs]))
-        assert coeffs == theirs.all_coeffs()
-
-
 S, T = sympy.symbols("s t")
 
 
@@ -355,6 +299,60 @@ def upoly_to_sympy(p: UPoly, var):
         (sympy.Rational(c.numerator, c.denominator) * var**k for k, c in enumerate(p.coeffs)),
         sympy.Integer(0),
     )
+
+
+def sympy_to_bipoly(expr, u=S, v=T) -> BiPoly:
+    """A sympy polynomial in (u, v) as a BiPoly."""
+    poly = sympy.Poly(sympy.expand(expr), u, v)
+    return BiPoly({(i, j): Fraction(int(c.p), int(c.q)) for (i, j), c in poly.terms()})
+
+
+def ef_to_st(p: BiPoly) -> BiPoly:
+    """A polynomial in (e, f) written back in (s, t) through e = s + t, f = st."""
+    return sympy_to_bipoly(bipoly_to_sympy(p).subs({S: S + T, T: S * T}, simultaneous=True))
+
+
+def st_pair(a: UPoly, b: UPoly) -> tuple[BiPoly, BiPoly]:
+    """(A(s)B(t) + A(t)B(s), A(s)B(t) - A(t)B(s)) built by outer."""
+    return BiPoly.outer([(a, b), (b, a)]), BiPoly.outer([(a, b), (-b, a)])
+
+
+class TestBiPoly:
+    def test_symmetric_rewrite_examples(self):
+        # s^2 t + s t^2 = A(s)B(t) + A(t)B(s) with A = x^2, B = x: e * f
+        assert symmetric_sum([(UPoly([0, 0, 1]), UPoly([0, 1]))]) == BiPoly({(1, 1): 1})
+        # s^2 + t^2 with A = x^2, B = 1: e^2 - 2f
+        assert symmetric_sum([(UPoly([0, 0, 1]), UPoly([1]))]) == BiPoly({(2, 0): 1, (0, 1): -2})
+
+    @given(upolys(4), upolys(4))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_roundtrip(self, a, b):
+        total, _difference = st_pair(a, b)
+        assert ef_to_st(symmetric_sum([(a, b)])) == total
+
+    def test_diagonal_division(self):
+        # (s^3 - t^3) / (s - t) = s^2 + s t + t^2 = e^2 - f, with A = x^3, B = 1
+        quotient = symmetric_quotient(UPoly([0, 0, 0, 1]), UPoly([1]))
+        assert quotient == BiPoly({(2, 0): 1, (0, 1): -1})
+        assert ef_to_st(quotient) == BiPoly({(2, 0): 1, (1, 1): 1, (0, 2): 1})
+
+    @given(upolys(4), upolys(4))
+    @settings(max_examples=60, deadline=None)
+    def test_antisymmetric_division_roundtrip(self, a, b):
+        _total, difference = st_pair(a, b)
+        back = bipoly_to_sympy(ef_to_st(symmetric_quotient(a, b)))
+        assert sympy_to_bipoly(back * (S - T)) == difference
+
+    def test_bivariate_resultant_matches_sympy(self):
+        s, t = sympy.symbols("s t")
+        ours = resultant_bivariate(
+            BiPoly({(2, 0): 1, (0, 1): -1}),  # s^2 - t
+            BiPoly({(1, 1): 1, (0, 0): -2}),  # s*t - 2
+            0,
+        )
+        theirs = sympy.Poly(sympy.resultant(s**2 - t, s * t - 2, s), t)
+        coeffs = list(reversed([sympy.Rational(c) for c in ours.coeffs]))
+        assert coeffs == theirs.all_coeffs()
 
 
 def random_fraction(rng) -> Fraction:
@@ -423,10 +421,9 @@ class TestResultantOracle:
         assert resultant_bivariate(a, b, 0) == UPoly([-2, 0, Fraction(3, 7)]) ** 3
 
     def test_identically_vanishing_resultant(self):
-        s, t = BiPoly.var(0), BiPoly.var(1)
-        common = s - t * Fraction(2, 3)
-        a = common * (s * s + t)
-        b = common * (s + 1)
+        common = S - T * sympy.Rational(2, 3)
+        a = sympy_to_bipoly(common * (S * S + T))
+        b = sympy_to_bipoly(common * (S + 1))
         assert resultant_bivariate(a, b, 0).is_zero
         self.assert_matches(a, b, 0)
         self.assert_matches(a, b, 1)
@@ -449,7 +446,36 @@ class TestSymmetricFormsOracle:
             quotient = sympy.cancel((a_s * b_t - a_t * b_s) / (S - T))
             assert sympy.expand(self.through_ef(symmetric_quotient(a, b)) - quotient) == 0
             total = a_s * b_t + a_t * b_s
-            assert sympy.expand(self.through_ef(symmetric_sum(a, b)) - total) == 0
+            assert sympy.expand(self.through_ef(symmetric_sum([(a, b)])) - total) == 0
+        # lists of pairs: the sum over the pairs, each with its own denominators
+        for _ in range(20):
+            pairs = [(random_upoly(rng), random_upoly(rng)) for _ in range(rng.randint(1, 3))]
+            total = sum(
+                upoly_to_sympy(a, S) * upoly_to_sympy(b, T) + upoly_to_sympy(a, T) * upoly_to_sympy(b, S)
+                for a, b in pairs
+            )
+            assert sympy.expand(self.through_ef(symmetric_sum(pairs)) - total) == 0
+
+
+class TestCrossSystemOracle:
+    """cross_double_point_system against sympy: each minor of the coordinate
+    lists A, B is A_i(s)B_j(t) - A_j(s)B_i(t), for i < j in lexicographic order."""
+
+    def test_seeded_coordinate_lists(self):
+        rng = random.Random(5162)
+        for _ in range(30):
+            coords_a = [random_upoly(rng, 4) for _ in range(4)]
+            coords_b = [random_upoly(rng, 4) for _ in range(4)]
+            minors = cross_double_point_system(coords_a, coords_b)
+            expected = [
+                upoly_to_sympy(coords_a[i], S) * upoly_to_sympy(coords_b[j], T)
+                - upoly_to_sympy(coords_a[j], S) * upoly_to_sympy(coords_b[i], T)
+                for i in range(4)
+                for j in range(i + 1, 4)
+            ]
+            assert len(minors) == 6
+            for minor, value in zip(minors, expected):
+                assert sympy.expand(bipoly_to_sympy(minor) - value) == 0
 
 
 class TestAlgebraicValue:

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import encwrithe
+from encwrithe.bipoly import BiPoly
 
 PACKAGE = Path(encwrithe.__file__).parent
 
@@ -51,3 +52,10 @@ def test_bench_span_targets_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_bipoly_has_no_ring_arithmetic():
+    # every bivariate polynomial is built by BiPoly.outer or an (e, f) closed
+    # form on cleared integers; Fraction ring arithmetic on BiPolys stays out
+    banned = ("__add__", "__sub__", "__mul__", "__pow__", "__neg__", "var", "const", "zero", "derivative")
+    assert [name for name in banned if hasattr(BiPoly, name)] == []
