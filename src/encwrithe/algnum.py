@@ -2,10 +2,10 @@
 
 An AlgebraicNumber is a square-free defining polynomial plus an isolating
 rational interval. Sign queries follow a fixed protocol: decide vanishing
-exactly first (reduction modulo the defining data plus a gcd test picking
-out the actual root), then refine the interval until interval arithmetic
-separates the value from zero. The exact zero test is what guarantees the
-refinement loop terminates.
+exactly first (the pseudo-remainder of the polynomial by the defining one,
+upoly._pdivmod, plus a gcd test picking out the actual root), then refine
+the interval until interval arithmetic separates the value from zero. The
+exact zero test is what guarantees the refinement loop terminates.
 
 There is no extension tower. Every double point is a triangular root: a
 real algebraic number plus a polynomial giving the other coordinate, and
@@ -22,6 +22,7 @@ from .errors import InvalidInput
 from .rationals import Interval, rat, sign
 from .upoly import (
     UPoly,
+    _pdivmod,
     count_real_roots,
     is_squarefree,
     isolate_roots_intervals,
@@ -134,7 +135,7 @@ class AlgebraicNumber:
         """Exact sign of p at this number."""
         if self.is_exact:
             return sign(p(self.lo))
-        p = p % self.defining
+        p = self._remainder(p)
         if p.is_zero:
             return 0
         for _ in range(_QUICK_REFINE_ROUNDS):
@@ -157,10 +158,14 @@ class AlgebraicNumber:
     def is_root_of(self, p: UPoly) -> bool:
         if self.is_exact:
             return p(self.lo) == 0
-        p = p % self.defining
+        p = self._remainder(p)
         if p.is_zero:
             return True
         return self._vanishes_here(p)
+
+    def _remainder(self, p: UPoly) -> UPoly:
+        # a positive multiple of p mod defining: same sign and same zeros here
+        return UPoly(_pdivmod(p.cleared()[0], self.defining.int_primitive())[1])
 
     def _vanishes_here(self, p: UPoly) -> bool:
         # p already reduced and nonzero; p vanishes at the root iff the root

@@ -21,6 +21,7 @@ root, from the same integer_rows.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,15 +52,20 @@ class BiPoly:
 
     @staticmethod
     def outer(pairs: Iterable[tuple[UPoly, UPoly]]) -> "BiPoly":
-        """Sum of the products A(s) * B(t) over the pairs (A, B)."""
-        terms: dict[tuple[int, int], Fraction] = {}
-        for a, b in pairs:
-            for i, x in enumerate(a.coeffs):
+        """Sum of the products A(s) * B(t) over the pairs (A, B), summed on
+        the cleared integers of each pair and divided once by the lcm of the
+        pair denominators."""
+        cleared = [(a.cleared(), b.cleared()) for a, b in pairs]
+        den = math.lcm(*(da * db for (_, da), (_, db) in cleared))
+        terms: dict[tuple[int, int], int] = {}
+        for (ia, da), (ib, db) in cleared:
+            scale = den // (da * db)
+            for i, x in enumerate(ia):
                 if x:
-                    for j, y in enumerate(b.coeffs):
+                    for j, y in enumerate(ib):
                         if y:
-                            terms[(i, j)] = terms.get((i, j), 0) + x * y
-        return BiPoly(terms)
+                            terms[(i, j)] = terms.get((i, j), 0) + scale * x * y
+        return BiPoly({key: Fraction(v, den) for key, v in terms.items() if v})
 
     # -- structure ----------------------------------------------------
 

@@ -37,9 +37,9 @@ from .upoly import (
     _igcd_poly,
     _imul,
     _isub,
-    _prem_signed,
-    invert_mod,
+    _pdivmod,
     poly_gcd,
+    quotient_mod,
     squarefree_part,
 )
 
@@ -56,14 +56,14 @@ class TriangularRoot:
         return self.eliminated_poly.eval_interval(self.survivor.interval())
 
     def substitute(self, p: BiPoly) -> UPoly:
-        """p with the eliminated coordinate replaced by its polynomial in the
-        survivor, reduced modulo the survivor's defining polynomial. Variable 0
-        of p is the eliminated coordinate, variable 1 the survivor (e and f,
-        or s and t).
+        """p at this root as a polynomial in the survivor, of degree below
+        that of the survivor's defining polynomial P: the eliminated coordinate
+        is replaced by its polynomial in the survivor. Variable 0 of p is the
+        eliminated coordinate, variable 1 the survivor (e and f, or s and t).
 
         Horner in the eliminated coordinate on integer lists, the value kept
-        as A/D with D > 0: each pseudo-division of A by the primitive defining
-        polynomial P (upoly._prem_signed) multiplies it by
+        as A/D with D > 0: each pseudo-division of A by the primitive P
+        (upoly._pdivmod) multiplies it by
         |lc P|^(deg A - deg P + 1), and D by the same; then both are divided
         by their common content.
         """
@@ -77,7 +77,7 @@ class TriangularRoot:
             acc = _isub(_imul(acc, e), [-den * v for v in row])
             if len(acc) >= len(modulus):
                 den *= lead ** (len(acc) - len(modulus) + 1)
-                acc = _prem_signed(acc, modulus)
+                acc = _pdivmod(acc, modulus)[1]
             g = math.gcd(den, *acc)
             acc, den = [v // g for v in acc], den // g
         return UPoly([Fraction(v, den * dp) for v in acc])
@@ -261,7 +261,7 @@ def _complete_root(
         if f0.sign_of_poly(u) == 0:
             continue
         f0.split_defining_coprime_to(u)
-        root = TriangularRoot(f0, (-v * invert_mod(u, f0.defining)) % f0.defining)
+        root = TriangularRoot(f0, quotient_mod(-v, u, f0.defining))
         if all(f0.is_root_of(root.substitute(p)) for p in polys):
             return root
         # verification failed: this member's candidate is extraneous; try others

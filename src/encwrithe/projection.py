@@ -327,19 +327,8 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     report.raise_for_failure()
     certificate = GenericityCertificate()
 
-    try:
-        nlink, transform = normalize_center(link, center)
-    except CenterOnCurve as exc:
-        certificate.center_off_curve = False
-        certificate.notes.append(str(exc))
-        raise
-
-    try:
-        nlink, infinity_notes = _resolve_infinity(nlink)
-    except NonGenericProjection as exc:
-        certificate.no_infinity_parameters = False
-        certificate.notes.append(str(exc))
-        raise
+    nlink, transform = normalize_center(link, center)
+    nlink, infinity_notes = _resolve_infinity(nlink)
     certificate.notes.extend(infinity_notes)
 
     loci: list[DoublePointLocus] = []
@@ -351,12 +340,7 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
         system = symmetric_double_point_system(triple)
         expected = _expected_count(component.degree)
         expected_counts.append(expected)
-        try:
-            solution = solve_system(system, strict=True)
-        except DegenerateElimination as exc:
-            certificate.simple_roots = False
-            certificate.notes.append(f"component {idx}: {exc}")
-            raise
+        solution = solve_system(system, strict=True)
         component_solutions.append(solution)
         if solution.multiplicity_count != expected or not solution.is_simple:
             certificate.simple_roots = False
@@ -427,12 +411,7 @@ def _solve_inter_component(
     certificate: GenericityCertificate,
 ) -> list[DoublePointLocus]:
     system = cross_double_point_system(projected_triple(comp_i), projected_triple(comp_j))
-    try:
-        solution = solve_system(system, strict=True)
-    except DegenerateElimination as exc:
-        certificate.simple_roots = False
-        certificate.notes.append(f"components {i},{j}: {exc}")
-        raise
+    solution = solve_system(system, strict=True)
     expected = comp_i.degree * comp_j.degree
     if solution.multiplicity_count != expected or not solution.is_simple:
         certificate.simple_roots = False

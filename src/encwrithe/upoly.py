@@ -7,9 +7,12 @@ has an empty coefficient tuple.
 The hot kernels run on integer coefficient lists (lowest degree first),
 never on Fractions:
 
-* Sturm chains, gcds and pseudo-remainders take primitive integer lists;
+* There is one polynomial division, the signed pseudo-division _pdivmod,
+  and no division over Q. Its remainder is a positive multiple of a mod b;
   rescaling a polynomial by a positive rational never changes any sign
-  pattern, which is the only fact the certified pipeline relies on.
+  pattern, which is the only fact the certified pipeline relies on. Sturm
+  chains, gcds, the sign and zero tests of algnum and the inversion
+  quotient_mod run on it; exact quotients are _iexact_div.
 * Determinants are fraction-free Bareiss eliminations over Z[x]
   (det_bareiss), with exact integer polynomial division; it is the one
   determinant algorithm of the package. Resultants, here and in
@@ -19,10 +22,10 @@ never on Fractions:
 * elimination's completion PRS uses the same list helpers (_imul, _isub,
   _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
   on the cleared integer coefficients (UPoly.cleared).
-* The reduction of a polynomial at a triangular root
-  (elimination.TriangularRoot.substitute) is Horner on integer lists with
-  _prem_signed by the primitive defining polynomial, the denominator kept
-  apart and the common content divided out at every step.
+* A polynomial at a triangular root (elimination.TriangularRoot.substitute)
+  is Horner on integer lists with _pdivmod by the primitive defining
+  polynomial, the denominator kept apart and the common content divided out
+  at every step.
 """
 
 from __future__ import annotations
@@ -144,35 +147,14 @@ class UPoly:
             n >>= 1
         return result
 
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        d, l = other.degree, other.lc
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / l
-            q[k] = c
-            for i in range(d + 1):
-                r[k + i] -= c * other.coeffs[i]
-        return UPoly(q), UPoly(r)
-
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "UPoly") -> "UPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise InvalidInput("inexact polynomial division")
-        return q
+        """self / other; InvalidInput unless other divides self. The quotient
+        by the primitive part of other is integral (Gauss's lemma)."""
+        a, da = self.cleared()
+        b, db = other.cleared()
+        g = math.gcd(*b)
+        q = _iexact_div(a, [v // g for v in b])
+        return UPoly([Fraction(v * db, da * g) for v in q])
 
     def derivative(self) -> "UPoly":
         return UPoly([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -323,30 +305,31 @@ def _ineg(a: list[int]) -> list[int]:
     return [-v for v in a]
 
 
-def _prem_signed(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b scaled so it is a *positive* multiple of a mod b."""
-    da, db = _ideg(a), _ideg(b)
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Signed pseudo-division over Z[x] (Knuth's Algorithm R): (q, r) with
+    m*a == q*b + r, deg r < deg b and m = |lc b|^(deg a - deg b + 1), or
+    m = 1 when deg a < deg b. The package's one polynomial division; r is a
+    positive multiple of a mod b, with the signs and zeros of a at b's roots.
+    """
+    db = _ideg(b)
     if db < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero")
+        raise ZeroDivisionError("pseudo-division by zero")
+    n = _ideg(a) - db + 1
+    if n <= 0:
+        return [], list(a)
     l = b[-1]
     r = list(a)
-    e = da - db + 1
-    while r and _ideg(r) >= db:
-        k = _ideg(r) - db
-        top = r[-1]
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        top = r.pop()
+        q[k] = top * l**k
         r = [l * v for v in r]
-        for i in range(db + 1):
-            r[k + i] -= top * b[i]
-        r = _inorm(r)
-        e -= 1
-    total_e = da - db + 1
-    # pad the multiplier so the total is exactly l^(da-db+1), then fix its sign
-    if e > 0:
-        scale = l ** e
-        r = [scale * v for v in r]
-    if l < 0 and total_e % 2 == 1:
-        r = _ineg(r)
-    return r
+        if top:
+            for i in range(db):
+                r[k + i] -= top * b[i]
+    if l < 0 and n % 2:
+        return _ineg(q), _ineg(_inorm(r))
+    return q, _inorm(r)
 
 
 def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
@@ -359,7 +342,7 @@ def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
     if _ideg(a) < _ideg(b):
         a, b = b, a
     while b:
-        r = _iprim(_prem_signed(a, b))
+        r = _iprim(_pdivmod(a, b)[1])
         a, b = b, r
     return _pos_lc(a)
 
@@ -424,28 +407,36 @@ def is_squarefree(p: UPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
-def xgcd(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*p + v*q = g, g monic."""
-    r0, r1 = p, q
-    s0, s1 = UPoly.const(1), UPoly.zero()
-    t0, t1 = UPoly.zero(), UPoly.const(1)
-    while not r1.is_zero:
-        quo, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    scale = 1 / r0.lc
-    return r0 * scale, s0 * scale, t0 * scale
+def quotient_mod(num: UPoly, den: UPoly, modulus: UPoly) -> UPoly:
+    """num / den modulo `modulus`, of degree below it; InvalidInput unless
+    den is invertible there.
 
-
-def invert_mod(u: UPoly, modulus: UPoly) -> UPoly:
-    """Inverse of u modulo `modulus`; requires gcd(u, modulus) = 1."""
-    g, a, _ = xgcd(u, modulus)
-    if g.degree != 0:
+    The primitive pseudo-remainder sequence of (P, D) over Z, P the primitive
+    modulus and D the cleared den, carries a cofactor s / k for each member r,
+    with s*D == k*r (mod P) (Collins 1967; Brown-Traub 1971). At the constant
+    member c, 1 / D == s / (k*c), and N*s is reduced once by _pdivmod.
+    """
+    p = modulus.int_primitive()
+    nums, dn = num.cleared()
+    dens, dd = den.cleared()
+    a, sa, ka = p, [], 1
+    b, sb, kb = dens, [1], 1
+    while b:
+        m = abs(b[-1]) ** max(_ideg(a) - _ideg(b) + 1, 0)
+        q, r = _pdivmod(a, b)
+        # r = m*a - q*b has the cofactor (m*kb*sa - q*ka*sb) / (ka*kb), and
+        # r / c, c its content, the same numerator over ka*kb*c
+        s = _isub([m * kb * v for v in sa], [ka * v for v in _imul(q, sb)])
+        c = math.gcd(*r) or 1
+        k = ka * kb * c
+        g = math.gcd(k, *s)
+        a, sa, ka = b, sb, kb
+        b, sb, kb = [v // c for v in r], [v // g for v in s], k // g
+    if _ideg(a) != 0:
         raise InvalidInput("not invertible modulo the given polynomial")
-    return a % modulus
+    m = abs(p[-1]) ** max(len(nums) + len(sa) - len(p), 0)
+    t = _pdivmod(_imul(nums, sa), p)[1]
+    return UPoly([Fraction(v * dd, m * ka * a[0] * dn) for v in t])
 
 
 # -- determinants and resultants --------------------------------------
@@ -548,8 +539,7 @@ def sturm_chain(p: UPoly) -> list[list[int]]:
     chain.append(_iprim(d.int_primitive()))
     while True:
         a, b = chain[-2], chain[-1]
-        r = _prem_signed(a, b)
-        r = _iprim(_inorm(r))
+        r = _iprim(_pdivmod(a, b)[1])
         if not r:
             break
         chain.append(_ineg(r))

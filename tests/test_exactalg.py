@@ -30,16 +30,16 @@ from encwrithe.rationals import Interval
 from encwrithe.upoly import (
     UPoly,
     _iexact_div,
+    _pdivmod,
     count_real_roots,
     det_rational,
     gcd_of_minors,
-    invert_mod,
     is_squarefree,
     poly_gcd,
+    quotient_mod,
     resultant,
     squarefree_part,
     sturm_chain,
-    xgcd,
 )
 
 x = sympy.Symbol("x")
@@ -62,19 +62,26 @@ def upolys(max_degree=6, nonzero=False):
     return base
 
 
+def check_pdivmod(a: list[int], b: list[int]) -> None:
+    # m*a == q*b + r, deg r < deg b, m = |lc b|^(deg a - deg b + 1) (1 below deg b)
+    q, r = _pdivmod(a, b)
+    m = abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+    assert UPoly(a) * m == UPoly(q) * UPoly(b) + UPoly(r)
+    assert len(r) < len(b) and (not r or r[-1] != 0)
+
+
 class TestUPolyArithmetic:
     def test_divmod_identity(self):
-        p = UPoly([1, 2, 0, 3, 5])
-        q = UPoly([7, 0, 2])
-        quo, rem = p.divmod(q)
-        assert quo * q + rem == p
-        assert rem.degree < q.degree
+        check_pdivmod([1, 2, 0, 3, 5], [7, 0, 2])
+        check_pdivmod([1, 2, 0, 3, 5], [7, 0, -2])  # negative leading coefficient
+        check_pdivmod([4, -3, 2], [7, 0, 2, 1])  # deg a < deg b: q = 0, r = a
+        assert _pdivmod([4, -3, 2], [7, 0, 2, 1]) == ([], [4, -3, 2])
+        assert _pdivmod([-2, 0, 1], [0, -1]) == ([0, -1], [-2])  # 1 * (x^2 - 2) = (-x)(-x) - 2
 
     @given(upolys(5), upolys(4, nonzero=True))
     @settings(max_examples=60)
     def test_divmod_random(self, p, q):
-        quo, rem = p.divmod(q)
-        assert quo * q + rem == p
+        check_pdivmod([int(c) for c in p.coeffs], [int(c) for c in q.coeffs])
 
     def test_interval_eval_contains_true_value(self):
         p = UPoly([-2, 0, 1])
@@ -511,17 +518,41 @@ class TestAlgebraicValue:
 
 
 class TestModularHelpers:
-    def test_xgcd_bezout(self):
-        p = UPoly([1, 0, 1])
-        q = UPoly([-2, 0, 1])
-        g, u, v = xgcd(p, q)
-        assert u * p + v * q == g
-        assert g == UPoly.const(1)
-
     def test_invert_mod(self):
         modulus = UPoly([-2, 0, 1])
-        inv = invert_mod(UPoly([0, 1]), modulus)  # inverse of x mod x^2-2 is x/2
-        assert (inv * UPoly([0, 1])) % modulus == UPoly.const(1)
+        assert quotient_mod(UPoly.const(1), UPoly.x(), modulus) == UPoly([0, Fraction(1, 2)])
+        assert quotient_mod(UPoly([3, 2]), UPoly([0, 0, 0, 1]), modulus) == UPoly([1, Fraction(3, 4)])
+        with pytest.raises(InvalidInput):
+            quotient_mod(UPoly.const(1), UPoly([2, 0, -1]), modulus)
+        with pytest.raises(InvalidInput):
+            quotient_mod(UPoly.const(1), UPoly.zero(), modulus)
+
+    def test_quotient_mod_matches_sympy(self):
+        # independent oracle: sympy's inverse modulo P and remainder over Q;
+        # every fifth den shares a linear factor with P and must raise
+        rng = random.Random(90)
+
+        def draw(degree):
+            lead = rng.choice([-1, 1]) * rng.randint(1, 9)
+            return UPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)] + [lead])
+
+        shared = 0
+        for case in range(40):
+            modulus, num, den = draw(rng.randint(1, 6)), draw(rng.randint(0, 8)), draw(rng.randint(0, 8))
+            if case % 5 == 0:
+                factor = UPoly([rng.randint(-3, 3), 1])
+                modulus, den = modulus * factor, den * factor
+            P, D = to_sympy(modulus), to_sympy(den)
+            if sympy.degree(sympy.gcd(P, D), x) > 0:
+                shared += 1
+                with pytest.raises(InvalidInput):
+                    quotient_mod(num, den, modulus)
+                continue
+            ours = quotient_mod(num, den, modulus)
+            assert ours.degree < modulus.degree
+            expected = sympy.rem(sympy.expand(to_sympy(num) * sympy.invert(D, P)), P, x)
+            assert sympy.expand(to_sympy(ours) - expected) == 0
+        assert shared >= 8
 
     def test_gcd_of_minors(self):
         t = UPoly.x()

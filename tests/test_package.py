@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import encwrithe
+from encwrithe import upoly
 from encwrithe.bipoly import BiPoly
 
 PACKAGE = Path(encwrithe.__file__).parent
@@ -59,3 +60,10 @@ def test_bipoly_has_no_ring_arithmetic():
     # form on cleared integers; Fraction ring arithmetic on BiPolys stays out
     banned = ("__add__", "__sub__", "__mul__", "__pow__", "__neg__", "var", "const", "zero", "derivative")
     assert [name for name in banned if hasattr(BiPoly, name)] == []
+
+
+def test_one_polynomial_division():
+    # every remainder and exact quotient is the integer pseudo-division
+    # upoly._pdivmod or upoly._iexact_div; there is no division over Q
+    assert [name for name in ("divmod", "__mod__", "__floordiv__") if hasattr(upoly.UPoly, name)] == []
+    assert [name for name in ("xgcd", "invert_mod", "_prem_signed") if hasattr(upoly, name)] == []

@@ -90,7 +90,7 @@ class TestModelSystem:
 
 class TestComplexCounts:
     @pytest.mark.parametrize(
-        "degree,expected", [(3, 1), (4, 3), (5, 6)]
+        "degree,expected", [(3, 1), (4, 3), (5, 6), (7, 15), (8, 21)]
     )
     def test_count_with_multiplicity(self, degree, expected):
         curve = sample_random_curve(degree, seed=11)
