@@ -165,7 +165,7 @@ class AlgebraicNumber:
 
     def _remainder(self, p: UPoly) -> UPoly:
         # a positive multiple of p mod defining: same sign and same zeros here
-        return UPoly(_pdivmod(p.cleared()[0], self.defining.int_primitive())[1])
+        return UPoly.from_ints(_pdivmod(p.ints, self.defining.int_primitive())[1])
 
     def _vanishes_here(self, p: UPoly) -> bool:
         # p already reduced and nonzero; p vanishes at the root iff the root

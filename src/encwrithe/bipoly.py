@@ -1,19 +1,21 @@
-"""Sparse bivariate polynomials over the rationals.
+"""Sparse bivariate polynomials with rational coefficients, stored as
+integers over one denominator.
 
 Used for the double-point systems: minors in the two preimage parameters
 (s, t), polynomials in the symmetric coordinates (e, f) = (s + t, s*t), and
 resultant elimination down to univariate polynomials. Exponent pairs map to
-Fraction coefficients; variable 0 is the first parameter, variable 1 the
-second.
+integer coefficients over one positive denominator, in lowest terms as in
+upoly.UPoly; the terms view gives them as Fractions. Variable 0 is the
+first parameter, variable 1 the second.
 
 A BiPoly is built, never computed with: every one in the program is a sum
 of products A(s)B(t) (BiPoly.outer), or the (e, f) closed form of such a
 sum symmetrized or divided by s - t (elimination.symmetric_sum and
-elimination.symmetric_quotient), formed on cleared integers. There is no
-ring arithmetic on BiPolys.
+elimination.symmetric_quotient), formed on integers and handed over with
+BiPoly.from_ints. There is no ring arithmetic on BiPolys.
 
-The resultant runs on the integer kernel of upoly: each input is cleared
-to integer coefficient lists over Z[x] (integer_rows) and its Sylvester
+The resultant runs on the integer kernel of upoly: each input is read as
+integer coefficient lists over Z[x] (integer_rows) and its Sylvester
 matrix is reduced by fraction-free Bareiss elimination. Substitution is
 not done here: elimination.TriangularRoot.substitute reduces a BiPoly at a
 root, from the same integer_rows.
@@ -27,71 +29,98 @@ from typing import Iterable
 
 from .errors import InvalidInput
 from .rationals import rat
-from .upoly import UPoly, _cleared, _imul, det_bareiss, sylvester_matrix
+from .upoly import (
+    UPoly,
+    _cleared,
+    _imul,
+    _lowest_terms,
+    det_bareiss,
+    sylvester_matrix,
+)
 
 
 class BiPoly:
-    __slots__ = ("terms",)
+    """A rational polynomial in two variables stored as integers over one
+    denominator: ints maps (i, j) to the integer coefficient of s^i t^j, with
+    no zero entry, den > 0 and gcd(den, *ints.values()) == 1."""
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | Iterable = ()):
-        d: dict[tuple[int, int], Fraction] = {}
+        sums: dict[tuple[int, int], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (i, j), c in items:
-            c = rat(c)
-            if c:
-                d[(i, j)] = d.get((i, j), Fraction(0)) + c
-        self.terms = {k: v for k, v in d.items() if v}
+            sums[(i, j)] = sums.get((i, j), 0) + rat(c)
+        ints, den = _cleared(sums.values())
+        self._store(dict(zip(sums, ints)), den)
+
+    def _store(self, terms: dict[tuple[int, int], int], den: int) -> None:
+        """Set self to terms / den (den nonzero) in the stored form."""
+        keys = [k for k, v in terms.items() if v]
+        values, self.den = _lowest_terms([terms[k] for k in keys], den)
+        self.ints = dict(zip(keys, values))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def from_ints(terms: dict[tuple[int, int], int], den: int = 1) -> "BiPoly":
+        """The polynomial terms / den (den nonzero), brought to lowest terms."""
+        p = object.__new__(BiPoly)
+        p._store(terms, den)
+        return p
+
+    @staticmethod
     def from_upoly(p: UPoly, index: int) -> "BiPoly":
         if index == 0:
-            return BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
-        return BiPoly({(0, k): c for k, c in enumerate(p.coeffs)})
+            return BiPoly.from_ints({(k, 0): v for k, v in enumerate(p.ints)}, p.den)
+        return BiPoly.from_ints({(0, k): v for k, v in enumerate(p.ints)}, p.den)
 
     @staticmethod
     def outer(pairs: Iterable[tuple[UPoly, UPoly]]) -> "BiPoly":
         """Sum of the products A(s) * B(t) over the pairs (A, B), summed on
-        the cleared integers of each pair and divided once by the lcm of the
-        pair denominators."""
-        cleared = [(a.cleared(), b.cleared()) for a, b in pairs]
-        den = math.lcm(*(da * db for (_, da), (_, db) in cleared))
+        the integers of each pair scaled to the lcm of the pair denominators."""
+        pairs = list(pairs)
+        den = math.lcm(*(a.den * b.den for a, b in pairs))
         terms: dict[tuple[int, int], int] = {}
-        for (ia, da), (ib, db) in cleared:
-            scale = den // (da * db)
-            for i, x in enumerate(ia):
+        for a, b in pairs:
+            scale = den // (a.den * b.den)
+            for i, x in enumerate(a.ints):
                 if x:
-                    for j, y in enumerate(ib):
+                    for j, y in enumerate(b.ints):
                         if y:
                             terms[(i, j)] = terms.get((i, j), 0) + scale * x * y
-        return BiPoly({key: Fraction(v, den) for key, v in terms.items() if v})
+        return BiPoly.from_ints(terms, den)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The coefficients as Fractions, keyed by exponent pair."""
+        return {k: Fraction(v, self.den) for k, v in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(k[index] for k in self.terms)
+        return max(k[index] for k in self.ints)
 
     @property
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(k == (0, 0) for k in self.ints)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.ints.items()), self.den))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "BiPoly(0)"
         parts = [
             f"{c}*s^{i}t^{j}"
@@ -106,14 +135,13 @@ class BiPoly:
         other = 1 - index
         if self.degree_in(other) > 0:
             raise InvalidInput("polynomial genuinely depends on both variables")
-        d = self.degree_in(index)
-        coeffs = [Fraction(0)] * (d + 1)
-        for (i, j), c in self.terms.items():
-            coeffs[(i, j)[index]] = c
-        return UPoly(coeffs)
+        ints = [0] * (self.degree_in(index) + 1)
+        for key, v in self.ints.items():
+            ints[key[index]] = v
+        return UPoly.from_ints(ints, self.den)
 
     def swap_vars(self) -> "BiPoly":
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
+        return BiPoly.from_ints({(j, i): v for (i, j), v in self.ints.items()}, self.den)
 
     # -- the operations the double-point pipeline needs -----------------
 
@@ -121,9 +149,8 @@ class BiPoly:
         """(rows, D): self * D as integer coefficient lists in the other
         variable, one per power of variable `index` (low first); D > 0 is the
         lcm of the denominators."""
-        ints, den = _cleared(self.terms.values())
         buckets: dict[int, dict[int, int]] = {}
-        for (i, j), v in zip(self.terms, ints):
+        for (i, j), v in self.ints.items():
             k, other = (i, j) if index == 0 else (j, i)
             buckets.setdefault(k, {})[other] = v
         rows = []
@@ -133,7 +160,7 @@ class BiPoly:
             for other, v in bucket.items():
                 row[other] = v
             rows.append(row)
-        return rows, den
+        return rows, self.den
 
 
 def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
@@ -157,5 +184,4 @@ def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
             det = _imul(det, base)
     else:
         det = det_bareiss(sylvester_matrix(p, q))
-    scale = dp**n * dq**m
-    return UPoly([Fraction(c, scale) for c in det])
+    return UPoly.from_ints(det, dp**n * dq**m)

@@ -123,16 +123,12 @@ class RationalSpaceCurve:
 
 
 def _common_integer_scaling(coords: list[UPoly]) -> list[UPoly]:
-    den = 1
-    for p in coords:
-        for c in p.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    num_gcd = 0
-    for p in coords:
-        for c in p.coeffs:
-            num_gcd = math.gcd(num_gcd, int(c * den))
-    scale = Fraction(den, num_gcd if num_gcd else 1)
-    return [p * scale for p in coords]
+    """coords times the one positive rational that makes them integer
+    polynomials with no common content."""
+    den = math.lcm(*(p.den for p in coords))
+    scaled = [[v * (den // p.den) for v in p.ints] for p in coords]
+    g = math.gcd(*(v for ints in scaled for v in ints)) or 1
+    return [UPoly.from_ints([v // g for v in ints]) for ints in scaled]
 
 
 @dataclass(frozen=True)

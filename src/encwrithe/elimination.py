@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .algnum import AlgebraicNumber, isolate_real_roots
@@ -68,7 +67,7 @@ class TriangularRoot:
         by their common content.
         """
         rows, dp = p.integer_rows(0)
-        e, de = self.eliminated_poly.cleared()
+        e, de = self.eliminated_poly.ints, self.eliminated_poly.den
         modulus = self.survivor.defining.int_primitive()
         lead = abs(modulus[-1])
         acc, den = [], 1
@@ -80,7 +79,7 @@ class TriangularRoot:
                 acc = _pdivmod(acc, modulus)[1]
             g = math.gcd(den, *acc)
             acc, den = [v // g for v in acc], den // g
-        return UPoly([Fraction(v, den * dp) for v in acc])
+        return UPoly.from_ints(acc, den * dp)
 
     def sign_of(self, p: BiPoly) -> int:
         """Certified sign of p at this root (variables as in `substitute`)."""
@@ -165,7 +164,7 @@ def _linear_prs_member(
         a, b = b, a
     while b:
         if len(b) - 1 == 1:
-            return UPoly(b[1]), UPoly(b[0])
+            return UPoly.from_ints(b[1]), UPoly.from_ints(b[0])
         if len(b) - 1 == 0:
             return None
         r = _content_free(prem(a, b))
@@ -234,7 +233,7 @@ def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
     # completion relation; prefer those before any PRS computation
     for coeffs in coeff_lists:
         if len(coeffs) - 1 == 1:
-            members.append((UPoly(coeffs[1]), UPoly(coeffs[0])))
+            members.append((UPoly.from_ints(coeffs[1]), UPoly.from_ints(coeffs[0])))
     for i in range(len(nonzero)):
         for j in range(i + 1, len(nonzero)):
             member = _linear_prs_member(coeff_lists[i], coeff_lists[j])
@@ -295,7 +294,7 @@ def _ef_combination(
         for (pe, pf), sc in seq[k].items():
             key = (pe, pf + j)
             terms[key] = terms.get(key, 0) + c * sc
-    return BiPoly({key: Fraction(v, den) for key, v in terms.items() if v})
+    return BiPoly.from_ints(terms, den)
 
 
 def symmetric_quotient(a: UPoly, b: UPoly) -> BiPoly:
@@ -306,8 +305,8 @@ def symmetric_quotient(a: UPoly, b: UPoly) -> BiPoly:
     s^i t^j - s^j t^i = (st)^j (s^(i-j) - t^(i-j)). Variable 0 of the result
     is e, variable 1 is f.
     """
-    ia, da = a.cleared()
-    ib, db = b.cleared()
+    ia, da = list(a.ints), a.den
+    ib, db = list(b.ints), b.den
     n = max(len(ia), len(ib))
     ia += [0] * (n - len(ia))
     ib += [0] * (n - len(ib))
@@ -326,19 +325,19 @@ def symmetric_sum(pairs: Iterable[tuple[UPoly, UPoly]]) -> BiPoly:
 
     In closed form, sum over i, j of a_i b_j f^min(i, j) p_|i-j| with the
     power sums p_0 = 2, p_1 = e and p_k = e p_{k-1} - f p_{k-2}. Each pair
-    is cleared to integers and scaled to the common denominator. Variable 0
-    of the result is e, variable 1 is f.
+    is scaled to the common denominator. Variable 0 of the result is e,
+    variable 1 is f.
     """
-    cleared = [(a.cleared(), b.cleared()) for a, b in pairs]
-    den = math.lcm(*(da * db for (_, da), (_, db) in cleared))
+    pairs = list(pairs)
+    den = math.lcm(*(a.den * b.den for a, b in pairs))
     groups: dict[tuple[int, int], int] = {}
     n = 0
-    for (ia, da), (ib, db) in cleared:
-        scale = den // (da * db)
-        n = max(n, len(ia), len(ib))
-        for i, x in enumerate(ia):
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        n = max(n, len(a.ints), len(b.ints))
+        for i, x in enumerate(a.ints):
             if x:
-                for j, y in enumerate(ib):
+                for j, y in enumerate(b.ints):
                     if y:
                         key = (abs(i - j), min(i, j))
                         groups[key] = groups.get(key, 0) + scale * x * y

@@ -1,9 +1,10 @@
 """Exact rational scalars: parsing, serialization, interval arithmetic.
 
-Everything in the certified pipeline is built on fractions.Fraction.
-Intervals carry rational endpoints and are used only to *separate* exact
-quantities from zero, never to decide equality; equality decisions are
-always made symbolically upstream.
+Scalars in the certified pipeline are fractions.Fraction; polynomials keep
+integers over one denominator (upoly, bipoly) and build a Fraction only for
+a value they hand out. Intervals carry rational endpoints and are used only
+to *separate* exact quantities from zero, never to decide equality;
+equality decisions are always made symbolically upstream.
 """
 
 from __future__ import annotations

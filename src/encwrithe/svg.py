@@ -125,8 +125,8 @@ def _sample_component(curve, t_lo: float, t_hi: float) -> list[list[tuple]]:
 
 def _feval(p: UPoly, t: float) -> float:
     acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * t + float(c)
+    for v in reversed(p.ints):
+        acc = acc * t + v / p.den
     return acc
 
 

@@ -1,11 +1,21 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials with rational coefficients, stored as
+integers over one denominator.
 
-Coefficients are stored lowest degree first, trailing zeros stripped, so
-degree == len(coeffs) - 1 for nonzero polynomials and the zero polynomial
-has an empty coefficient tuple.
+A UPoly holds ints, the integer coefficients lowest degree first with
+trailing zeros stripped, and den > 0 with gcd(den, *ints) == 1: the
+coefficients are ints[k] / den. That form is unique, so degree ==
+len(ints) - 1 for nonzero polynomials, the zero polynomial is ((), 1), and
+equality compares the stored integers. The coeffs view gives the
+coefficients as Fractions, for the readers that want them (JSON output,
+float drawing).
 
-The hot kernels run on integer coefficient lists (lowest degree first),
-never on Fractions:
+All arithmetic and every kernel run on integer coefficient lists (lowest
+degree first), never on Fractions:
+
+* There is one point evaluation, the homogeneous Horner _ihorner:
+  sum of c_k p^k q^(n-k) at x = p / q. UPoly.__call__ divides it once, the
+  Sturm sign test _sign_at takes its sign, and UPoly.eval_interval runs its
+  interval form over the common denominator of the two endpoints.
 
 * There is one polynomial division, the signed pseudo-division _pdivmod,
   and no division over Q. Its remainder is a positive multiple of a mod b;
@@ -21,7 +31,8 @@ never on Fractions:
   the known power of them out of the integer result, so they stay exact.
 * elimination's completion PRS uses the same list helpers (_imul, _isub,
   _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
-  on the cleared integer coefficients (UPoly.cleared).
+  on the stored integers. Builders that finish in integers hand them over
+  with UPoly.from_ints, which brings them to lowest terms.
 * A polynomial at a triangular root (elimination.TriangularRoot.substitute)
   is Horner on integer lists with _pdivmod by the primitive defining
   polynomial, the denominator kept apart and the common content divided out
@@ -39,57 +50,76 @@ from .rationals import Interval, rat, sign
 
 
 class UPoly:
-    __slots__ = ("coeffs",)
+    """A rational polynomial stored as integers over one denominator:
+    self == sum(ints[k] x^k) / den with den > 0, gcd(den, *ints) == 1 and no
+    trailing zero in ints. The form is unique, so equality compares it."""
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Sequence):
-        cs = [rat(c) if not isinstance(c, Fraction) else c for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._store(*_cleared([rat(c) for c in coeffs]))
+
+    def _store(self, ints: list[int], den: int) -> None:
+        """Set self to ints / den (den nonzero) in the stored form."""
+        ints, self.den = _lowest_terms(_inorm(ints), den)
+        self.ints = tuple(ints)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def from_ints(ints: Sequence[int], den: int = 1) -> "UPoly":
+        """The polynomial ints / den (den nonzero), brought to lowest terms."""
+        p = object.__new__(UPoly)
+        p._store(list(ints), den)
+        return p
+
+    @staticmethod
     def zero() -> "UPoly":
-        return UPoly(())
+        return UPoly.from_ints(())
 
     @staticmethod
     def const(c) -> "UPoly":
-        return UPoly((rat(c),))
+        c = rat(c)
+        return UPoly.from_ints((c.numerator,), c.denominator)
 
     @staticmethod
     def x() -> "UPoly":
-        return UPoly((0, 1))
+        return UPoly.from_ints((0, 1))
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(v, self.den) for v in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lc(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -102,36 +132,36 @@ class UPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other) -> "UPoly":
+    def _plus(self, other, sgn: int) -> "UPoly":
+        """self + sgn * other, over the lcm of the two denominators."""
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self[k] + other[k] for k in range(n)])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sgn * (den // other.den)
+        a, b = self.ints, other.ints
+        out = [sa * v for v in a] + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] += sb * v
+        return UPoly.from_ints(out, den)
+
+    def __add__(self, other) -> "UPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "UPoly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self[k] - other[k] for k in range(n)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "UPoly":
         return _as_poly(other) - self
 
     def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs])
+        return UPoly.from_ints([-v for v in self.ints], self.den)
 
     def __mul__(self, other) -> "UPoly":
-        if isinstance(other, (int, Fraction)):
-            return UPoly([c * other for c in self.coeffs])
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return UPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UPoly(out)
+        if isinstance(other, UPoly):
+            return UPoly.from_ints(_imul(self.ints, other.ints), self.den * other.den)
+        c = rat(other)
+        return UPoly.from_ints([v * c.numerator for v in self.ints], self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -150,14 +180,13 @@ class UPoly:
     def exact_div(self, other: "UPoly") -> "UPoly":
         """self / other; InvalidInput unless other divides self. The quotient
         by the primitive part of other is integral (Gauss's lemma)."""
-        a, da = self.cleared()
-        b, db = other.cleared()
+        b = other.ints
         g = math.gcd(*b)
-        q = _iexact_div(a, [v // g for v in b])
-        return UPoly([Fraction(v * db, da * g) for v in q])
+        q = _iexact_div(self.ints, [v // g for v in b])
+        return UPoly.from_ints([v * other.den for v in q], self.den * g)
 
     def derivative(self) -> "UPoly":
-        return UPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UPoly.from_ints(_ideriv(self.ints), self.den)
 
     # -- evaluation ---------------------------------------------------
 
@@ -165,48 +194,71 @@ class UPoly:
         """Horner evaluation at a rational or an Interval."""
         if isinstance(x, Interval):
             return self.eval_interval(x)
-        if self.is_zero:
-            return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        x = rat(x)
+        q = x.denominator
+        value = _ihorner(self.ints, x.numerator, q)
+        return Fraction(value, self.den * q ** max(self.degree, 0))
 
     def eval_interval(self, iv: Interval) -> Interval:
-        acc = Interval.point(0)
-        for c in reversed(self.coeffs):
-            acc = acc * iv + Interval.point(c)
-        return acc
+        """Interval Horner, on integers: with lo = L/Q and hi = H/Q over a
+        common denominator, the step k from the top keeps acc * D * Q^k, so
+        each min and max picks the same product as over Fractions, and the
+        enclosure is the one Fraction interval arithmetic gives."""
+        if not self.ints:
+            return Interval.point(0)
+        lo, hi = iv.lo, iv.hi
+        Q = math.lcm(lo.denominator, hi.denominator)
+        L = lo.numerator * (Q // lo.denominator)
+        H = hi.numerator * (Q // hi.denominator)
+        a = b = 0
+        qk = 1
+        for c in reversed(self.ints):
+            products = (a * L, a * H, b * L, b * H)
+            cq = c * qk
+            a, b = min(products) + cq, max(products) + cq
+            qk *= Q
+        scale = self.den * qk // Q
+        return Interval(Fraction(a, scale), Fraction(b, scale))
 
     # -- integer normal form -------------------------------------------
 
-    def cleared(self) -> tuple[list[int], int]:
-        """(ints, D): self == ints / D, D > 0 the lcm of the denominators."""
-        return _cleared(self.coeffs)
-
     def int_primitive(self) -> list[int]:
         """Integer coefficients of self scaled by a positive rational (primitive)."""
-        return _iprim(_cleared(self.coeffs)[0])
+        return _iprim(list(self.ints))
 
     def primitive(self) -> "UPoly":
-        return UPoly(self.int_primitive())
+        return UPoly.from_ints(self.int_primitive())
 
     def cauchy_root_bound(self) -> Fraction:
         """B with every real root in (-B, B), strict."""
         if self.degree < 1:
             return Fraction(1)
-        l = abs(self.lc)
-        m = max(abs(c) for c in self.coeffs[:-1])
-        return Fraction(1) + m / l + 1
+        m = max(abs(v) for v in self.ints[:-1])
+        return Fraction(1) + Fraction(m, abs(self.ints[-1])) + 1
 
 
 def _as_poly(value) -> UPoly:
     if isinstance(value, UPoly):
         return value
-    return UPoly.const(rat(value))
+    return UPoly.const(value)
 
 
 # -- integer coefficient kernels --------------------------------------
+
+
+def _lowest_terms(values: list[int], den: int) -> tuple[list[int], int]:
+    """values / den (den nonzero) in lowest terms with a positive
+    denominator; the denominator of no values is 1."""
+    if not values:
+        return values, 1
+    if den != 1:
+        g = math.gcd(den, *values)
+        if den < 0:
+            g = -g
+        if g != 1:
+            values = [v // g for v in values]
+            den //= g
+    return values, den
 
 
 def _ideg(a: list[int]) -> int:
@@ -305,6 +357,21 @@ def _ineg(a: list[int]) -> list[int]:
     return [-v for v in a]
 
 
+def _ideriv(a: Sequence[int]) -> list[int]:
+    return [k * v for k, v in enumerate(a)][1:]
+
+
+def _ihorner(a: Sequence[int], p: int, q: int) -> int:
+    """sum of a_k p^k q^(n-k), n = deg a: q^n times a at p / q (q > 0), so
+    its sign is the sign of a there. The one Horner evaluation at a point."""
+    acc = 0
+    qk = 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Signed pseudo-division over Z[x] (Knuth's Algorithm R): (q, r) with
     m*a == q*b + r, deg r < deg b and m = |lc b|^(deg a - deg b + 1), or
@@ -355,7 +422,7 @@ def _pos_lc(a: list[int]) -> list[int]:
 
 def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
     """Primitive gcd with positive leading coefficient."""
-    return UPoly(_igcd_poly(p.int_primitive(), q.int_primitive()))
+    return UPoly.from_ints(_igcd_poly(p.int_primitive(), q.int_primitive()))
 
 
 def gcd_of_minors(p: Sequence[UPoly], v: Sequence) -> UPoly | None:
@@ -417,10 +484,8 @@ def quotient_mod(num: UPoly, den: UPoly, modulus: UPoly) -> UPoly:
     member c, 1 / D == s / (k*c), and N*s is reduced once by _pdivmod.
     """
     p = modulus.int_primitive()
-    nums, dn = num.cleared()
-    dens, dd = den.cleared()
     a, sa, ka = p, [], 1
-    b, sb, kb = dens, [1], 1
+    b, sb, kb = list(den.ints), [1], 1
     while b:
         m = abs(b[-1]) ** max(_ideg(a) - _ideg(b) + 1, 0)
         q, r = _pdivmod(a, b)
@@ -434,9 +499,9 @@ def quotient_mod(num: UPoly, den: UPoly, modulus: UPoly) -> UPoly:
         b, sb, kb = [v // c for v in r], [v // g for v in s], k // g
     if _ideg(a) != 0:
         raise InvalidInput("not invertible modulo the given polynomial")
-    m = abs(p[-1]) ** max(len(nums) + len(sa) - len(p), 0)
-    t = _pdivmod(_imul(nums, sa), p)[1]
-    return UPoly([Fraction(v * dd, m * ka * a[0] * dn) for v in t])
+    m = abs(p[-1]) ** max(len(num.ints) + len(sa) - len(p), 0)
+    t = _pdivmod(_imul(num.ints, sa), p)[1]
+    return UPoly.from_ints([v * den.den for v in t], m * ka * a[0] * num.den)
 
 
 # -- determinants and resultants --------------------------------------
@@ -517,12 +582,12 @@ def resultant(p: UPoly, q: UPoly) -> Fraction:
         return p.lc ** q.degree
     if q.degree == 0:
         return q.lc ** p.degree
-    ip, dp = _cleared(p.coeffs)
-    iq, dq = _cleared(q.coeffs)
-    rows = sylvester_matrix([[c] if c else [] for c in ip], [[c] if c else [] for c in iq])
+    rows = sylvester_matrix(
+        [[c] if c else [] for c in p.ints], [[c] if c else [] for c in q.ints]
+    )
     det = det_bareiss(rows)
-    # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q)
-    return Fraction(det[0] if det else 0, dp ** q.degree * dq ** p.degree)
+    # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q), dp and dq the dens
+    return Fraction(det[0] if det else 0, p.den ** q.degree * q.den ** p.degree)
 
 
 # -- Sturm machinery ---------------------------------------------------
@@ -532,11 +597,11 @@ def sturm_chain(p: UPoly) -> list[list[int]]:
     """Sturm chain of p as primitive integer polynomials (positive rescaling only)."""
     if p.is_zero:
         raise InvalidInput("Sturm chain of the zero polynomial")
-    chain = [_iprim(p.int_primitive())]
-    d = UPoly(chain[0]).derivative()
-    if d.is_zero:
+    chain = [p.int_primitive()]
+    d = _iprim(_ideriv(chain[0]))
+    if not d:
         return chain
-    chain.append(_iprim(d.int_primitive()))
+    chain.append(d)
     while True:
         a, b = chain[-2], chain[-1]
         r = _iprim(_pdivmod(a, b)[1])
@@ -547,10 +612,7 @@ def sturm_chain(p: UPoly) -> list[list[int]]:
 
 
 def _sign_at(coeffs: list[int], x: Fraction) -> int:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return sign(acc)
+    return sign(_ihorner(coeffs, x.numerator, x.denominator))
 
 
 def _sign_at_inf(coeffs: list[int], positive: bool) -> int:

@@ -5,6 +5,7 @@ paper) or come from independent oracles: sympy's resultant/real-root
 machinery is used as the second route wherever our kernel is the first.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,11 +27,12 @@ from encwrithe.elimination import (
     symmetric_sum,
 )
 from encwrithe.errors import InvalidInput
-from encwrithe.rationals import Interval
+from encwrithe.rationals import Interval, sign
 from encwrithe.upoly import (
     UPoly,
     _iexact_div,
     _pdivmod,
+    _sign_at,
     count_real_roots,
     det_rational,
     gcd_of_minors,
@@ -580,3 +582,195 @@ class TestModularHelpers:
     def test_sturm_chain_endpoints(self):
         chain = sturm_chain(UPoly([0, -1, 0, 1]))
         assert len(chain) >= 3
+
+
+# -- integer storage against the Fraction reference ----------------------------
+#
+# UPoly keeps integers over one denominator. The reference below is the
+# Fraction arithmetic the class used to run, kept here as the oracle: every
+# operation must give the same coefficients, and every Horner evaluation the
+# same value, interval endpoints included.
+
+
+def ref_norm(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sgn=1) -> tuple:
+    n = max(len(a), len(b))
+    pad = lambda cs, k: cs[k] if k < len(cs) else Fraction(0)
+    return ref_norm(pad(a, k) + sgn * pad(b, k) for k in range(n))
+
+
+def ref_mul(a, b) -> tuple:
+    if not isinstance(b, tuple):
+        return ref_norm(c * b for c in a)
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return ref_norm(out)
+
+
+def ref_pow(a, n) -> tuple:
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a) -> tuple:
+    return ref_norm(k * c for k, c in enumerate(a))[1:] if len(a) > 1 else ()
+
+
+def ref_exact_div(a, b) -> tuple:
+    # long division over Q; the remainder must vanish
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= q[k] * v
+    assert not any(r)
+    return ref_norm(q)
+
+
+def ref_horner(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_eval_interval(a, iv: Interval) -> Interval:
+    acc = Interval.point(0)
+    for c in reversed(a):
+        acc = acc * iv + Interval.point(c)
+    return acc
+
+
+def mixed_fraction(rng) -> Fraction:
+    # signed numerators over denominators of both signs, a zero now and then
+    if rng.random() < 0.15:
+        return Fraction(0)
+    return Fraction(rng.randint(-40, 40), rng.choice([-12, -7, -4, -1, 1, 2, 3, 6, 9, 35]))
+
+
+def mixed_upoly_coeffs(rng) -> list:
+    shape = rng.random()
+    if shape < 0.08:
+        return []  # the zero polynomial
+    if shape < 0.2:
+        return [mixed_fraction(rng) or Fraction(5, -3)]  # a nonzero constant
+    cs = [mixed_fraction(rng) for _ in range(rng.randint(2, 6))]
+    if rng.random() < 0.2:
+        cs += [Fraction(0)] * rng.randint(1, 2)  # trailing zeros are stripped
+    return cs
+
+
+def assert_canonical(p: UPoly) -> None:
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int for v in p.ints)
+    assert math.gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+
+
+class TestIntegerUPolyOracle:
+    def test_seeded_operations_match_fraction_arithmetic(self):
+        rng = random.Random(20261019)
+        scalars = [0, -1, 3, -7, Fraction(-2, 9), Fraction(5, -6), Fraction(14, 4)]
+        checked = 0
+        for _ in range(150):
+            ca, cb = mixed_upoly_coeffs(rng), mixed_upoly_coeffs(rng)
+            a, b = UPoly(ca), UPoly(cb)
+            ra, rb = ref_norm(ca), ref_norm(cb)
+            assert a.coeffs == ra and b.coeffs == rb
+            results = [
+                (a + b, ref_add(ra, rb)),
+                (a - b, ref_add(ra, rb, -1)),
+                (-a, ref_mul(ra, Fraction(-1))),
+                (a * b, ref_mul(ra, rb)),
+                (a ** 3, ref_pow(ra, 3)),
+                (a.derivative(), ref_derivative(ra)),
+            ]
+            for c in scalars:
+                results.append((a * c, ref_mul(ra, Fraction(c))))
+                results.append((c * a, ref_mul(ra, Fraction(c))))
+                results.append((a + c, ref_add(ra, (Fraction(c),))))
+                results.append((c - a, ref_add((Fraction(c),), ra, -1)))
+            if not b.is_zero:
+                results.append(((a * b).exact_div(b), ra))
+                results.append(((a * b).exact_div(b), ref_exact_div(ref_mul(ra, rb), rb)))
+            for ours, expected in results:
+                assert ours.coeffs == expected
+                assert_canonical(ours)
+                checked += 1
+            for _ in range(4):
+                x = mixed_fraction(rng)
+                assert a(x) == ref_horner(ra, x)
+                assert type(a(x)) is Fraction
+        assert checked > 4000
+
+    def test_integer_points_evaluate_like_fractions(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            cs = mixed_upoly_coeffs(rng)
+            p = UPoly(cs)
+            for x in (-3, 0, 1, 4):
+                assert p(x) == ref_horner(ref_norm(cs), Fraction(x))
+
+    def test_equal_polynomials_from_different_inputs(self):
+        # one rational polynomial, reached six ways
+        spellings = [
+            UPoly([Fraction(1, 2), Fraction(-2, 3), 0, 1]),
+            UPoly(["1/2", "-4/6", Fraction(0), Fraction(-3, -3), 0, 0]),
+            UPoly.from_ints([3, -4, 0, 6], 6),
+            UPoly.from_ints([-6, 8, 0, -12], -12),
+            UPoly([1, Fraction(-4, 3), 0, 2]) * Fraction(1, 2),
+            (UPoly([3, -4, 0, 6]) + UPoly([0, 0, 5, 1]) - UPoly([0, 0, 5, 1])) * Fraction(-1, -6),
+        ]
+        for p in spellings:
+            assert_canonical(p)
+            assert p == spellings[0] and hash(p) == hash(spellings[0])
+        assert (p.ints, p.den) == ((3, -4, 0, 6), 6)
+        zeros = [UPoly([]), UPoly([0, Fraction(0, 5)]), UPoly.from_ints([0, 0], -7), spellings[0] * 0]
+        for z in zeros:
+            assert z == UPoly.zero() and hash(z) == hash(UPoly.zero())
+            assert (z.ints, z.den) == ((), 1)
+        assert UPoly.const(Fraction(6, -4)) == UPoly.from_ints([9], -6)
+
+
+def interval_cases(rng):
+    yield Interval.point(Fraction(3, 7))  # point interval
+    yield Interval.point(0)
+    yield Interval(Fraction(-5, 3), Fraction(7, 4))  # straddles 0
+    yield Interval(Fraction(-9, 2), Fraction(-1, 6))  # two negative endpoints
+    yield Interval(Fraction(2, 9), Fraction(11, 10))  # different denominators
+    yield Interval(Fraction(-1), Fraction(0))
+    for _ in range(40):
+        lo, hi = sorted((mixed_fraction(rng), mixed_fraction(rng)))
+        yield Interval(lo, hi)
+
+
+class TestIntervalIdentity:
+    def test_eval_interval_endpoints_equal_fraction_horner(self):
+        rng = random.Random(1019)
+        for _ in range(80):
+            cs = mixed_upoly_coeffs(rng)
+            p, ref = UPoly(cs), ref_norm(cs)
+            for iv in interval_cases(rng):
+                ours, expected = p.eval_interval(iv), ref_eval_interval(ref, iv)
+                assert (ours.lo, ours.hi) == (expected.lo, expected.hi)
+                assert p(iv) == expected
+
+    def test_sign_at_agrees_with_fraction_horner(self):
+        rng = random.Random(2026)
+        for _ in range(120):
+            member = [rng.randint(-30, 30) for _ in range(rng.randint(1, 7))]
+            for iv in interval_cases(rng):
+                for x in (iv.lo, iv.hi, iv.mid):
+                    assert _sign_at(member, x) == sign(ref_horner(member, x))

@@ -2,12 +2,16 @@
 
 import ast
 import importlib
+import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import sympy
 
 import encwrithe
 from encwrithe import upoly
-from encwrithe.bipoly import BiPoly
+from encwrithe.bipoly import BiPoly, resultant_bivariate
 
 PACKAGE = Path(encwrithe.__file__).parent
 
@@ -60,6 +64,49 @@ def test_bipoly_has_no_ring_arithmetic():
     # form on cleared integers; Fraction ring arithmetic on BiPolys stays out
     banned = ("__add__", "__sub__", "__mul__", "__pow__", "__neg__", "var", "const", "zero", "derivative")
     assert [name for name in banned if hasattr(BiPoly, name)] == []
+
+
+def test_polynomials_store_only_integers():
+    # UPoly and BiPoly keep integers over one denominator, whatever they were
+    # built from; Fractions exist only in the coeffs and terms views
+    p = upoly.UPoly([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, -6)])
+    b = BiPoly({(1, 0): Fraction(1, 2), (0, 3): Fraction(-4, 9), (2, 2): 3})
+    polys = [p, p * p, p * Fraction(3, 7), p + Fraction(1, 5), p.derivative()]
+    polys += [b, b.swap_vars(), BiPoly.outer([(p, p.derivative())]), BiPoly.from_upoly(p, 1)]
+    for poly in polys:
+        for slot in type(poly).__slots__:
+            value = getattr(poly, slot)
+            if isinstance(value, dict):
+                assert all(type(i) is int and type(j) is int for i, j in value)
+                value = value.values()
+            elif isinstance(value, int):
+                value = [value]
+            assert all(type(v) is int for v in value), (poly, slot)
+
+
+def _bench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_coefficient_bits_of_a_resultant():
+    # the bench reads bipoly.resultant_bivariate.bits_max through the coeffs
+    # view of the result; a polynomial without that view would read 0
+    a = BiPoly({(2, 0): Fraction(3, 7), (0, 1): 5, (1, 1): Fraction(-11, 2)})
+    b = BiPoly({(1, 0): Fraction(1, 3), (0, 2): 2**40 + 1, (0, 0): -9})
+    ours = resultant_bivariate(a, b, 0)
+    s, t = sympy.symbols("s t")
+
+    def as_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * s**i * t**j for (i, j), c in p.terms.items())
+
+    expected = sympy.Poly(sympy.resultant(as_sympy(a), as_sympy(b), s), t)
+    bits = max(max(c.p.bit_length(), c.q.bit_length()) for c in expected.coeffs())
+    assert bits > 80
+    assert _bench_spans().coefficient_bits(ours) == bits
 
 
 def test_one_polynomial_division():
