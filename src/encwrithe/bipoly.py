@@ -14,11 +14,11 @@ sum symmetrized or divided by s - t (elimination.symmetric_sum and
 elimination.symmetric_quotient), formed on integers and handed over with
 BiPoly.from_ints. There is no ring arithmetic on BiPolys.
 
-The resultant runs on the integer kernel of upoly: each input is read as
-integer coefficient lists over Z[x] (integer_rows) and its Sylvester
-matrix is reduced by fraction-free Bareiss elimination. Substitution is
-not done here: elimination.TriangularRoot.substitute reduces a BiPoly at a
-root, from the same integer_rows.
+The resultant is read from the subresultant chain of upoly
+(_subresultants): each input is read as integer coefficient lists over Z[x]
+(integer_rows), and the chain runs on them with exact divisions. Substitution
+is not done here: elimination.TriangularRoot.substitute reduces a BiPoly at
+a root, from the same integer_rows.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from typing import Iterable
 
 from .errors import InvalidInput
 from .rationals import rat
-from .upoly import (
-    UPoly,
-    _cleared,
-    _imul,
-    _lowest_terms,
-    det_bareiss,
-    sylvester_matrix,
-)
+from .upoly import UPoly, _cleared, _lowest_terms, _subresultants
 
 
 class BiPoly:
@@ -166,22 +159,12 @@ class BiPoly:
 def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
     """Resultant of a and b eliminating variable `index` (univariate in the other).
 
-    With a = P / D_p and b = Q / D_q for integer P, Q, the Sylvester
-    determinant R' of P and Q over Z[x] is taken by fraction-free Bareiss, and
+    With a = P / D_p and b = Q / D_q for integer P, Q, the resultant R' of P
+    and Q over Z[x] is read from their subresultant chain, and
     Res(a, b) = R' / (D_p^n * D_q^m), m and n the degrees of a and b in the
     eliminated variable.
     """
     p, dp = a.integer_rows(index)
     q, dq = b.integer_rows(index)
-    if not p or not q:
-        raise InvalidInput("resultant of a zero polynomial")
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0 or n == 0:
-        # one input is constant in the eliminated variable: its power
-        base, power = (p[0], n) if m == 0 else (q[0], m)
-        det = [1]
-        for _ in range(power):
-            det = _imul(det, base)
-    else:
-        det = det_bareiss(sylvester_matrix(p, q))
-    return UPoly.from_ints(det, dp**n * dq**m)
+    res, _ = _subresultants(p, q)
+    return UPoly.from_ints(res, dp ** (len(q) - 1) * dq ** (len(p) - 1))

@@ -4,14 +4,17 @@ Every system in the pipeline is a list of bivariate polynomials whose
 common zeros are finite in number (double points of a projection, or of
 the space curve itself). The strategy is fixed:
 
-  1. eliminate variable 0 by pairwise resultants,
+  1. eliminate variable 0 from each pair by one subresultant chain
+     (upoly._subresultants), which gives the pair's resultant and its
+     degree-1 member,
   2. intersect: the true eliminant divides the gcd of all nonzero pairwise
      resultants (pairwise_eliminant),
   3. isolate the real roots of its square-free part,
-  4. recover the eliminated coordinate from a linear subresultant member,
-     as a polynomial in the surviving coordinate modulo its defining
-     polynomial (x - a for a rational root found by isolation, so an exact
-     survivor is no special case),
+  4. recover the eliminated coordinate from a degree-1 member u*x + v of a
+     pair's chain, divided by its content over Z[f], as -v/u in the
+     surviving coordinate modulo its defining polynomial (x - a for a
+     rational root found by isolation, so an exact survivor is no special
+     case); inputs linear in the eliminated coordinate are tried first,
   5. verify every candidate against *all* the input polynomials exactly,
      each reduced at the candidate root by TriangularRoot.substitute.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .algnum import AlgebraicNumber, isolate_real_roots
-from .bipoly import BiPoly, resultant_bivariate
+from .bipoly import BiPoly
 from .errors import DegenerateElimination
 from .upoly import (
     UPoly,
@@ -37,6 +40,7 @@ from .upoly import (
     _imul,
     _isub,
     _pdivmod,
+    _subresultants,
     poly_gcd,
     quotient_mod,
     squarefree_part,
@@ -110,95 +114,54 @@ class SystemSolution:
         return self.gcd_eliminant.degree == self.squarefree_eliminant.degree
 
 
-def _content_free(c: list[list[int]]) -> list[list[int]]:
-    """c divided by its content over Z[f]: the gcd of its coefficients."""
-    g = None
-    for entry in c:
-        if entry:
-            g = entry if g is None else _igcd_poly(g, entry)
-            if len(g) == 1:
-                break
-    if g is not None and len(g) > 1:
-        c = [_iexact_div(entry, g) for entry in c]
-    k = 0
-    for entry in c:
-        for v in entry:
-            k = math.gcd(k, v)
-    if k > 1:
-        c = [[v // k for v in entry] for entry in c]
-    return c
+def _completion_member(s1: list[list[int]]) -> tuple[UPoly, UPoly]:
+    """(u, v) of a degree-1 chain member u*x + v, divided by its content over
+    Z[f]: the integer content of both times their primitive gcd."""
+    v, u = s1
+    k = math.gcd(*u, *v)
+    d = [k * c for c in _igcd_poly(u, v)]
+    return UPoly.from_ints(_iexact_div(u, d)), UPoly.from_ints(_iexact_div(v, d))
 
 
-def _linear_prs_member(
-    p: list[list[int]], q: list[list[int]]
-) -> tuple[UPoly, UPoly] | None:
-    """Degree-1 member (u, v) ~ u*x + v of the primitive PRS of p, q in x.
+def _eliminate(
+    rows: list[list[list[int]]],
+) -> tuple[UPoly | None, list[list[list[int]]]]:
+    """(g, linear): one subresultant chain per pair of polynomials, each given
+    by its integer_rows in variable 0.
 
-    p, q are coefficient lists (low first, in the eliminated variable) over
-    Z[f], as BiPoly.integer_rows gives them; every pseudo-remainder is taken
-    over Z[f] and divided by its content. (u, v) is determined up to a common
-    constant factor, which the completion -v/u does not see. Returns None
-    when the sequence skips degree 1.
-    """
-
-    def norm(c: list[list[int]]) -> list[list[int]]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    def prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        db = len(b) - 1
-        lead = b[-1]
-        r = list(a)
-        while r and len(r) - 1 >= db:
-            k = len(r) - 1 - db
-            top = r[-1]
-            r = [_imul(lead, c) for c in r]
-            for i in range(db + 1):
-                r[k + i] = _isub(r[k + i], _imul(top, b[i]))
-            r = norm(r)
-        return r
-
-    a, b = norm(list(p)), norm(list(q))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) - 1 == 1:
-            return UPoly.from_ints(b[1]), UPoly.from_ints(b[0])
-        if len(b) - 1 == 0:
-            return None
-        r = _content_free(prem(a, b))
-        a, b = b, r
-    return None
-
-
-def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:
-    """gcd of the nonzero pairwise resultants of polys eliminating variable 0,
-    primitive; None when every pairwise resultant vanishes identically.
-
-    Any common zero's survivor coordinate is a root of every nonzero pairwise
-    resultant, so the gcd of a subset is still a sound (possibly larger)
-    eliminant, and the scan stops as soon as the gcd is constant.
+    g is the gcd of the nonzero pairwise resultants, primitive, or None when
+    every one vanishes identically; linear holds the degree-1 member of each
+    pair's chain that has one, in pair order. Any common zero's survivor
+    coordinate is a root of every nonzero pairwise resultant, so the gcd of a
+    subset is still a sound (possibly larger) eliminant, and the scan stops
+    as soon as g is constant.
     """
     g: UPoly | None = None
-    for i in range(len(polys)):
-        if g is not None and g.degree == 0:
-            break
-        for j in range(i + 1, len(polys)):
-            pi, pj = polys[i], polys[j]
-            if pi.degree_in(0) == 0 and pj.degree_in(0) == 0:
-                # the Sylvester matrix of two constants is empty (resultant 1),
-                # but the elimination ideal of the pair is generated by the gcd
-                r = poly_gcd(pi.to_upoly(1), pj.to_upoly(1))
+    linear = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if len(rows[i]) == 1 and len(rows[j]) == 1:
+                # two constants in variable 0 have resultant 1, but the
+                # elimination ideal of the pair is generated by their gcd
+                r = poly_gcd(UPoly.from_ints(rows[i][0]), UPoly.from_ints(rows[j][0]))
             else:
-                r = resultant_bivariate(pi, pj, 0)
+                res, s1 = _subresultants(rows[i], rows[j])
+                if s1 is not None:
+                    linear.append(s1)
+                r = UPoly.from_ints(res)
             if r.is_zero:
                 continue
             r = r.primitive()
             g = r if g is None else poly_gcd(g, r)
             if g.degree == 0:
-                break
-    return g
+                return g, linear
+    return g, linear
+
+
+def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:
+    """gcd of the nonzero pairwise resultants of polys eliminating variable 0,
+    primitive; None when every pairwise resultant vanishes identically."""
+    return _eliminate([p.integer_rows(0)[0] for p in polys])[0]
 
 
 def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
@@ -219,7 +182,8 @@ def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
     if len(nonzero) == 1:
         raise DegenerateElimination("single bivariate equation is not zero-dimensional")
 
-    g = pairwise_eliminant(nonzero)
+    rows = [p.integer_rows(0)[0] for p in nonzero]
+    g, linear = _eliminate(rows)
     if g is None:
         raise DegenerateElimination("every pairwise resultant vanishes identically")
     if g.degree <= 0:
@@ -227,18 +191,10 @@ def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
         return SystemSolution([], one, one)
 
     sf = squarefree_part(g)
-    coeff_lists = [p.integer_rows(0)[0] for p in nonzero]
-    members = []
     # an input polynomial linear in the eliminated variable is already a
-    # completion relation; prefer those before any PRS computation
-    for coeffs in coeff_lists:
-        if len(coeffs) - 1 == 1:
-            members.append((UPoly.from_ints(coeffs[1]), UPoly.from_ints(coeffs[0])))
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            member = _linear_prs_member(coeff_lists[i], coeff_lists[j])
-            if member is not None:
-                members.append(member)
+    # completion relation; try those before the members of the chains
+    members = [(UPoly.from_ints(r[1]), UPoly.from_ints(r[0])) for r in rows if len(r) == 2]
+    members += [_completion_member(s1) for s1 in linear]
 
     roots: list[TriangularRoot] = []
     for f0 in isolate_real_roots(sf):

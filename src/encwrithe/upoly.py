@@ -23,16 +23,18 @@ degree first), never on Fractions:
   pattern, which is the only fact the certified pipeline relies on. Sturm
   chains, gcds, the sign and zero tests of algnum and the inversion
   quotient_mod run on it; exact quotients are _iexact_div.
-* Determinants are fraction-free Bareiss eliminations over Z[x]
-  (det_bareiss), with exact integer polynomial division; it is the one
-  determinant algorithm of the package. Resultants, here and in
-  bipoly.resultant_bivariate, and the rational determinants of transforms
-  (det_rational) clear the denominators of their inputs first and divide
+* There is one elimination, the subresultant chain _subresultants over
+  Z[y][x] (Collins 1967; Brown-Traub 1971): full pseudo-remainders divided
+  exactly by _iexact_div, and no gcd. It gives the resultants (resultant,
+  bipoly.resultant_bivariate and each pair of polynomials in elimination)
+  and the degree-1 member from which elimination completes a root.
+  Resultants clear the denominators of their inputs first and divide
   the known power of them out of the integer result, so they stay exact.
-* elimination's completion PRS uses the same list helpers (_imul, _isub,
-  _iexact_div) over Z[f], and its closed-form (e, f) polynomials are summed
-  on the stored integers. Builders that finish in integers hand them over
-  with UPoly.from_ints, which brings them to lowest terms.
+* The one determinant is det_rational, for the 4x4 transforms: scalar
+  fraction-free Bareiss on the rows cleared of their denominators.
+* elimination's closed-form (e, f) polynomials are summed on the stored
+  integers. Builders that finish in integers hand them over with
+  UPoly.from_ints, which brings them to lowest terms.
 * A polynomial at a triangular root (elimination.TriangularRoot.substitute)
   is Horner on integer lists with _pdivmod by the primitive defining
   polynomial, the denominator kept apart and the common content divided out
@@ -507,18 +509,21 @@ def quotient_mod(num: UPoly, den: UPoly, modulus: UPoly) -> UPoly:
 # -- determinants and resultants --------------------------------------
 
 
-def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix over Z[x] by fraction-free Bareiss elimination.
-
-    Entries are integer coefficient lists (low first, [] for zero); every
-    division by the previous pivot is exact (Bareiss 1968) and is checked.
-    """
-    m = [row[:] for row in matrix]
+def det_rational(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix of rationals: fraction-free Bareiss
+    elimination (Bareiss 1968) on the rows cleared of their denominators,
+    divided by the product of those. Every division by the previous pivot is
+    exact and is checked."""
+    scale = 1
+    m = []
+    for row in rows:
+        ints, den = _cleared(row)
+        scale *= den
+        m.append(ints)
     n = len(m)
     if n == 0:
         raise InvalidInput("empty matrix")
-    sgn = 1
-    prev = None
+    sgn, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -527,67 +532,103 @@ def det_bareiss(matrix: list[list[list[int]]]) -> list[int]:
                     sgn = -sgn
                     break
             else:
-                return []
+                return Fraction(0)
         pivot_row = m[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
+        for row in m[k + 1 :]:
             below = row[k]
             for j in range(k + 1, n):
-                t = _imul(row[j], pivot)
-                if below and pivot_row[j]:
-                    t = _isub(t, _imul(below, pivot_row[j]))
-                row[j] = t if prev is None or not t else _iexact_div(t, prev)
-            row[k] = []
+                row[j], rem = divmod(row[j] * pivot - below * pivot_row[j], prev)
+                if rem:
+                    raise InvalidInput("inexact integer division")
         prev = pivot
-    out = m[n - 1][n - 1]
-    return out if sgn == 1 else _ineg(out)
+    return Fraction(sgn * m[n - 1][n - 1], scale)
 
 
-def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix of rationals: det_bareiss of the rows
-    cleared of their denominators, divided by the product of those."""
-    scale = 1
-    matrix = []
-    for row in rows:
-        ints, den = _cleared(row)
-        scale *= den
-        matrix.append([[v] if v else [] for v in ints])
-    det = det_bareiss(matrix)
-    return Fraction(det[0] if det else 0, scale)
+def _ipow(a: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _imul(out, a)
+    return out
 
 
-def sylvester_matrix(p: list, q: list) -> list[list]:
-    """Sylvester matrix of p, q given as low-first coefficient lists over Z[x]
-    (each entry an integer coefficient list, [] for zero)."""
-    m, n = len(p) - 1, len(q) - 1
-    if m < 0 or n < 0:
+def _subresultants(
+    p: list[list[int]], q: list[list[int]]
+) -> tuple[list[int], list[list[int]] | None]:
+    """(Res(p, q), S1): the resultant and the degree-1 member of the
+    subresultant PRS of p and q, polynomials in x over Z[y].
+
+    p and q are coefficient lists in x (low first) whose entries are integer
+    lists in y ([] for zero), as BiPoly.integer_rows gives them. The chain is
+    Brown's subresultant PRS (Collins 1967; Brown-Traub 1971): each new member
+    is the full pseudo-remainder of the two before it, lc(b)^(delta+1) * a
+    mod b with delta = deg a - deg b, divided exactly (_iexact_div) by
+    g*h^delta, where g is the leading coefficient of a and h follows
+    h <- g^delta / h^(delta-1), both 1 at the first step. No gcd is taken.
+
+    Res(p, q) has the Sylvester sign: it is lc(p)^deg q times the product of q
+    over the roots of p, and an input constant in x gives its power. S1 is the
+    first member of actual degree 1 after the larger-degree input (the other
+    input included), proportional over Q(y) to the degree-1 subresultant, or
+    None when the chain skips degree 1.
+    """
+
+    def xnorm(c: list[list[int]]) -> list[list[int]]:
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = xnorm(list(p)), xnorm(list(q))
+    if not a or not b:
         raise InvalidInput("resultant of a zero polynomial")
-    size = m + n
-    rows = []
-    ph = list(reversed(p))
-    qh = list(reversed(q))
-    for i in range(n):
-        rows.append([[]] * i + ph + [[]] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([[]] * i + qh + [[]] * (size - n - 1 - i))
-    return rows
+    sgn = 1
+    if len(a) < len(b):
+        # Res(p, q) = (-1)^(deg p * deg q) Res(q, p)
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sgn = -1
+    s1 = b if len(b) == 2 else None
+    g = h = [1]
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sgn = -sgn
+        # r = lc(b)^(delta+1) * a mod b, one step per degree of the quotient
+        lead = b[-1]
+        r = list(a)
+        for k in range(delta, -1, -1):
+            top = r.pop()
+            r = [_imul(lead, c) for c in r]
+            if top:
+                for i in range(db):
+                    if b[i]:
+                        r[k + i] = _isub(r[k + i], _imul(top, b[i]))
+        if not xnorm(r):
+            return [], s1
+        div = _imul(g, _ipow(h, delta))
+        a, b = b, [_iexact_div(c, div) for c in r]
+        g = a[-1]
+        if delta:
+            h = _iexact_div(_ipow(g, delta), _ipow(h, delta - 1))
+        if s1 is None and len(b) == 2:
+            s1 = b
+    # Res = lc(b)^deg a / h^(deg a - 1) at the constant member b
+    d = len(a) - 1
+    res = _ipow(b[0], d)
+    if d > 1:
+        res = _iexact_div(res, _ipow(h, d - 1))
+    return (res if sgn == 1 else _ineg(res)), s1
 
 
 def resultant(p: UPoly, q: UPoly) -> Fraction:
-    """Resultant as the Sylvester determinant (q(root of p) products, standard sign)."""
-    if p.is_zero or q.is_zero:
-        raise InvalidInput("resultant of a zero polynomial")
-    if p.degree == 0:
-        return p.lc ** q.degree
-    if q.degree == 0:
-        return q.lc ** p.degree
-    rows = sylvester_matrix(
+    """Res(p, q) with the Sylvester sign, from the subresultant chain of the
+    cleared p and q."""
+    res, _ = _subresultants(
         [[c] if c else [] for c in p.ints], [[c] if c else [] for c in q.ints]
     )
-    det = det_bareiss(rows)
     # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q), dp and dq the dens
-    return Fraction(det[0] if det else 0, p.den ** q.degree * q.den ** p.degree)
+    return Fraction(res[0] if res else 0, p.den ** q.degree * q.den ** p.degree)
 
 
 # -- Sturm machinery ---------------------------------------------------

@@ -25,6 +25,9 @@ from encwrithe.fileio import link_to_lines, parse_curve_file, write_link_file
 from encwrithe.projection import CANONICAL_CENTER, LocusKind
 from encwrithe.writhe import build_diagram
 
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+GOLDEN = Path(__file__).parent / "golden"
+
 
 class TestWritheCommand:
     def test_model_crossing(self, capsys):
@@ -133,6 +136,19 @@ class TestWritheCommand:
         main(["writhe", str(MODEL_CROSSING_PATH), "--seed", "4"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "path, seed",
+        [("links/link33_neg.jsonl", 0), ("knots/d5a_pos.jsonl", 3), ("links/circles_chain_neg.jsonl", 3)],
+    )
+    def test_stdout_matches_golden(self, capsys, path, seed):
+        # the printed f/t and e/s intervals follow how a survivor's defining
+        # polynomial is split by the completion member, so they pin that the
+        # member is divided by its content over Z[f] before it is used
+        code = main(["writhe", str(CORPUS / path), "--seed", str(seed)])
+        assert code == 0
+        golden = GOLDEN / f"{Path(path).stem}_seed{seed}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestVerifyCommand:

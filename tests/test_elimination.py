@@ -10,12 +10,13 @@ from encwrithe.algnum import AlgebraicNumber
 from encwrithe.bipoly import BiPoly
 from encwrithe.elimination import (
     TriangularRoot,
+    _completion_member,
     cross_double_point_system,
     solve_system,
     symmetric_double_point_system,
 )
 from encwrithe.errors import DegenerateElimination
-from encwrithe.upoly import UPoly
+from encwrithe.upoly import UPoly, _subresultants
 
 
 def bp(terms) -> BiPoly:
@@ -222,3 +223,110 @@ class TestSubstituteOracle:
         e_poly = _random_upoly(rng, rng.randint(0, survivor.defining.degree - 1))
         reduced = TriangularRoot(survivor, e_poly).substitute(p)
         assert reduced(value) == _oracle_value(p, e_poly, value)
+
+
+# -- the subresultant chain of a pair, against sympy ----------------------------
+
+E, F = sympy.symbols("e f")
+
+
+def _chain_of(a: sympy.Expr, b: sympy.Expr):
+    """_subresultants of two integer polynomials in (e, f), eliminating e."""
+    rows = [
+        BiPoly({k: int(c) for k, c in sympy.Poly(p, E, F).terms()}).integer_rows(0)[0]
+        for p in (a, b)
+    ]
+    return _subresultants(*rows)
+
+
+def _in_f(ints: list[int]) -> sympy.Expr:
+    return sum(c * F**k for k, c in enumerate(ints))
+
+
+class TestSubresultantChainOracle:
+    """The chain of a pair in e over Z[f] against sympy: the resultant exactly,
+    with sympy's order-swap sign, and the completion member (u, v) as plus or
+    minus the primitive part over Z[f] of the degree-1 member of
+    sympy.subresultants (the chain after the larger-degree input)."""
+
+    @staticmethod
+    def check(a: sympy.Expr, b: sympy.Expr) -> sympy.Expr | None:
+        """Assert both matches; the content over Z[f] of sympy's degree-1
+        member, or None when the chain has none."""
+        a, b = sympy.expand(a), sympy.expand(b)
+        res, s1 = _chain_of(a, b)
+        m, n = sympy.degree(a, E), sympy.degree(b, E)
+        theirs = sympy.resultant(a, b, E)
+        if m < n and (m * n) % 2:
+            theirs = -theirs
+        assert sympy.expand(_in_f(res) - theirs) == 0
+        linear = [p for p in sympy.subresultants(a, b, E)[1:] if sympy.degree(p, E) == 1]
+        if not linear:
+            assert s1 is None
+            return None
+        content, primitive = sympy.Poly(linear[0], E, domain=sympy.ZZ[F]).primitive()
+        u, v = _completion_member(s1)
+        ours = _in_f(u.ints) * E + _in_f(v.ints)
+        assert sympy.expand(ours - primitive.as_expr()) == 0 or sympy.expand(ours + primitive.as_expr()) == 0
+        return content
+
+    @staticmethod
+    def degrees(a: sympy.Expr, b: sympy.Expr) -> list[int]:
+        return [sympy.degree(p, E) for p in sympy.subresultants(sympy.expand(a), sympy.expand(b), E)]
+
+    def test_seeded_pairs(self):
+        rng = random.Random(4113)
+        with_content = with_member = 0
+        for _ in range(60):
+            # a shared leading coefficient in e makes content over Z[f] likely
+            lead = rng.choice((1, F, F - 2, 3 * F + 1))
+            a, b = (
+                lead * E**d + sum(rng.randint(-4, 4) * E**i * F**j for i in range(d) for j in range(3))
+                for d in (rng.randint(2, 4), rng.randint(2, 4))
+            )
+            content = self.check(a, b)
+            if content is not None:
+                with_member += 1
+                with_content += sympy.Poly(content, F).degree() > 0 or abs(content) != 1
+        assert with_member >= 50
+        # the completion member is the primitive part, not the raw member
+        assert with_content >= 20
+
+    def test_defective_chain(self):
+        # a = e*b + (f + 1)e + 2 - f: the chain skips degree 2 (4, 3, 1, 0)
+        b = E**3 + F * E**2 - 3
+        a = E * b + (F + 1) * E + 2 - F
+        assert self.degrees(a, b) == [4, 3, 1, 0]
+        assert self.check(a, b) is not None
+        assert self.check(b, a) is not None
+        # and a first step of delta = 3, in either order
+        assert self.check(E**5 + F * E - 1, (F + 2) * E**2 + 3) is not None
+        assert self.check((F + 2) * E**2 + 3, E**5 + F * E - 1) is not None
+
+    def test_leading_coefficient_vanishing_at_a_survivor_value(self):
+        # the coefficient of e^2 in a is f - 1, zero at f = 1
+        a = (F - 1) * E**2 + E + 2 * F
+        b = 2 * E**2 - 5 * F * E + 7
+        assert self.check(a, b) is not None
+        assert self.check(b, a) is not None
+        res, s1 = _chain_of(a, b)
+        assert _in_f(res).subs(F, 1) != 0
+
+    def test_pairs_without_a_degree_1_member(self):
+        # a = e*b + f: the chain goes 3, 2, 0
+        b = E**2 + F + 1
+        a = E * b + F
+        assert self.degrees(a, b) == [3, 2, 0]
+        assert self.check(a, b) is None
+        # a common factor of degree 2: the resultant vanishes, the chain stops at 2
+        common = E**2 + F
+        assert self.check(common * (E + 1), common * (E - F)) is None
+        assert _chain_of(common * (E + 1), common * (E - F))[0] == []
+
+    def test_member_with_content(self):
+        # equal leading coefficients f: S1 = prem(a, b) = f*((f - 2)e - f - 2)
+        a = F * E**2 + 3 * E + F
+        b = F * E**2 + (F + 1) * E - 2
+        assert self.check(a, b) == F
+        u, v = _completion_member(_chain_of(a, b)[1])
+        assert (u.ints, v.ints) in {((-2, 1), (-2, -1)), ((2, -1), (2, 1))}

@@ -107,8 +107,9 @@ class TestResultant:
         assert resultant_bivariate(p, q, 0) == UPoly([0, 2])
 
     def test_integer_division_is_exact_or_raises(self):
-        # the Bareiss kernel divides by the previous pivot over Z[x]; a
-        # remainder there means a broken invariant, never a rounded result
+        # the subresultant chain divides each pseudo-remainder by g*h^delta
+        # over Z[x]; a remainder there means a broken invariant, never a
+        # rounded result
         assert _iexact_div([-1, 0, 1], [1, 1]) == [-1, 1]  # (x^2 - 1) / (x + 1)
         assert _iexact_div([2, 4], [2]) == [1, 2]
         with pytest.raises(InvalidInput):

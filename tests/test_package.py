@@ -114,3 +114,17 @@ def test_one_polynomial_division():
     # upoly._pdivmod or upoly._iexact_div; there is no division over Q
     assert [name for name in ("divmod", "__mod__", "__floordiv__") if hasattr(upoly.UPoly, name)] == []
     assert [name for name in ("xgcd", "invert_mod", "_prem_signed") if hasattr(upoly, name)] == []
+
+
+def test_one_elimination():
+    # each pair is eliminated once, by the subresultant chain
+    # upoly._subresultants; no Sylvester determinant over Z[x] and no second
+    # PRS with a content removal at every step stay beside it
+    banned = ("_content_free", "_linear_prs_member", "sylvester_matrix", "det_bareiss")
+    modules = [encwrithe] + [
+        importlib.import_module(f"encwrithe.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    assert len(modules) > 10
+    assert [f"{m.__name__}.{name}" for m in modules for name in banned if hasattr(m, name)] == []
