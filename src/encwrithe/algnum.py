@@ -1,11 +1,20 @@
 """Real algebraic numbers and certified sign determination.
 
 An AlgebraicNumber is a square-free defining polynomial plus an isolating
-rational interval. Sign queries follow a fixed protocol: decide vanishing
-exactly first (the pseudo-remainder of the polynomial by the defining one,
-upoly._pdivmod, plus a gcd test picking out the actual root), then refine
-the interval until interval arithmetic separates the value from zero. The
-exact zero test is what guarantees the refinement loop terminates.
+rational interval. Sign queries follow a fixed protocol: reduce the
+polynomial by the defining one (upoly._pdivmod), refine the interval while
+interval arithmetic cannot separate the value from zero, and after
+_QUICK_REFINE_ROUNDS bisections decide vanishing exactly (a gcd with the
+defining polynomial and a Sturm count on the interval). The exact zero test
+is what guarantees the refinement loop terminates.
+
+"Which root is this?" is one Sturm count wherever it is asked: an isolating
+interval holds at most one root of any divisor of the defining polynomial,
+and none at an open interval's endpoint. So equals counts the roots of the
+gcd of two defining polynomials where the two intervals meet, without
+refining either, and algebraic_value decides the exact rational roots of
+its eliminant exactly before it searches the open boxes by refinement; the
+value lies strictly inside one of them, so that search ends.
 
 There is no extension tower. Every double point is a triangular root: a
 real algebraic number plus a polynomial giving the other coordinate, and
@@ -138,20 +147,17 @@ class AlgebraicNumber:
         p = self._remainder(p)
         if p.is_zero:
             return 0
-        for _ in range(_QUICK_REFINE_ROUNDS):
-            s = p.eval_interval(self.interval()).definite_sign()
-            if s:
-                return s
-            self.refine()
-            if self.is_exact:
-                return sign(p(self.lo))
-        if self._vanishes_here(p):
-            return 0
+        rounds = 0
         while True:
             s = p.eval_interval(self.interval()).definite_sign()
             if s:
                 return s
+            # past the one exact zero test p is nonzero here, and the
+            # enclosure shrinks onto that nonzero value
+            if rounds == _QUICK_REFINE_ROUNDS and self._vanishes_here(p):
+                return 0
             self.refine()
+            rounds += 1
             if self.is_exact:
                 return sign(p(self.lo))
 
@@ -194,31 +200,18 @@ class AlgebraicNumber:
             return other.is_root_of(UPoly((-self.lo, 1)))
         if other.is_exact:
             return self.is_root_of(UPoly((-other.lo, 1)))
+        # g has at most one root in each isolating interval and none at an
+        # endpoint, so the two are equal iff g has a root where they meet;
+        # count_real_roots counts (lo, hi], and g(hi) != 0
         g = poly_gcd(self.defining, other.defining)
         if g.degree < 1:
             return False
-        if not (self.is_root_of(g) and other.is_root_of(g)):
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
             return False
-        # both are roots of g; equal iff they are the same root
-        boxes, _ = isolate_roots_intervals(g)
-        mine = _locate_in_isolation(self, g, boxes)
-        theirs = _locate_in_isolation(other, g, boxes)
-        return mine == theirs
-
-
-def _locate_in_isolation(num: AlgebraicNumber, g: UPoly, boxes) -> int:
-    """Index of the isolating box of g containing `num` (num must be a root of g)."""
-    while True:
-        candidates = [
-            k
-            for k, (lo, hi, exact) in enumerate(boxes)
-            if not Interval(lo, hi).disjoint(num.interval())
-        ]
-        if len(candidates) == 1:
-            return candidates[0]
-        if not candidates:
-            raise InvalidInput("number is not a root of the isolation target")
-        num.refine()
+        if lo == hi:
+            return g(lo) == 0
+        return count_real_roots(g, lo, hi) == 1
 
 
 def isolate_real_roots(p: UPoly) -> list[AlgebraicNumber]:
@@ -256,6 +249,13 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
         raise InvalidInput("degenerate elimination while forming an algebraic value")
     h = squarefree_part(h)
     boxes, residual = isolate_roots_intervals(h)
+    for lo, _hi, exact in boxes:
+        if exact and base.is_root_of(num - den * lo):
+            return AlgebraicNumber.from_rational(lo)
+    # the value is a root of residual, strictly inside one open box and
+    # apart from the closures of the others, so the enclosure below ends up
+    # meeting that box alone
+    boxes = [(lo, hi) for lo, hi, exact in boxes if not exact]
 
     def value_interval() -> Interval:
         iv_num = num.eval_interval(base.interval())
@@ -273,16 +273,9 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
     while True:
         iv = value_interval()
         if iv is not None:
-            hits = [
-                (lo, hi, exact)
-                for (lo, hi, exact) in boxes
-                if not Interval(lo, hi).disjoint(iv)
-            ]
+            hits = [box for box in boxes if not Interval(*box).disjoint(iv)]
             if len(hits) == 1:
-                lo, hi, exact = hits[0]
-                if exact:
-                    return AlgebraicNumber.from_rational(lo)
-                value = AlgebraicNumber(residual, lo, hi, _checked=True)
+                value = AlgebraicNumber(residual, *hits[0], _checked=True)
                 value.try_exact_collapse()
                 return value
         base.refine()

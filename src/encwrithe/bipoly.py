@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidInput
 from .rationals import rat
 from .upoly import UPoly, _cleared, _lowest_terms, _subresultants
 
@@ -122,16 +121,6 @@ class BiPoly:
         return "BiPoly(" + " + ".join(parts) + ")"
 
     # -- views and conversions -----------------------------------------
-
-    def to_upoly(self, index: int) -> UPoly:
-        """Convert to univariate in `index`; the other variable must not occur."""
-        other = 1 - index
-        if self.degree_in(other) > 0:
-            raise InvalidInput("polynomial genuinely depends on both variables")
-        ints = [0] * (self.degree_in(index) + 1)
-        for key, v in self.ints.items():
-            ints[key[index]] = v
-        return UPoly.from_ints(ints, self.den)
 
     def swap_vars(self) -> "BiPoly":
         return BiPoly.from_ints({(j, i): v for (i, j), v in self.ints.items()}, self.den)

@@ -234,27 +234,6 @@ class ProjectiveTransform:
             for row in self.rows
         )
 
-    def inverse(self) -> "ProjectiveTransform":
-        n = 4
-        aug = [
-            [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if aug[r][col] != 0), None
-            )
-            if pivot is None:
-                raise SingularMatrix("projective transform is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return ProjectiveTransform.of([row[n:] for row in aug])
-
 
 class Link:
     """A real algebraic link: components plus optional orientation flags.
@@ -311,7 +290,6 @@ class CurveValidationReport:
     no_real_singularities: bool = True
     singular_witness: Optional[str] = None
     imaginary_singular_candidates: int = 0
-    space_eliminant: Optional[UPoly] = None
 
     @property
     def valid(self) -> bool:
@@ -385,7 +363,6 @@ def _check_space_double_points(
     except DegenerateElimination:
         report.birational = False
         return
-    report.space_eliminant = solution.squarefree_eliminant
     real_count = len(solution.roots)
     if real_count:
         root = solution.roots[0]

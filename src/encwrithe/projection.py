@@ -106,29 +106,21 @@ def normalize_center(link: Link, center) -> tuple[Link, ProjectiveTransform]:
     for component in link.components:
         if center_on_component(component, c):
             raise CenterOnCurve(f"projection center {center} lies on the link")
-    pivot = next(i for i in range(4) if c[i] != 0)
-    basis = [i for i in range(4) if i != pivot]
-    # columns: standard basis vectors around c placed as the third column
-    slots = []
-    for position in range(4):
-        if position == 2:
-            slots.append("c")
-        else:
-            slots.append(basis.pop(0))
-    matrix = [[Fraction(0)] * 4 for _ in range(4)]
-    for col, slot in enumerate(slots):
-        if slot == "c":
-            for row in range(4):
-                matrix[row][col] = c[row]
-        else:
-            matrix[slot][col] = Fraction(1)
-    m = ProjectiveTransform.of(matrix)
-    if m.det < 0:
-        # swap the first two non-center columns to restore orientation
-        for row in range(4):
-            matrix[row][0], matrix[row][1] = matrix[row][1], matrix[row][0]
-        m = ProjectiveTransform.of(matrix)
-    transform = m.inverse()
+    # the frame with columns (e_i, e_j, c, e_k), i < j < k the indices other
+    # than the pivot p, takes (0 : 0 : 1 : 0) to c; its inverse, written out,
+    # has row 2 = e_p / c_p and rows 0, 1, 3 = e_i - (c_i / c_p) e_p
+    p = next(i for i in range(4) if c[i] != 0)
+    rows = []
+    for i in range(4):
+        row = [int(i == j) for j in range(4)]
+        row[p] = 1 / c[p] if i == p else -c[i] / c[p]
+        rows.append(row)
+    rows.insert(2, rows.pop(p))
+    if (-1) ** p * c[p] < 0:
+        # the determinant is (-1)^p / c_p; swapping the first two rows
+        # restores orientation
+        rows[0], rows[1] = rows[1], rows[0]
+    transform = ProjectiveTransform.of(rows)
     return link.transformed(transform), transform
 
 

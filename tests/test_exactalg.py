@@ -7,6 +7,8 @@ machinery is used as the second route wherever our kernel is the first.
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from encwrithe.upoly import (
     det_rational,
     gcd_of_minors,
     is_squarefree,
+    isolate_roots_intervals,
     poly_gcd,
     quotient_mod,
     resultant,
@@ -227,6 +230,58 @@ class TestRootIsolation:
             # isolating intervals are open (or a single exact root), so
             # neighbours meet at most in an endpoint
             assert a.hi <= b.lo
+
+    def test_planted_rational_roots_match_sympy(self):
+        # seeded polynomials with planted rational roots, dyadic ones among
+        # them, so that bisection midpoints land on roots: an exact triple
+        # must be a root, an open one must hold exactly one root, possibly
+        # next to an exact root at its endpoint, and the residual times the
+        # exact linear factors must give back the primitive p
+        rng = random.Random(20261019)
+        midpoint_hits = exact_endpoints = checked = 0
+        while checked < 200:
+            p = UPoly.const(rng.choice([1, -1, 2, Fraction(-1, 3)]))
+            if checked % 2:
+                # (x - r)(x^m - K) has Cauchy bound 2 + rK, and r = 2k/(2^j - Kk)
+                # is k/2^j of it, a midpoint whenever bisection gets there; a
+                # factor x keeps the bound and puts a root on the first midpoint
+                m, j = rng.randint(2, 4), rng.randint(3, 6)
+                big_k = rng.choice([2, 3, 5, 6, 7])
+                k = rng.randint(1, 2**j // big_k)
+                if 2**j == big_k * k:
+                    continue
+                p = p * UPoly((Fraction(-2 * k, 2**j - big_k * k), 1))
+                p = p * UPoly([-big_k] + [0] * (m - 1) + [1])
+                if rng.random() < 0.5:
+                    p = p * UPoly.x()
+            else:
+                p = p * UPoly([rng.randint(-3, 3), 0, 1])
+                for _ in range(rng.randint(1, 3)):
+                    p = p * UPoly((-Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3)), 1))
+            if not is_squarefree(p):
+                continue
+            checked += 1
+            triples, residual = isolate_roots_intervals(p)
+            poly = sympy.Poly(to_sympy(p), x)
+            assert len(triples) == poly.count_roots()
+            exact = [lo for lo, hi, is_exact in triples if is_exact]
+            for lo, hi, is_exact in triples:
+                if is_exact:
+                    assert lo == hi and poly.eval(lo) == 0
+                    continue
+                assert lo < hi
+                at_ends = (poly.eval(lo) == 0) + (poly.eval(hi) == 0)
+                assert poly.count_roots(lo, hi) - at_ends == 1
+                exact_endpoints += at_ends
+            assert [t[0] + t[1] for t in triples] == sorted(t[0] + t[1] for t in triples)
+            primitive = poly.clear_denoms()[1].primitive()[1]
+            product = to_sympy(residual) * sympy.prod([x - r for r in exact])
+            assert sympy.expand(product - primitive.as_expr()) == 0
+            midpoint_hits += sum(1 for r in exact if r != 0)
+        # the branch that splits a node at a nonzero midpoint root, and an
+        # open interval ending at an exact root, are both reached
+        assert midpoint_hits >= 30
+        assert exact_endpoints >= 50
 
 
 def point_root(e, f) -> TriangularRoot:
@@ -518,6 +573,57 @@ class TestAlgebraicValue:
         assert value.sign_of_poly(UPoly([-1, 2, 1])) == 0  # y^2 + 2y - 1
         assert value.sign_of_poly(UPoly([Fraction(-41, 100), 1])) == 1
         assert value.sign_of_poly(UPoly([Fraction(-42, 100), 1])) == -1
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging: raise TimeoutError after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRootAtAnIsolationEndpoint:
+    # g = x(x^2 - 2) has the exact root 0; isolating it, a neighbouring open
+    # interval ends at 0, which used to keep "which root of g is this?"
+    # refining forever
+
+    def test_equal_numbers_sharing_a_rational_root(self):
+        X = UPoly.x()
+        g = X * (X * X - 2)
+        with time_limit(20):
+            a = AlgebraicNumber(g * (X - 7), Fraction(-1, 2), 1)
+            b = AlgebraicNumber(g * (X + 9), -1, Fraction(1, 2))
+            assert a.equals(b)
+            assert b.equals(a)
+
+    def test_equality_decided_where_the_intervals_meet(self):
+        X = UPoly.x()
+        sqrt2 = AlgebraicNumber(X * X - 2, 1, Fraction(3, 2))
+        # apart: the intervals meet in one point, or not at all
+        assert not sqrt2.equals(AlgebraicNumber((X * X - 2) * (X - 3), Fraction(3, 2), 4))
+        assert not sqrt2.equals(AlgebraicNumber((X * X - 2) * (X - 3), 2, 4))
+        # a common factor, overlapping intervals, different roots
+        wide = AlgebraicNumber(X * X - 2, 1, 2)
+        assert not wide.equals(AlgebraicNumber((X * X - 2) * (X * X - 3), Fraction(3, 2), 2))
+        assert sqrt2.equals(AlgebraicNumber((X * X - 2) * (X + 5), 0, 2))
+
+    def test_value_on_an_exact_root_of_the_eliminant(self):
+        # sqrt2^3 - 2 sqrt2 = 0, an exact root of the eliminant that an open
+        # box of its isolation ends at
+        X = UPoly.x()
+        base = AlgebraicNumber((X * X - 2) * (X - 3) * (X + 3), 1, 2)
+        with time_limit(20):
+            value = algebraic_value(base, X**3 - 2 * X, UPoly.const(1))
+        assert value.is_exact and value.exact_value == 0
 
 
 class TestModularHelpers:

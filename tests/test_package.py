@@ -10,8 +10,9 @@ from pathlib import Path
 import sympy
 
 import encwrithe
-from encwrithe import upoly
+from encwrithe import algnum, upoly
 from encwrithe.bipoly import BiPoly, resultant_bivariate
+from encwrithe.curves import ProjectiveTransform
 
 PACKAGE = Path(encwrithe.__file__).parent
 
@@ -128,3 +129,13 @@ def test_one_elimination():
     ]
     assert len(modules) > 10
     assert [f"{m.__name__}.{name}" for m in modules for name in banned if hasattr(m, name)] == []
+
+
+def test_deleted_names_stay_gone():
+    # "which root is this?" is one Sturm count on an isolating interval, not a
+    # search of the number over the boxes of a second isolation; the center
+    # frame is written in closed form, with no general inverse beside it; and
+    # BiPoly.to_upoly had no caller
+    assert not hasattr(algnum, "_locate_in_isolation")
+    assert not hasattr(ProjectiveTransform, "inverse")
+    assert not hasattr(BiPoly, "to_upoly")
