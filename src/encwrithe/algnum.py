@@ -14,7 +14,8 @@ and none at an open interval's endpoint. So equals counts the roots of the
 gcd of two defining polynomials where the two intervals meet, without
 refining either, and algebraic_value decides the exact rational roots of
 its eliminant exactly before it searches the open boxes by refinement; the
-value lies strictly inside one of them, so that search ends.
+value lies strictly inside one of them, so that search ends. Its enclosure
+of num/den is quotient_boxes, which also gives the projection's image boxes.
 
 There is no extension tower. Every double point is a triangular root: a
 real algebraic number plus a polynomial giving the other coordinate, and
@@ -26,6 +27,7 @@ routine, sign_of_poly, decides every sign the pipeline takes.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvalidInput
 from .rationals import Interval, rat, sign
@@ -194,15 +196,10 @@ class AlgebraicNumber:
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         """Exact equality decision."""
-        if self.is_exact and other.is_exact:
-            return self.lo == other.lo
-        if self.is_exact:
-            return other.is_root_of(UPoly((-self.lo, 1)))
-        if other.is_exact:
-            return self.is_root_of(UPoly((-other.lo, 1)))
         # g has at most one root in each isolating interval and none at an
-        # endpoint, so the two are equal iff g has a root where they meet;
-        # count_real_roots counts (lo, hi], and g(hi) != 0
+        # open interval's endpoint, and an exact number is a root of its
+        # defining polynomial, so the two are equal iff g has a root where
+        # they meet; count_real_roots counts (lo, hi], and g(hi) != 0
         g = poly_gcd(self.defining, other.defining)
         if g.degree < 1:
             return False
@@ -226,6 +223,18 @@ def isolate_real_roots(p: UPoly) -> list[AlgebraicNumber]:
             num.try_exact_collapse()
             out.append(num)
     return out
+
+
+def quotient_boxes(
+    nums: Sequence[UPoly], den: UPoly, iv: Interval
+) -> tuple[Interval, ...] | None:
+    """Rational boxes around num/den for each num in nums, both evaluated on
+    iv by interval Horner; None while den's box contains zero."""
+    den_box = den.eval_interval(iv)
+    if den_box.contains_zero():
+        return None
+    inverse = Interval(1 / den_box.hi, 1 / den_box.lo)
+    return tuple(num.eval_interval(iv) * inverse for num in nums)
 
 
 def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicNumber:
@@ -256,24 +265,10 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
     # apart from the closures of the others, so the enclosure below ends up
     # meeting that box alone
     boxes = [(lo, hi) for lo, hi, exact in boxes if not exact]
-
-    def value_interval() -> Interval:
-        iv_num = num.eval_interval(base.interval())
-        iv_den = den.eval_interval(base.interval())
-        if iv_den.contains_zero():
-            return None
-        candidates = [
-            iv_num.lo / iv_den.lo,
-            iv_num.lo / iv_den.hi,
-            iv_num.hi / iv_den.lo,
-            iv_num.hi / iv_den.hi,
-        ]
-        return Interval(min(candidates), max(candidates))
-
     while True:
-        iv = value_interval()
-        if iv is not None:
-            hits = [box for box in boxes if not Interval(*box).disjoint(iv)]
+        enclosure = quotient_boxes((num,), den, base.interval())
+        if enclosure is not None:
+            hits = [box for box in boxes if not Interval(*box).disjoint(enclosure[0])]
             if len(hits) == 1:
                 value = AlgebraicNumber(residual, *hits[0], _checked=True)
                 value.try_exact_collapse()

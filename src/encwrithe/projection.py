@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .algnum import AlgebraicNumber, algebraic_value
+from .algnum import AlgebraicNumber, algebraic_value, quotient_boxes
 from .bipoly import BiPoly
 from .curves import (
     Link,
@@ -240,7 +240,6 @@ class ProjectionAnalysis:
     certificate: GenericityCertificate
     loci: list[DoublePointLocus]
     component_solutions: list[SystemSolution]
-    expected_counts: list[int]
 
     @property
     def complex_double_point_counts(self) -> list[int]:
@@ -325,13 +324,11 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
 
     loci: list[DoublePointLocus] = []
     component_solutions: list[SystemSolution] = []
-    expected_counts: list[int] = []
 
     for idx, component in enumerate(nlink.components):
         triple = projected_triple(component)
         system = symmetric_double_point_system(triple)
         expected = _expected_count(component.degree)
-        expected_counts.append(expected)
         solution = solve_system(system, strict=True)
         component_solutions.append(solution)
         if solution.multiplicity_count != expected or not solution.is_simple:
@@ -370,7 +367,6 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
         certificate=certificate,
         loci=loci,
         component_solutions=component_solutions,
-        expected_counts=expected_counts,
     )
 
 
@@ -459,12 +455,7 @@ def _image_box(locus: DoublePointLocus) -> Optional[tuple[Interval, Interval]]:
     """Rational boxes around the image point, num/den evaluated on the
     survivor's current interval; None while den's box contains zero."""
     num_x, num_y, den = locus.image_fractions
-    iv = locus.root.survivor.interval()
-    den_box = den.eval_interval(iv)
-    if den_box.contains_zero():
-        return None
-    inverse = Interval(1 / den_box.hi, 1 / den_box.lo)
-    return num_x.eval_interval(iv) * inverse, num_y.eval_interval(iv) * inverse
+    return quotient_boxes((num_x, num_y), den, locus.root.survivor.interval())
 
 
 def _images_coincide(a: DoublePointLocus, b: DoublePointLocus) -> bool:

@@ -82,13 +82,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Interval") -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other) -> "Interval":
-        return _as_interval(other) - self
-
     def __mul__(self, other: "Interval") -> "Interval":
         other = _as_interval(other)
         products = (
@@ -100,9 +93,6 @@ class Interval:
         return Interval(min(products), max(products))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi

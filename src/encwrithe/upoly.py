@@ -13,16 +13,22 @@ All arithmetic and every kernel run on integer coefficient lists (lowest
 degree first), never on Fractions:
 
 * There is one point evaluation, the homogeneous Horner _ihorner:
-  sum of c_k p^k q^(n-k) at x = p / q. UPoly.__call__ divides it once, the
-  Sturm sign test _sign_at takes its sign, and UPoly.eval_interval runs its
-  interval form over the common denominator of the two endpoints.
-
+  sum of c_k p^k q^(n-k) at x = p / q. UPoly.__call__ divides it once (at a
+  rational only), the Sturm sign test _sign_at takes its sign, and
+  UPoly.eval_interval, the one interval evaluation, runs its interval form
+  over the common denominator of the two endpoints.
 * There is one polynomial division, the signed pseudo-division _pdivmod,
   and no division over Q. Its remainder is a positive multiple of a mod b;
   rescaling a polynomial by a positive rational never changes any sign
-  pattern, which is the only fact the certified pipeline relies on. Sturm
-  chains, gcds, the sign and zero tests of algnum and the inversion
-  quotient_mod run on it; exact quotients are _iexact_div.
+  pattern, which is the only fact the certified pipeline relies on. The
+  remainder sequence, the sign and zero tests of algnum and the reduction
+  at a root run on it; exact quotients are _iexact_div.
+* There is one remainder sequence over Z[x], the primitive PRS _prs
+  (Brown-Traub 1971), whose members carry Sturm's sign. A gcd is its last
+  member (_igcd_poly), a Sturm chain is p, p' and its members
+  (sturm_chain), and quotient_mod keeps a cofactor beside each member.
+  Sturm counts are taken between finite rationals only: root isolation
+  starts from the Cauchy bound, and no caller asks about +-infinity.
 * There is one elimination, the subresultant chain _subresultants over
   Z[y][x] (Collins 1967; Brown-Traub 1971): full pseudo-remainders divided
   exactly by _iexact_div, and no gcd. It gives the resultants (resultant,
@@ -193,9 +199,7 @@ class UPoly:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation at a rational or an Interval."""
-        if isinstance(x, Interval):
-            return self.eval_interval(x)
+        """Horner evaluation at a rational."""
         x = rat(x)
         q = x.denominator
         value = _ihorner(self.ints, x.numerator, q)
@@ -401,8 +405,26 @@ def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, _inorm(r)
 
 
+def _prs(a: list[int], b: list[int]):
+    """The primitive pseudo-remainder sequence of a and b over Z (Brown-Traub
+    1971): yields (q, c, r) for each member r after a and b, where
+    m*a == q*b + c*r, m = |lc b|^(deg a - deg b + 1) as in _pdivmod, and
+    c is minus the content of the pseudo-remainder. So r = -prim(prem), the
+    member a Sturm chain takes; each member is fed back as the next divisor,
+    and the sequence ends before a zero pseudo-remainder. b is nonzero.
+    """
+    while True:
+        q, r = _pdivmod(a, b)
+        if not r:
+            return
+        c = -math.gcd(*r)
+        r = [v // c for v in r]
+        yield q, c, r
+        a, b = b, r
+
+
 def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z via the primitive pseudo-remainder sequence."""
+    """Primitive gcd over Z: the last member of the primitive PRS."""
     a, b = _iprim(list(a)), _iprim(list(b))
     if not a:
         return _pos_lc(b)
@@ -410,10 +432,9 @@ def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
         return _pos_lc(a)
     if _ideg(a) < _ideg(b):
         a, b = b, a
-    while b:
-        r = _iprim(_pdivmod(a, b)[1])
-        a, b = b, r
-    return _pos_lc(a)
+    for _q, _c, b in _prs(a, b):
+        pass
+    return _pos_lc(b)
 
 
 def _pos_lc(a: list[int]) -> list[int]:
@@ -480,30 +501,32 @@ def quotient_mod(num: UPoly, den: UPoly, modulus: UPoly) -> UPoly:
     """num / den modulo `modulus`, of degree below it; InvalidInput unless
     den is invertible there.
 
-    The primitive pseudo-remainder sequence of (P, D) over Z, P the primitive
-    modulus and D the cleared den, carries a cofactor s / k for each member r,
-    with s*D == k*r (mod P) (Collins 1967; Brown-Traub 1971). At the constant
-    member c, 1 / D == s / (k*c), and N*s is reduced once by _pdivmod.
+    The primitive pseudo-remainder sequence _prs of (P, D) over Z, P the
+    primitive modulus and D the cleared den, carries a cofactor s / k for
+    each member r, with s*D == k*r (mod P) (Collins 1967; Brown-Traub 1971).
+    At the last member, a constant b0 when den is invertible, 1 / D ==
+    s / (k*b0), and N*s is reduced once by _pdivmod.
     """
+    if den.is_zero:
+        raise InvalidInput("not invertible modulo the given polynomial")
     p = modulus.int_primitive()
-    a, sa, ka = p, [], 1
-    b, sb, kb = list(den.ints), [1], 1
-    while b:
-        m = abs(b[-1]) ** max(_ideg(a) - _ideg(b) + 1, 0)
-        q, r = _pdivmod(a, b)
-        # r = m*a - q*b has the cofactor (m*kb*sa - q*ka*sb) / (ka*kb), and
-        # r / c, c its content, the same numerator over ka*kb*c
+    b = list(den.ints)
+    sa, ka = [], 1
+    sb, kb = [1], 1
+    for q, c, r in _prs(p, b):
+        # r = (m*a - q*b) / c, m = |lc b|^len(q), has the cofactor
+        # (m*kb*sa - q*ka*sb) / (ka*kb*c)
+        m = abs(b[-1]) ** len(q)
         s = _isub([m * kb * v for v in sa], [ka * v for v in _imul(q, sb)])
-        c = math.gcd(*r) or 1
         k = ka * kb * c
         g = math.gcd(k, *s)
-        a, sa, ka = b, sb, kb
-        b, sb, kb = [v // c for v in r], [v // g for v in s], k // g
-    if _ideg(a) != 0:
+        sa, ka = sb, kb
+        b, sb, kb = r, [v // g for v in s], k // g
+    if _ideg(b) != 0:
         raise InvalidInput("not invertible modulo the given polynomial")
-    m = abs(p[-1]) ** max(len(num.ints) + len(sa) - len(p), 0)
-    t = _pdivmod(_imul(num.ints, sa), p)[1]
-    return UPoly.from_ints([v * den.den for v in t], m * ka * a[0] * num.den)
+    q, t = _pdivmod(_imul(num.ints, sb), p)
+    m = abs(p[-1]) ** len(q)
+    return UPoly.from_ints([v * den.den for v in t], m * kb * b[0] * num.den)
 
 
 # -- determinants and resultants --------------------------------------
@@ -635,7 +658,8 @@ def resultant(p: UPoly, q: UPoly) -> Fraction:
 
 
 def sturm_chain(p: UPoly) -> list[list[int]]:
-    """Sturm chain of p as primitive integer polynomials (positive rescaling only)."""
+    """Sturm chain of p as primitive integer polynomials (positive rescaling
+    only): p, p' and the members of their primitive PRS."""
     if p.is_zero:
         raise InvalidInput("Sturm chain of the zero polynomial")
     chain = [p.int_primitive()]
@@ -643,12 +667,7 @@ def sturm_chain(p: UPoly) -> list[list[int]]:
     if not d:
         return chain
     chain.append(d)
-    while True:
-        a, b = chain[-2], chain[-1]
-        r = _iprim(_pdivmod(a, b)[1])
-        if not r:
-            break
-        chain.append(_ineg(r))
+    chain.extend(r for _q, _c, r in _prs(chain[0], d))
     return chain
 
 
@@ -656,36 +675,16 @@ def _sign_at(coeffs: list[int], x: Fraction) -> int:
     return sign(_ihorner(coeffs, x.numerator, x.denominator))
 
 
-def _sign_at_inf(coeffs: list[int], positive: bool) -> int:
-    if not coeffs:
-        return 0
-    s = sign(coeffs[-1])
-    if not positive and (len(coeffs) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
-def sturm_variations(chain: list[list[int]], x) -> int:
-    """Sign variations at x; x is a Fraction or one of '+inf', '-inf'."""
-    signs = []
-    for member in chain:
-        if x == "+inf":
-            s = _sign_at_inf(member, True)
-        elif x == "-inf":
-            s = _sign_at_inf(member, False)
-        else:
-            s = _sign_at(member, x)
-        if s:
-            signs.append(s)
+def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign variations of the chain at the rational x, zeros skipped."""
+    signs = [s for s in (_sign_at(member, x) for member in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p: UPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of p in (lo, hi]; all of R by default."""
+def count_real_roots(p: UPoly, lo, hi) -> int:
+    """Number of distinct real roots of p in (lo, hi], lo and hi rationals."""
     chain = sturm_chain(p)
-    va = sturm_variations(chain, "-inf" if lo is None else rat(lo))
-    vb = sturm_variations(chain, "+inf" if hi is None else rat(hi))
-    return va - vb
+    return sturm_variations(chain, rat(lo)) - sturm_variations(chain, rat(hi))
 
 
 def isolate_roots_intervals(p: UPoly) -> tuple[list[tuple[Fraction, Fraction, bool]], UPoly]:

@@ -151,6 +151,25 @@ class TestWritheCommand:
         assert sampled.returncode == 0
         assert "Cw = 0" in sampled.stdout
 
+    def test_explicit_center_puts_a_crossing_image_on_w_zero(self, capsys, tmp_path):
+        # the model cubic at tau = -1 moved by X' = X + W, W' = W - X': its
+        # crossing (e, f) = (0, -1) projects from 0,0,1,0 onto W = 0, outside
+        # the affine chart of the image plane
+        path = tmp_path / "cubic.jsonl"
+        path.write_text(
+            '{"kind": "link"}\n'
+            '{"x": [2, 0, -1], "y": [0, 1, 0, -1], "z": [0, -1], "w": [-1, 0, 1]}\n'
+        )
+        code = main(["writhe", str(path), "--center", "0,0,1,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "image lies outside the affine chart" in captured.err
+        code = main(["writhe", str(path), "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Cw = -1" in out
+        assert "center: (3, -1, 3, -2)" in out
+
     def test_sampling_exhausted_names_rejections(self, capsys, monkeypatch):
         from encwrithe import projection
 

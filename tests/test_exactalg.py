@@ -626,6 +626,57 @@ class TestRootAtAnIsolationEndpoint:
         assert value.is_exact and value.exact_value == 0
 
 
+def _collapsed_by_refine() -> AlgebraicNumber:
+    # (2x - 1)(x^2 - 2) isolated on (0, 1): the first midpoint is the root
+    number = AlgebraicNumber(UPoly([-2, 0, 1]) * UPoly([-1, 2]), 0, 1)
+    number.refine()
+    assert number.is_exact and number.defining.degree == 3
+    return number
+
+
+def _defined_by(root, *factors) -> AlgebraicNumber:
+    # the exact number root, with a defining polynomial of higher degree
+    p = UPoly([-root, 1])
+    for f in factors:
+        p = p * f
+    return AlgebraicNumber(p, root, root)
+
+
+SQRT2_IN_1_2 = lambda: AlgebraicNumber(UPoly([-2, 0, 1]), 1, 2)
+HALF = lambda: AlgebraicNumber.from_rational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "make_a, make_b, expected",
+    [
+        pytest.param(HALF, lambda: AlgebraicNumber.from_rational(Fraction(2, 4)), True, id="exact-exact-equal"),
+        pytest.param(HALF, lambda: AlgebraicNumber.from_rational(Fraction(-1, 2)), False, id="exact-exact-apart"),
+        pytest.param(
+            HALF,
+            lambda: AlgebraicNumber(UPoly([-1, 2]) * UPoly([-2, 0, 1]), 0, 1),
+            True,
+            id="exact-inside-open",
+        ),
+        pytest.param(lambda: AlgebraicNumber.from_rational(Fraction(3, 2)), SQRT2_IN_1_2, False, id="exact-inside-other-root"),
+        pytest.param(lambda: _defined_by(1, UPoly([-2, 0, 1])), SQRT2_IN_1_2, False, id="exact-at-low-end"),
+        pytest.param(lambda: _defined_by(2, UPoly([-2, 0, 1])), SQRT2_IN_1_2, False, id="exact-at-high-end"),
+        pytest.param(_collapsed_by_refine, HALF, True, id="refined-vs-rational-equal"),
+        pytest.param(
+            _collapsed_by_refine,
+            lambda: AlgebraicNumber.from_rational(Fraction(1, 3)),
+            False,
+            id="refined-vs-rational-apart",
+        ),
+    ],
+)
+def test_equals_with_exact_numbers(make_a, make_b, expected):
+    # one Sturm count where the intervals meet decides exact numbers too: an
+    # exact number is a root of its defining polynomial, and an open
+    # interval's endpoint is a root of no defining polynomial
+    assert make_a().equals(make_b()) is expected
+    assert make_b().equals(make_a()) is expected
+
+
 class TestModularHelpers:
     def test_invert_mod(self):
         modulus = UPoly([-2, 0, 1])
@@ -689,6 +740,116 @@ class TestModularHelpers:
     def test_sturm_chain_endpoints(self):
         chain = sturm_chain(UPoly([0, -1, 0, 1]))
         assert len(chain) >= 3
+
+
+# -- the remainder sequence: gcds, Sturm chains, the modular inverse -----------
+
+
+def ref_sturm_chain(p: UPoly) -> list[list[int]]:
+    # the Sturm loop as it ran before the chain came from upoly._prs: each
+    # member is minus the primitive part of the pseudo-remainder of the two
+    # before it
+    def prim(a):
+        g = math.gcd(*a)
+        return [v // g for v in a] if g > 1 else list(a)
+
+    chain = [prim(list(p.ints))]
+    d = prim([k * v for k, v in enumerate(chain[0])][1:])
+    if not d:
+        return chain
+    chain.append(d)
+    while True:
+        r = prim(_pdivmod(chain[-2], chain[-1])[1])
+        if not r:
+            return chain
+        chain.append([-v for v in r])
+
+
+def _sympy_zz(p: UPoly):
+    # p times its denominator, over ZZ: the same gcd up to a unit
+    return sympy.Poly(list(reversed(p.ints)) or [0], x, domain=sympy.ZZ)
+
+
+class TestRemainderSequenceOracle:
+    @staticmethod
+    def draw(rng, degree, bits=6):
+        top = 2**bits
+        coeffs = [rng.randint(-top, top) for _ in range(degree)]
+        return UPoly(coeffs + [rng.choice([-1, 1]) * rng.randint(1, top)])
+
+    def test_poly_gcd_matches_sympy(self):
+        # sympy's gcd over ZZ, made primitive with a positive leading
+        # coefficient, is the one gcd poly_gcd may return. Each pair runs in
+        # both orders, so deg a < deg b is covered too
+        rng = random.Random(1971)
+        kinds = {"coprime": 0, "planted": 0, "huge": 0, "zero": 0, "constant": 0}
+        planted_degrees = set()
+        coprime = 0
+        for case in range(240):
+            kind = list(kinds)[case % len(kinds)]
+            kinds[kind] += 1
+            if kind == "coprime":
+                a, b = self.draw(rng, rng.randint(1, 7)), self.draw(rng, rng.randint(1, 7))
+            elif kind in ("planted", "huge"):
+                k = rng.randint(1, 5)
+                planted_degrees.add(k)
+                bits = 70 if kind == "huge" else 6
+                f = self.draw(rng, k, bits)
+                a = f * self.draw(rng, rng.randint(0, 4), bits)
+                b = f * self.draw(rng, rng.randint(0, 4), bits)
+            elif kind == "zero":
+                a, b = UPoly.zero(), self.draw(rng, rng.randint(0, 5)) * rng.randint(2, 9)
+            else:
+                a, b = UPoly.const(rng.randint(-9, 9) or 7), self.draw(rng, rng.randint(1, 5))
+            if rng.random() < 0.3:
+                a = a * Fraction(rng.randint(-20, 20) or 3, rng.randint(1, 12))
+            for p, q in ((a, b), (b, a)):
+                ours = poly_gcd(p, q)
+                _content, expected = sympy.gcd(_sympy_zz(p), _sympy_zz(q)).primitive()
+                if expected.LC() < 0:
+                    expected = -expected
+                assert ours == UPoly.from_ints([int(c) for c in reversed(expected.all_coeffs())])
+                assert ours.lc > 0 and math.gcd(*ours.ints) == 1
+            coprime += ours.degree == 0
+        assert min(kinds.values()) >= 40 and coprime >= 40
+        assert planted_degrees == {1, 2, 3, 4, 5}
+
+    def test_poly_gcd_sees_huge_coefficients(self):
+        # the planted factor's coefficients are beyond 2^64, and so is the gcd's
+        rng = random.Random(64)
+        f = self.draw(rng, 3, 90)
+        g = poly_gcd(f * self.draw(rng, 4, 90), f * self.draw(rng, 2, 90))
+        assert g == f.primitive() or g == -f.primitive()
+        assert max(abs(v) for v in g.ints) > 2**64
+
+    def test_sturm_chain_matches_the_loop_it_replaced(self):
+        rng = random.Random(1829)
+        repeated = 0
+        for case in range(200):
+            p = self.draw(rng, rng.randint(0, 6))
+            if case % 3 == 0:
+                # not square-free: a repeated factor, the chain ends at gcd(p, p')
+                f = self.draw(rng, rng.randint(1, 2))
+                p = p * f * f
+                repeated += 1
+            if case % 4 == 0:
+                p = p * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            chain = sturm_chain(p)
+            assert chain == ref_sturm_chain(p)
+            if case % 3 == 0:
+                assert len(chain[-1]) > 1
+        assert repeated >= 60
+
+    def test_quotient_mod_with_a_non_primitive_den(self):
+        # den = 6(x + 1) and 4x^2/3: the integer content of den is not 1
+        modulus = UPoly([-2, 0, 1])
+        P = to_sympy(modulus)
+        for den in (UPoly([6, 6]), UPoly([0, 0, Fraction(4, 3)]), UPoly([12, 0, 18, -6])):
+            for num in (UPoly.const(1), UPoly([3, -5, 7])):
+                ours = quotient_mod(num, den, modulus)
+                assert ours.degree < modulus.degree
+                expected = sympy.rem(sympy.expand(to_sympy(num) * sympy.invert(to_sympy(den), P)), P, x)
+                assert sympy.expand(to_sympy(ours) - expected) == 0
 
 
 # -- integer storage against the Fraction reference ----------------------------
@@ -872,7 +1033,6 @@ class TestIntervalIdentity:
             for iv in interval_cases(rng):
                 ours, expected = p.eval_interval(iv), ref_eval_interval(ref, iv)
                 assert (ours.lo, ours.hi) == (expected.lo, expected.hi)
-                assert p(iv) == expected
 
     def test_sign_at_agrees_with_fraction_horner(self):
         rng = random.Random(2026)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +111,14 @@ def test_bench_coefficient_bits_of_a_resultant():
     assert _bench_spans().coefficient_bits(ours) == bits
 
 
+def _package_modules():
+    return [encwrithe] + [
+        importlib.import_module(f"encwrithe.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+
+
 def test_one_polynomial_division():
     # every remainder and exact quotient is the integer pseudo-division
     # upoly._pdivmod or upoly._iexact_div; there is no division over Q
@@ -122,20 +131,58 @@ def test_one_elimination():
     # upoly._subresultants; no Sylvester determinant over Z[x] and no second
     # PRS with a content removal at every step stay beside it
     banned = ("_content_free", "_linear_prs_member", "sylvester_matrix", "det_bareiss")
-    modules = [encwrithe] + [
-        importlib.import_module(f"encwrithe.{path.stem}")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "__init__"
-    ]
+    modules = _package_modules()
     assert len(modules) > 10
     assert [f"{m.__name__}.{name}" for m in modules for name in banned if hasattr(m, name)] == []
+
+
+def _loops_calling(tree: ast.AST, callee: str, prefix: str = "") -> set[str]:
+    """Qualified names of the functions in tree with a loop that calls callee."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found |= _loops_calling(node, callee, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}{node.name}"
+            for loop in ast.walk(node):
+                if isinstance(loop, (ast.For, ast.While, ast.comprehension)) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == callee
+                    for call in ast.walk(loop)
+                ):
+                    found.add(name)
+            found |= _loops_calling(node, callee, f"{name}.")
+    return found
+
+
+def test_one_remainder_sequence():
+    # gcds, Sturm chains and the modular inverse read the one primitive
+    # pseudo-remainder sequence upoly._prs. The only other loop that divides
+    # by _pdivmod is the reduction at a root, whose divisor is one fixed
+    # modulus; the subresultant chain over Z[y][x] keeps its own remainder
+    readers = (upoly._igcd_poly, upoly.sturm_chain, upoly.quotient_mod)
+    for reader in readers:
+        tree = ast.parse(inspect.getsource(reader))
+        assert any(isinstance(n, ast.Name) and n.id == "_prs" for n in ast.walk(tree)), reader
+    looping = {
+        f"{m.__name__}.{name}"
+        for m in _package_modules()
+        for name in _loops_calling(ast.parse(inspect.getsource(m)), "_pdivmod")
+    }
+    assert looping == {"encwrithe.upoly._prs", "encwrithe.elimination.TriangularRoot.substitute"}
+
+
+def test_sturm_counts_take_finite_bounds():
+    # Sturm sequences are evaluated at rationals only, with no +-inf branch
+    params = inspect.signature(upoly.count_real_roots).parameters
+    assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 3
 
 
 def test_deleted_names_stay_gone():
     # "which root is this?" is one Sturm count on an isolating interval, not a
     # search of the number over the boxes of a second isolation; the center
-    # frame is written in closed form, with no general inverse beside it; and
-    # BiPoly.to_upoly had no caller
+    # frame is written in closed form, with no general inverse beside it;
+    # BiPoly.to_upoly had no caller; and Sturm counts have no infinite bound
     assert not hasattr(algnum, "_locate_in_isolation")
     assert not hasattr(ProjectiveTransform, "inverse")
     assert not hasattr(BiPoly, "to_upoly")
+    assert not hasattr(upoly, "_sign_at_inf")
