@@ -14,9 +14,16 @@ the space curve itself). The strategy is fixed:
      pair's chain, divided by its content over Z[f], as -v/u in the
      surviving coordinate modulo its defining polynomial (x - a for a
      rational root found by isolation, so an exact survivor is no special
-     case); inputs linear in the eliminated coordinate are tried first,
+     case); inputs linear in the eliminated coordinate are tried first.
+     The roots of one eliminant share their defining polynomial, so -v/u
+     is formed once per (member, defining polynomial) and shared,
   5. verify every candidate against *all* the input polynomials exactly,
-     each reduced at the candidate root by TriangularRoot.substitute.
+     each reduced at the candidate root by TriangularRoot.substitute. The
+     roots one call returns share one record of reductions: a polynomial
+     is reduced once per (defining polynomial, completion), and the sign
+     tests that follow read the same record. A defining polynomial split
+     at one root is a new object with entries of its own; sign tests,
+     refinements and zero tests stay per root.
 
 Extraneous resultant roots are killed by step 5. Counting certificate: the
 gcd degree is always >= the true solution count with multiplicity, so a
@@ -27,7 +34,7 @@ simple by a single degree comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .algnum import AlgebraicNumber, isolate_real_roots
@@ -50,10 +57,17 @@ from .upoly import (
 @dataclass
 class TriangularRoot:
     """One real solution: `survivor` is a root of the eliminant and the
-    eliminated coordinate equals `eliminated_poly(survivor)` exactly."""
+    eliminated coordinate equals `eliminated_poly(survivor)` exactly.
+
+    `reductions` is the record of substitute results that solve_system
+    shares among the roots it returns: roots with the same defining
+    polynomial and completion reduce each polynomial once. It maps the ids
+    of (defining polynomial, completion, p) to those three objects and the
+    result; holding the objects keeps their ids from being reused."""
 
     survivor: AlgebraicNumber
     eliminated_poly: UPoly
+    reductions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def eliminated_interval(self):
         return self.eliminated_poly.eval_interval(self.survivor.interval())
@@ -68,11 +82,17 @@ class TriangularRoot:
         as A/D with D > 0: each pseudo-division of A by the primitive P
         (upoly._pdivmod) multiplies it by
         |lc P|^(deg A - deg P + 1), and D by the same; then both are divided
-        by their common content.
+        by their common content. The result depends on P, the completion and
+        p only, so it is looked up in, and entered into, `reductions`.
         """
+        defining, completion = self.survivor.defining, self.eliminated_poly
+        key = (id(defining), id(completion), id(p))
+        entry = self.reductions.get(key)
+        if entry is not None:
+            return entry[-1]
         rows, dp = p.integer_rows(0)
-        e, de = self.eliminated_poly.ints, self.eliminated_poly.den
-        modulus = self.survivor.defining.int_primitive()
+        e, de = completion.ints, completion.den
+        modulus = defining.int_primitive()
         lead = abs(modulus[-1])
         acc, den = [], 1
         for row in reversed(rows):
@@ -83,7 +103,9 @@ class TriangularRoot:
                 acc = _pdivmod(acc, modulus)[1]
             g = math.gcd(den, *acc)
             acc, den = [v // g for v in acc], den // g
-        return UPoly.from_ints(acc, den * dp)
+        out = UPoly.from_ints(acc, den * dp)
+        self.reductions[key] = (defining, completion, p, out)
+        return out
 
     def sign_of(self, p: BiPoly) -> int:
         """Certified sign of p at this root (variables as in `substitute`)."""
@@ -196,27 +218,42 @@ def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
     members = [(UPoly.from_ints(r[1]), UPoly.from_ints(r[0])) for r in rows if len(r) == 2]
     members += [_completion_member(s1) for s1 in linear]
 
+    # one completion per (member, defining polynomial) and one reduction per
+    # (defining polynomial, completion, polynomial), shared by these roots
+    completions: dict = {}
+    reductions: dict = {}
     roots: list[TriangularRoot] = []
     for f0 in isolate_real_roots(sf):
-        record = _complete_root(f0, nonzero, members)
-        if record is None:
+        root = _complete_root(f0, nonzero, members, completions, reductions)
+        if root is None:
             if strict:
                 raise DegenerateElimination(
                     "real eliminant root could not be completed and verified"
                 )
             continue
-        roots.append(record)
+        roots.append(root)
     return SystemSolution(roots, g, sf)
 
 
 def _complete_root(
-    f0: AlgebraicNumber, polys: list[BiPoly], members: list[tuple[UPoly, UPoly]]
+    f0: AlgebraicNumber,
+    polys: list[BiPoly],
+    members: list[tuple[UPoly, UPoly]],
+    completions: dict,
+    reductions: dict,
 ) -> TriangularRoot | None:
-    for u, v in members:
+    """The first member whose completion verifies at f0. completions maps
+    (member index, id of the defining polynomial) to that polynomial and
+    the completion -v/u modulo it; a split defining polynomial is a new
+    object, so it never meets the entries of the one it came from."""
+    for i, (u, v) in enumerate(members):
         if f0.sign_of_poly(u) == 0:
             continue
         f0.split_defining_coprime_to(u)
-        root = TriangularRoot(f0, quotient_mod(-v, u, f0.defining))
+        key = (i, id(f0.defining))
+        if key not in completions:
+            completions[key] = (f0.defining, quotient_mod(-v, u, f0.defining))
+        root = TriangularRoot(f0, completions[key][1], reductions)
         if all(f0.is_root_of(root.substitute(p)) for p in polys):
             return root
         # verification failed: this member's candidate is extraneous; try others

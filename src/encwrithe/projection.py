@@ -508,6 +508,10 @@ def _check_transversality(
     # sign polynomials depend only on the component (or pair): build each once
     sign_polys: dict[tuple, tuple[BiPoly, BiPoly]] = {}
     for locus in loci:
+        if locus.image_fractions is None:
+            # _fill_images has failed the certificate here: the image
+            # denominator 2W(s)W(t) vanishes, and so would the sign's W(s)W(t)
+            continue
         curve = link.components[locus.comp_i]
         other = None if locus.is_same_component else link.components[locus.comp_j]
         key = (locus.kind, locus.comp_i, locus.comp_j)

@@ -24,17 +24,26 @@ degree first), never on Fractions:
   remainder sequence, the sign and zero tests of algnum and the reduction
   at a root run on it; exact quotients are _iexact_div.
 * There is one remainder sequence over Z[x], the primitive PRS _prs
-  (Brown-Traub 1971), whose members carry Sturm's sign. A gcd is its last
-  member (_igcd_poly), a Sturm chain is p, p' and its members
-  (sturm_chain), and quotient_mod keeps a cofactor beside each member.
+  (Brown-Traub 1971), whose members carry Sturm's sign. A Sturm chain is
+  p, p' and its members (sturm_chain), quotient_mod keeps a cofactor beside
+  each member, and its last member is the gcd when the heuristic gcd fails.
   Sturm counts are taken between finite rationals only: root isolation
   starts from the Cauchy bound, and no caller asks about +-infinity.
+* The gcd (_igcd_poly) is the heuristic GCDHEU (Char, Geddes and Gonnet
+  1989): both inputs evaluated at 2^k >= 2 * min(|a|_inf, |b|_inf) + 2, one
+  integer gcd, its signed base-2^k digits read back as a candidate, which
+  is accepted only if it divides both inputs exactly. After six evaluation
+  points the PRS above gives the gcd.
 * There is one elimination, the subresultant chain _subresultants over
   Z[y][x] (Collins 1967; Brown-Traub 1971): full pseudo-remainders divided
-  exactly by _iexact_div, and no gcd. It gives the resultants (resultant,
-  bipoly.resultant_bivariate and each pair of polynomials in elimination)
-  and the degree-1 member from which elimination completes a root.
-  Resultants clear the denominators of their inputs first and divide
+  exactly, and no gcd. It runs Kronecker-packed: each coefficient c(y) is
+  the one integer c(2^k), k two bits past the bit length of
+  |p|_1^deg q * |q|_1^deg p, a bound on the 1-norm of every minor of the
+  Sylvester matrix and so of every member; the resultant and the degree-1
+  member are read back as signed digits (_unpack). It gives the resultants
+  (resultant, bipoly.resultant_bivariate and each pair of polynomials in
+  elimination) and the degree-1 member from which elimination completes a
+  root. Resultants clear the denominators of their inputs first and divide
   the known power of them out of the integer result, so they stay exact.
 * The one determinant is det_rational, for the 4x4 transforms: scalar
   fraction-free Bareiss on the rows cleared of their denominators.
@@ -423,8 +432,23 @@ def _prs(a: list[int], b: list[int]):
         a, b = b, r
 
 
+# evaluation points the heuristic gcd tries before the PRS takes over
+_GCDHEU_TRIES = 6
+
+
 def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z: the last member of the primitive PRS."""
+    """Primitive gcd over Z with a positive leading coefficient: the
+    heuristic gcd GCDHEU (Char, Geddes and Gonnet 1989), then the last member
+    of the primitive PRS when _GCDHEU_TRIES evaluation points all fail.
+
+    The primitive a and b are evaluated at xi = 2^k with
+    2^k >= 2 * min(|a|_inf, |b|_inf) + 2, and the signed base-2^k digits of
+    the integer gcd of the two values (_unpack, as in the subresultant chain)
+    give a candidate. By the theorem of Char, Geddes and Gonnet, its
+    primitive part is the gcd when it divides both inputs exactly
+    (_iexact_div), and a constant candidate divides everything. Otherwise k
+    doubles.
+    """
     a, b = _iprim(list(a)), _iprim(list(b))
     if not a:
         return _pos_lc(b)
@@ -432,6 +456,19 @@ def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
         return _pos_lc(a)
     if _ideg(a) < _ideg(b):
         a, b = b, a
+    # xi exceeds the Cauchy root bound of the input of smaller norm, so the
+    # two values are never both zero
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    for _ in range(_GCDHEU_TRIES):
+        g = _pos_lc(_iprim(_unpack(math.gcd(_pack(a, k), _pack(b, k)), k)))
+        if len(g) == 1:
+            return g
+        try:
+            _iexact_div(a, g)
+            _iexact_div(b, g)
+            return g
+        except InvalidInput:
+            k *= 2
     for _q, _c, b in _prs(a, b):
         pass
     return _pos_lc(b)
@@ -568,13 +605,6 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sgn * m[n - 1][n - 1], scale)
 
 
-def _ipow(a: list[int], n: int) -> list[int]:
-    out = [1]
-    for _ in range(n):
-        out = _imul(out, a)
-    return out
-
-
 def _subresultants(
     p: list[list[int]], q: list[list[int]]
 ) -> tuple[list[int], list[list[int]] | None]:
@@ -585,9 +615,21 @@ def _subresultants(
     lists in y ([] for zero), as BiPoly.integer_rows gives them. The chain is
     Brown's subresultant PRS (Collins 1967; Brown-Traub 1971): each new member
     is the full pseudo-remainder of the two before it, lc(b)^(delta+1) * a
-    mod b with delta = deg a - deg b, divided exactly (_iexact_div) by
-    g*h^delta, where g is the leading coefficient of a and h follows
-    h <- g^delta / h^(delta-1), both 1 at the first step. No gcd is taken.
+    mod b with delta = deg a - deg b, divided exactly by g*h^delta, where g is
+    the leading coefficient of a and h follows h <- g^delta / h^(delta-1),
+    both 1 at the first step. No gcd is taken.
+
+    The chain runs Kronecker-packed: each coefficient c(y) is the one integer
+    c(2^k) (_pack), so every product and exact division over Z[y] is one
+    CPython integer operation. Every member and every h is made of minors of
+    the Sylvester matrix, whose 1-norms (the sums of the absolute values of
+    all integer coefficients) stay below |p|_1^deg q * |q|_1^deg p; with k two
+    bits past that bound the signed base-2^k digits of such a value are its
+    coefficients (_unpack), and a packed value is zero exactly when its
+    polynomial is. So degrees are tested on the divided members only, never
+    on an undivided pseudo-remainder, whose coefficients may exceed the
+    bound, and only the resultant and S1 are read back. An exact division
+    that leaves an integer remainder raises InvalidInput.
 
     Res(p, q) has the Sylvester sign: it is lc(p)^deg q times the product of q
     over the roots of p, and an input constant in x gives its power. S1 is the
@@ -596,7 +638,7 @@ def _subresultants(
     None when the chain skips degree 1.
     """
 
-    def xnorm(c: list[list[int]]) -> list[list[int]]:
+    def xnorm(c: list) -> list:
         while c and not c[-1]:
             c.pop()
         return c
@@ -604,14 +646,18 @@ def _subresultants(
     a, b = xnorm(list(p)), xnorm(list(q))
     if not a or not b:
         raise InvalidInput("resultant of a zero polynomial")
+    norm_a = sum(abs(v) for c in a for v in c)
+    norm_b = sum(abs(v) for c in b for v in c)
+    k = (norm_a ** (len(b) - 1) * norm_b ** (len(a) - 1)).bit_length() + 2
     sgn = 1
     if len(a) < len(b):
         # Res(p, q) = (-1)^(deg p * deg q) Res(q, p)
         a, b = b, a
         if (len(a) - 1) * (len(b) - 1) % 2:
             sgn = -1
+    a, b = [_pack(c, k) for c in a], [_pack(c, k) for c in b]
     s1 = b if len(b) == 2 else None
-    g = h = [1]
+    g = h = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
@@ -620,28 +666,62 @@ def _subresultants(
         # r = lc(b)^(delta+1) * a mod b, one step per degree of the quotient
         lead = b[-1]
         r = list(a)
-        for k in range(delta, -1, -1):
+        for j in range(delta, -1, -1):
             top = r.pop()
-            r = [_imul(lead, c) for c in r]
+            r = [lead * c for c in r]
             if top:
                 for i in range(db):
-                    if b[i]:
-                        r[k + i] = _isub(r[k + i], _imul(top, b[i]))
-        if not xnorm(r):
-            return [], s1
-        div = _imul(g, _ipow(h, delta))
-        a, b = b, [_iexact_div(c, div) for c in r]
+                    r[j + i] -= top * b[i]
+        div = g * h**delta
+        r = xnorm([_exact_quotient(c, div) for c in r])
+        if not r:
+            return [], _read_member(s1, k)
+        a, b = b, r
         g = a[-1]
         if delta:
-            h = _iexact_div(_ipow(g, delta), _ipow(h, delta - 1))
+            h = _exact_quotient(g**delta, h ** (delta - 1))
         if s1 is None and len(b) == 2:
             s1 = b
     # Res = lc(b)^deg a / h^(deg a - 1) at the constant member b
     d = len(a) - 1
-    res = _ipow(b[0], d)
+    res = b[0] ** d
     if d > 1:
-        res = _iexact_div(res, _ipow(h, d - 1))
-    return (res if sgn == 1 else _ineg(res)), s1
+        res = _exact_quotient(res, h ** (d - 1))
+    return _unpack(sgn * res, k), _read_member(s1, k)
+
+
+def _pack(c: Sequence[int], k: int) -> int:
+    """c(2^k): the integer polynomial c evaluated at 2^k."""
+    n = 0
+    for v in reversed(c):
+        n = (n << k) + v
+    return n
+
+
+def _unpack(n: int, k: int) -> list[int]:
+    """The integer polynomial c with c(2^k) == n and every coefficient in
+    [-2^(k-1), 2^(k-1)): the signed base-2^k digits of n, lowest first."""
+    out = []
+    mask, half, carry = (1 << k) - 1, 1 << (k - 1), 1 << k
+    while n:
+        d = n & mask
+        n >>= k
+        if d >= half:
+            d -= carry
+            n += 1
+        out.append(d)
+    return out
+
+
+def _read_member(s1: list[int] | None, k: int) -> list[list[int]] | None:
+    return None if s1 is None else [_unpack(c, k) for c in s1]
+
+
+def _exact_quotient(n: int, d: int) -> int:
+    q, rem = divmod(n, d)
+    if rem:
+        raise InvalidInput("inexact division in the subresultant chain")
+    return q
 
 
 def resultant(p: UPoly, q: UPoly) -> Fraction:

@@ -164,6 +164,8 @@ class TestWritheCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "image lies outside the affine chart" in captured.err
+        # reported once, by the image check; the sign check skips the locus
+        assert captured.err.count("affine chart") == 1
         code = main(["writhe", str(path), "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from encwrithe import elimination
 from encwrithe.algnum import AlgebraicNumber
 from encwrithe.bipoly import BiPoly
 from encwrithe.elimination import (
@@ -330,3 +331,104 @@ class TestSubresultantChainOracle:
         assert self.check(a, b) == F
         u, v = _completion_member(_chain_of(a, b)[1])
         assert (u.ints, v.ints) in {((-2, 1), (-2, -1)), ((2, -1), (2, 1))}
+
+
+def _big(rng: random.Random) -> int:
+    """A nonzero integer of 60 to 200 bits, either sign."""
+    bits = rng.randint(60, 200)
+    return rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2**bits)
+
+
+class TestChainAtThePackingBound:
+    """The packed chain against the same sympy oracle, on coefficients of
+    2^60 to 2^200 and f-degrees up to 8: the packing width k then runs to
+    thousands of bits, and every digit read back must be signed and whole."""
+
+    check = staticmethod(TestSubresultantChainOracle.check)
+    degrees = staticmethod(TestSubresultantChainOracle.degrees)
+
+    @staticmethod
+    def draw(rng: random.Random, e_degree: int) -> sympy.Expr:
+        f_degree = rng.randint(0, 8)
+        lead = sum(_big(rng) * F**j for j in range(f_degree + 1))
+        rest = sum(
+            _big(rng) * E**i * F**j
+            for i in range(e_degree)
+            for j in range(f_degree + 1)
+            if rng.random() < 0.7
+        )
+        return lead * E**e_degree + rest
+
+    def test_seeded_pairs(self):
+        rng = random.Random(6020)
+        with_member = 0
+        for _ in range(24):
+            a, b = self.draw(rng, rng.randint(1, 4)), self.draw(rng, rng.randint(1, 4))
+            with_member += self.check(a, b) is not None
+        assert with_member >= 12
+
+    def test_zero_resultant(self):
+        rng = random.Random(61)
+        common = E + _big(rng) * F**3 + _big(rng)
+        a, b = common * self.draw(rng, 2), common * self.draw(rng, 1)
+        assert _chain_of(a, b)[0] == []
+        self.check(a, b)
+        self.check(b, a)
+
+    def test_defective_chain(self):
+        rng = random.Random(62)
+        b = E**3 + _big(rng) * F * E**2 - _big(rng)
+        a = E * b + (_big(rng) * F + _big(rng)) * E + _big(rng) - _big(rng) * F**8
+        assert self.degrees(a, b) == [4, 3, 1, 0]
+        assert self.check(a, b) is not None
+        assert self.check(b, a) is not None
+
+    def test_input_constant_in_e(self):
+        rng = random.Random(63)
+        a = sum(_big(rng) * F**j for j in range(9))
+        b = self.draw(rng, 3)
+        for first, second in ((a, b), (b, a)):
+            self.check(first, second)
+        res, s1 = _chain_of(a, b)
+        assert s1 is None
+        assert sympy.expand(_in_f(res) - sympy.expand(a) ** 3) == 0
+
+
+class TestOneCompletionPerEliminant:
+    """solve_system completes the roots of one defining polynomial once per
+    chain member, and its roots share one record of reductions."""
+
+    # a plane quintic whose eliminant has two real roots, both roots of one
+    # sextic defining polynomial
+    COORDS = (
+        UPoly([-2, -5, 3, -5, -3, 2]),
+        UPoly([-5, -5, 5, -3, 0, 2]),
+        UPoly([-4, 0, 2, 0, -1, 4]),
+    )
+
+    def test_one_quotient_mod_per_member_and_defining_polynomial(self, monkeypatch):
+        calls = []
+        inverse = elimination.quotient_mod
+
+        def counting(num, den, modulus):
+            calls.append((id(den), id(modulus)))
+            return inverse(num, den, modulus)
+
+        monkeypatch.setattr(elimination, "quotient_mod", counting)
+        system = symmetric_double_point_system(list(self.COORDS))
+        roots = solve_system(system).roots
+        assert len(roots) >= 2
+        assert len({id(r.survivor.defining) for r in roots}) < len(roots)
+        assert len(calls) == len(set(calls)) < len(roots)
+        # the roots share one record, and each shared reduction is the one an
+        # unshared root computes
+        assert all(r.reductions is roots[0].reductions for r in roots)
+        for root in roots:
+            for p in system:
+                alone = TriangularRoot(root.survivor, root.eliminated_poly).substitute(p)
+                assert root.substitute(p) == alone
+        # a second call computes afresh: the record is not kept between calls
+        first = len(calls)
+        again = solve_system(system).roots
+        assert len(calls) == 2 * first
+        assert again[0].reductions is not roots[0].reductions

@@ -28,6 +28,7 @@ from encwrithe.elimination import (
     symmetric_quotient,
     symmetric_sum,
 )
+from encwrithe import upoly
 from encwrithe.errors import InvalidInput
 from encwrithe.rationals import Interval, sign
 from encwrithe.upoly import (
@@ -821,6 +822,61 @@ class TestRemainderSequenceOracle:
         g = poly_gcd(f * self.draw(rng, 4, 90), f * self.draw(rng, 2, 90))
         assert g == f.primitive() or g == -f.primitive()
         assert max(abs(v) for v in g.ints) > 2**64
+
+    @staticmethod
+    def adversarial_pairs(rng):
+        """Pairs built against the heuristic gcd. A planted factor x - r with
+        r next to a power of two: at an evaluation point just past |r|, below
+        the Char-Geddes-Gonnet bound, its value is +-1 or +-3 and the integer
+        gcd no longer sees it. And cofactors x + s and x + s + 2^j: their
+        values at a power of two share a power of two, whose product with the
+        planted factor's digits overflows them, so the first candidate must
+        fail the division check."""
+        for m in range(2, 40):
+            for r in (2**m - 1, 2**m + 1, 1 - 2**m, 2**m - 3):
+                f = UPoly([-r, 1])
+                yield f * UPoly([rng.randint(-3, 3) or 1, 1]), f * UPoly([rng.randint(-3, 3) or 2, 1, rng.randint(-2, 2)])
+        for _ in range(150):
+            f = TestRemainderSequenceOracle.draw(rng, rng.randint(0, 4), rng.randint(4, 80))
+            j = rng.randint(1, 12)
+            s = rng.randint(-4, 4) * 2**j
+            yield f * UPoly([s, 1]), f * UPoly([s + 2**j, 1])
+
+    @staticmethod
+    def assert_gcds_match_sympy(pairs):
+        for p, q in pairs:
+            ours = poly_gcd(p, q)
+            _content, expected = sympy.gcd(_sympy_zz(p), _sympy_zz(q)).primitive()
+            if expected.LC() < 0:
+                expected = -expected
+            assert ours == UPoly.from_ints([int(c) for c in reversed(expected.all_coeffs())])
+
+    def test_heuristic_gcd_on_adversarial_pairs(self, monkeypatch):
+        rejected = []
+        divide = upoly._iexact_div
+
+        def counting(a, b):
+            try:
+                return divide(a, b)
+            except InvalidInput:
+                rejected.append(b)
+                raise
+
+        monkeypatch.setattr(upoly, "_iexact_div", counting)
+        pairs = list(self.adversarial_pairs(random.Random(1989)))
+        assert len(pairs) == 302
+        self.assert_gcds_match_sympy(pairs)
+        # the division check did turn candidates away
+        assert len(rejected) >= 20
+
+    def test_prs_fallback_gives_the_same_gcds(self, monkeypatch):
+        # with no evaluation point every gcd is the last member of the PRS:
+        # on the pairs of the tests above it gives sympy's gcd, as the
+        # heuristic does
+        monkeypatch.setattr(upoly, "_GCDHEU_TRIES", 0)
+        self.test_poly_gcd_matches_sympy()
+        self.test_poly_gcd_sees_huge_coefficients()
+        self.assert_gcds_match_sympy(self.adversarial_pairs(random.Random(1989)))
 
     def test_sturm_chain_matches_the_loop_it_replaced(self):
         rng = random.Random(1829)

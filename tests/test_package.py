@@ -186,3 +186,40 @@ def test_deleted_names_stay_gone():
     assert not hasattr(ProjectiveTransform, "inverse")
     assert not hasattr(BiPoly, "to_upoly")
     assert not hasattr(upoly, "_sign_at_inf")
+
+
+def test_no_module_level_caches():
+    # memos live with the objects they serve (the reduction record of one
+    # solve_system lives on its roots), never in a module: no module- or
+    # class-level dict, list or set but __all__, and no functools memoizing
+    # decorator (cached_property stores on its instance, so it may stay)
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    factories = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+    def is_container(value):
+        if isinstance(value, containers):
+            return True
+        return isinstance(value, ast.Call) and getattr(value.func, "id", getattr(value.func, "attr", None)) in factories
+
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in bodies:
+            for node in body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                names = [getattr(t, "id", None) for t in targets]
+                if node.value is not None and is_container(node.value) and names != ["__all__"]:
+                    offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if getattr(target, "id", getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                        offenders.append(f"{path.relative_to(PACKAGE)}:{deco.lineno}")
+    assert offenders == []
