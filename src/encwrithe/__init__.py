@@ -64,6 +64,7 @@ from .verify import (
 )
 from .writhe import (
     Diagram,
+    LocusPolys,
     WritheReport,
     build_diagram,
     crossing_sign_raw,

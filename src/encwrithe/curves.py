@@ -116,6 +116,7 @@ class RationalSpaceCurve:
         return tuple(n(t) / w2 for n in nums) + (Fraction(0),)
 
     def reparametrized(self, moebius: "MoebiusReparam") -> "RationalSpaceCurve":
+        """Change the parameter; the curve in projective space is unchanged."""
         return moebius.apply(self)
 
     def transformed(self, transform: "ProjectiveTransform") -> "RationalSpaceCurve":
@@ -435,11 +436,6 @@ def _intersection_witness(
     if proportional(a.leading_vector(), b.leading_vector()):
         return "both parameter-infinity points coincide"
     return None
-
-
-def reparametrize(curve: RationalSpaceCurve, moebius: MoebiusReparam) -> RationalSpaceCurve:
-    """Change the parameter; the curve in projective space is unchanged."""
-    return moebius.apply(curve)
 
 
 # -- random sampling ------------------------------------------------------------

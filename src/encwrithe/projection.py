@@ -26,21 +26,13 @@ from functools import cached_property
 from typing import Optional
 
 from .algnum import AlgebraicNumber, algebraic_value, quotient_boxes
-from .bipoly import BiPoly
 from .curves import (
     Link,
     MoebiusReparam,
     ProjectiveTransform,
     RationalSpaceCurve,
 )
-from .elimination import (
-    SystemSolution,
-    TriangularRoot,
-    cross_double_point_system,
-    solve_system,
-    symmetric_double_point_system,
-    symmetric_sum,
-)
+from .elimination import SystemSolution, TriangularRoot, solve_system
 from .errors import (
     CenterOnCurve,
     CenterOnSingularLine,
@@ -143,19 +135,25 @@ class DoublePointLocus:
     component i, t on component j): f or t is the survivor, and e or s is
     `root.eliminated_poly` at the survivor.
 
+    `polys` is the writhe.LocusPolys record of the component or pair, shared
+    by all its loci: every sign taken at the locus (tangency, image
+    denominator, crossing or solitary sign, over/under) is
+    `root.sign_of(polys.<name>)`.
+
     The image point is kept as three polynomials (num_x, num_y, den) in the
-    survivor coordinate, x = num_x/den and y = num_y/den at the survivor;
-    they are None when the image leaves the affine chart. `image_x` and
-    `image_y` are the exact coordinates, formed on first access by a
-    resultant; only the exact triple-point fallback (and tests) read them.
-    Everything else, the SVG markers included, works on the interval boxes
-    of `_image_box`.
+    survivor coordinate, `polys.image` reduced at the root: x = num_x/den
+    and y = num_y/den at the survivor; they are None when the image leaves
+    the affine chart. `image_x` and `image_y` are the exact coordinates,
+    formed on first access by a resultant; only the exact triple-point
+    fallback (and tests) read them. Everything else, the SVG markers
+    included, works on the interval boxes of `_image_box`.
     """
 
     comp_i: int
     comp_j: int
     kind: LocusKind
     root: TriangularRoot
+    polys: "LocusPolys"
     image_fractions: Optional[tuple[UPoly, UPoly, UPoly]] = None
     raw_sign: Optional[int] = None
 
@@ -308,12 +306,12 @@ def _resolve_infinity(link: Link) -> tuple[Link, list[str]]:
     )
 
 
-def _expected_count(degree: int) -> int:
-    return (degree - 1) * (degree - 2) // 2
-
-
 def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     """Normalize, solve all double-point systems, classify, and certify."""
+    # the one local import of writhe, which owns the polynomials a locus is
+    # read through and the pinned sign conventions
+    from .writhe import LocusPolys, crossing_sign_raw, solitary_sign_raw
+
     report = link.validation()
     report.raise_for_failure()
     certificate = GenericityCertificate()
@@ -325,33 +323,55 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     loci: list[DoublePointLocus] = []
     component_solutions: list[SystemSolution] = []
 
-    for idx, component in enumerate(nlink.components):
-        triple = projected_triple(component)
-        system = symmetric_double_point_system(triple)
-        expected = _expected_count(component.degree)
-        solution = solve_system(system, strict=True)
-        component_solutions.append(solution)
+    # each component, then each pair: the order of the loci before sorting is
+    # the order in which the triple-point scan refines them
+    n = nlink.n_components
+    keys = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in keys:
+        same = i == j
+        polys = LocusPolys(nlink.components[i], None if same else nlink.components[j])
+        solution = solve_system(polys.system, strict=True)
+        expected = polys.expected_count
         if solution.multiplicity_count != expected or not solution.is_simple:
             certificate.simple_roots = False
+            where = f"component {i}: eliminant" if same else f"components {i},{j}: pair eliminant"
             certificate.notes.append(
-                f"component {idx}: eliminant degree {solution.multiplicity_count} "
+                f"{where} degree {solution.multiplicity_count} "
                 f"(expected {expected}, square-free: {solution.is_simple})"
             )
-        for root in solution.roots:
-            locus = _classify_same_component(idx, component, root, certificate)
-            loci.append(locus)
-
-    n = nlink.n_components
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_loci = _solve_inter_component(
-                i, j, nlink.components[i], nlink.components[j], certificate
+        if not same:
+            loci.extend(
+                DoublePointLocus(i, j, LocusKind.INTER_COMPONENT, root, polys)
+                for root in solution.roots
             )
-            loci.extend(pair_loci)
+            continue
+        component_solutions.append(solution)
+        for root in solution.roots:
+            tangency = root.sign_of(polys.tangency)
+            if tangency == 0:
+                certificate.no_tangential_pairs = False
+                certificate.notes.append(
+                    f"component {i}: tangential pair (e^2 = 4f) at f in "
+                    f"{root.survivor.interval()!r}"
+                )
+            # a tangential pair is placed as a crossing; the certificate has failed
+            kind = LocusKind.SOLITARY if tangency < 0 else LocusKind.CROSSING
+            loci.append(DoublePointLocus(i, i, kind, root, polys))
 
-    _fill_images(nlink, loci, certificate)
+    _fill_images(loci, certificate)
     _check_triple_points(loci, certificate)
-    _check_transversality(nlink, loci, certificate)
+    for locus in loci:
+        if locus.image_fractions is None:
+            # _fill_images has failed the certificate here: the image
+            # denominator vanishes (2W(s)W(t) on one component, W_i(s) on a
+            # pair), and so does the sign's chart product, which it divides
+            continue
+        sign_raw = solitary_sign_raw if locus.kind is LocusKind.SOLITARY else crossing_sign_raw
+        try:
+            locus.raw_sign = sign_raw(locus.root, locus.polys)
+        except ZeroDeterminant as exc:
+            certificate.transversal_crossings = False
+            certificate.notes.append(f"{locus.describe()}: {exc}")
     _singular_line_flag(link, loci, certificate)
 
     loci.sort(key=_locus_sort_key)
@@ -370,80 +390,16 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     )
 
 
-def _classify_same_component(
-    idx: int,
-    component: RationalSpaceCurve,
-    root: TriangularRoot,
-    certificate: GenericityCertificate,
-) -> DoublePointLocus:
-    f0 = root.survivor
-    e_poly = root.eliminated_poly
-    disc = e_poly * e_poly - UPoly((0, 4))  # e^2 - 4f as a polynomial in f
-    disc_sign = f0.sign_of_poly(disc)
-    if disc_sign == 0:
-        certificate.no_tangential_pairs = False
-        certificate.notes.append(
-            f"component {idx}: tangential pair (e^2 = 4f) at f in {f0.interval()!r}"
-        )
-        kind = LocusKind.CROSSING  # placeholder; certificate already failed
-    else:
-        kind = LocusKind.CROSSING if disc_sign > 0 else LocusKind.SOLITARY
-    return DoublePointLocus(comp_i=idx, comp_j=idx, kind=kind, root=root)
-
-
-def _solve_inter_component(
-    i: int,
-    j: int,
-    comp_i: RationalSpaceCurve,
-    comp_j: RationalSpaceCurve,
-    certificate: GenericityCertificate,
-) -> list[DoublePointLocus]:
-    system = cross_double_point_system(projected_triple(comp_i), projected_triple(comp_j))
-    solution = solve_system(system, strict=True)
-    expected = comp_i.degree * comp_j.degree
-    if solution.multiplicity_count != expected or not solution.is_simple:
-        certificate.simple_roots = False
-        certificate.notes.append(
-            f"components {i},{j}: pair eliminant degree {solution.multiplicity_count} "
-            f"(expected {expected}, square-free: {solution.is_simple})"
-        )
-    return [
-        DoublePointLocus(comp_i=i, comp_j=j, kind=LocusKind.INTER_COMPONENT, root=root)
-        for root in solution.roots
-    ]
-
-
-def _image_polys(
-    component: RationalSpaceCurve, same_component: bool
-) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """(num_x, num_y, den) of the image point in the root's two coordinates.
-
-    Same component: the image is (X(s)W(t) + X(t)W(s)) / (2 W(s)W(t)) in x
-    and likewise in y, symmetric in (s, t) and so written in (e, f).
-    Inter-component: X/W and Y/W of the first curve at s.
-    """
-    X, Y, W = component.X, component.Y, component.W
-    if not same_component:
-        return tuple(BiPoly.from_upoly(p, 0) for p in (X, Y, W))
-    return symmetric_sum([(X, W)]), symmetric_sum([(Y, W)]), symmetric_sum([(W, W)])
-
-
-def _fill_images(
-    link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
-) -> None:
-    image_polys: dict[tuple[int, bool], tuple[BiPoly, BiPoly, BiPoly]] = {}
+def _fill_images(loci: list[DoublePointLocus], certificate: GenericityCertificate) -> None:
     for locus in loci:
-        key = (locus.comp_i, locus.is_same_component)
-        if key not in image_polys:
-            image_polys[key] = _image_polys(link.components[locus.comp_i], key[1])
-        fractions = tuple(locus.root.substitute(p) for p in image_polys[key])
-        if locus.root.survivor.sign_of_poly(fractions[2]) == 0:
+        num_x, num_y, den = locus.polys.image
+        if locus.root.sign_of(den) == 0:
             certificate.transversal_crossings = False
             certificate.notes.append(
                 f"{locus.describe()}: image lies outside the affine chart"
             )
             continue
-        locus.image_fractions = fractions
+        locus.image_fractions = tuple(locus.root.substitute(p) for p in (num_x, num_y, den))
 
 
 # refinement rounds of the two survivors before two image boxes that still
@@ -494,44 +450,6 @@ def _check_triple_points(
                 )
 
 
-def _check_transversality(
-    link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
-) -> None:
-    # local imports: the writhe module owns the pinned frame conventions
-    from .writhe import (
-        crossing_sign_polys,
-        crossing_sign_raw,
-        solitary_sign_polys,
-        solitary_sign_raw,
-    )
-
-    # sign polynomials depend only on the component (or pair): build each once
-    sign_polys: dict[tuple, tuple[BiPoly, BiPoly]] = {}
-    for locus in loci:
-        if locus.image_fractions is None:
-            # _fill_images has failed the certificate here: the image
-            # denominator 2W(s)W(t) vanishes, and so would the sign's W(s)W(t)
-            continue
-        curve = link.components[locus.comp_i]
-        other = None if locus.is_same_component else link.components[locus.comp_j]
-        key = (locus.kind, locus.comp_i, locus.comp_j)
-        solitary = locus.kind is LocusKind.SOLITARY
-        if key not in sign_polys:
-            sign_polys[key] = (
-                solitary_sign_polys(curve) if solitary else crossing_sign_polys(curve, other)
-            )
-        try:
-            if solitary:
-                locus.raw_sign = solitary_sign_raw(curve, locus.root, polys=sign_polys[key])
-            else:
-                locus.raw_sign = crossing_sign_raw(
-                    curve, locus.root, other=other, polys=sign_polys[key]
-                )
-        except ZeroDeterminant as exc:
-            certificate.transversal_crossings = False
-            certificate.notes.append(f"{locus.describe()}: {exc}")
-
-
 def _singular_line_flag(
     link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
 ) -> None:
@@ -556,18 +474,6 @@ def _locus_sort_key(locus: DoublePointLocus):
     # survivor intervals of one eliminant are disjoint, so they decide the order
     survivor = locus.root.survivor
     return (locus.comp_i, locus.comp_j, locus.kind.value, survivor.lo, survivor.hi)
-
-
-def double_point_system(curve: RationalSpaceCurve) -> SystemSolution:
-    """Solve the same-parametrization double-point system of the canonical
-    projection of a single curve (already in the normalized frame)."""
-    system = symmetric_double_point_system(projected_triple(curve))
-    return solve_system(system, strict=True)
-
-
-def classify_double_points(link: Link, center) -> list[DoublePointLocus]:
-    """All classified double points of the projection from `center`."""
-    return analyze_projection(link, center).loci
 
 
 def genericity_check(link: Link, center) -> GenericityCertificate:

@@ -17,12 +17,10 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .bipoly import BiPoly
-from .elimination import symmetric_quotient
 from .projection import DoublePointLocus, LocusKind, _image_box
 from .rationals import rat_str
 from .upoly import UPoly
-from .writhe import Diagram, chart_product
+from .writhe import Diagram
 
 _SAMPLES_PER_COMPONENT = 800
 # a crossing's preimages, and every marker's image point, are read as floats
@@ -31,39 +29,22 @@ _PREIMAGE_WIDTH = Fraction(1, 10**9)
 _COLORS = ("#1f4e9c", "#b0343c", "#2c7a3f", "#8a5d00", "#5b3794")
 
 
-def _over_under_polys(diagram: Diagram, locus: DoublePointLocus) -> tuple[BiPoly, BiPoly]:
-    """(numerator, chart product) whose signs at the locus root decide which
-    branch passes under; they depend only on the component (or pair)."""
-    ci = diagram.link.components[locus.comp_i]
-    if locus.is_same_component:
-        # z(s)-z(t) = (s-t) * Q_ZW / (W(s)W(t))
-        return symmetric_quotient(ci.Z, ci.W), chart_product(ci)
-    cj = diagram.link.components[locus.comp_j]
-    # z(s)-z(t) = (Z_i(s)W_j(t) - Z_j(t)W_i(s)) / (W_i(s)W_j(t))
-    numerator = BiPoly.outer([(ci.Z, cj.W), (-ci.W, cj.Z)])
-    return numerator, chart_product(ci, cj)
-
-
-def _under_strand_is_first(
-    locus: DoublePointLocus, polys: tuple[BiPoly, BiPoly]
-) -> bool:
+def _under_strand_is_first(locus: DoublePointLocus) -> bool:
     """True when the branch with the *smaller* parameter is the under-strand.
 
     The viewer sits at z = +infinity, so the branch with smaller z passes
-    under. Decided exactly from the sign of z(s0) - z(t0); `polys` are
-    _over_under_polys of the locus.
+    under. Decided exactly from the sign of z(s0) - z(t0), which is that of
+    the locus's depth polynomial times its chart product (times s0 - t0 on
+    one component).
     """
-    numerator, chart = polys
-    sign_diff = locus.root.sign_of(numerator) * locus.root.sign_of(chart)
+    sign_diff = locus.root.sign_of(locus.polys.depth) * locus.root.sign_of(locus.polys.chart)
     if locus.is_same_component:
         # s0 < t0, so s0 - t0 < 0
         sign_diff = -sign_diff
     return sign_diff < 0
 
 
-def _crossing_preimages_float(
-    locus: DoublePointLocus, polys: tuple[BiPoly, BiPoly]
-) -> tuple:
+def _crossing_preimages_float(locus: DoublePointLocus) -> tuple:
     """(component, parameter) float pairs for the two branches, under first."""
     root = locus.root
     root.survivor.refine_below(_PREIMAGE_WIDTH)
@@ -80,7 +61,7 @@ def _crossing_preimages_float(
     else:
         first = (locus.comp_i, eliminated)
         second = (locus.comp_j, survivor)
-    if _under_strand_is_first(locus, polys):
+    if _under_strand_is_first(locus):
         return first, second
     return second, first
 
@@ -142,13 +123,8 @@ def render_diagram_svg(diagram: Diagram, out_path=None, size: int = 480) -> str:
 
     gaps: dict[int, list[float]] = {i: [] for i in range(link.n_components)}
     markers = []
-    # over/under polynomials depend only on the component (or pair): build each once
-    over_under: dict[tuple[int, int], tuple[BiPoly, BiPoly]] = {}
     for locus in crossings:
-        key = (locus.comp_i, locus.comp_j)
-        if key not in over_under:
-            over_under[key] = _over_under_polys(diagram, locus)
-        (under_comp, under_t), _over = _crossing_preimages_float(locus, over_under[key])
+        (under_comp, under_t), _over = _crossing_preimages_float(locus)
         gaps[under_comp].append(under_t)
         markers.append(("crossing", *_image_point_float(locus), locus.raw_sign))
     for locus in solitary:

@@ -14,7 +14,8 @@ out -1); everything else in the package is relative to these choices:
   the determinant scales by W(s0)^3 W(t0)^3, so the chart sign is
   sign det[V(s0); L; V(t0)] * sign(W(s0) W(t0)), where L is the chord
   numerator. For a same-component crossing the cleared determinant is
-  symmetric under s <-> t, hence a polynomial in (e, f).
+  symmetric under s <-> t, hence a polynomial in (e, f), and
+  sign(W(s0) W(t0)) is the sign of the image denominator 2 W(s)W(t).
 
   The cleared determinant needs no cofactor expansion. With P = (X, Y, Z),
   the chord numerator is L = W_a(s) P_b(t) - W_b(t) P_a(s), and by linearity
@@ -43,23 +44,33 @@ out -1); everything else in the package is relative to these choices:
   -sign N * sign M, whichever branch is taken.
 
 Every sign is the certified sign of a polynomial in the coordinates of the
-triangular root, taken by TriangularRoot.sign_of.
+triangular root, taken by TriangularRoot.sign_of. The polynomials of one
+component, or of one pair of components, are built once, by its LocusPolys
+record, which every locus of that component or pair carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .bipoly import BiPoly
 from .curves import Link, RationalSpaceCurve
-from .elimination import TriangularRoot, symmetric_quotient, symmetric_sum
+from .elimination import (
+    TriangularRoot,
+    cross_double_point_system,
+    symmetric_double_point_system,
+    symmetric_quotient,
+    symmetric_sum,
+)
 from .errors import MissingOrientation, ZeroDeterminant
 from .projection import (
     DoublePointLocus,
     ProjectionAnalysis,
     analyze_projection,
+    projected_triple,
     sample_generic_center,
 )
 from .upoly import UPoly
@@ -92,43 +103,94 @@ def crossing_det_bipoly(
     return BiPoly.outer(list(zip(wv_a, c_b)) + list(zip(c_a, wv_b)))
 
 
-def chart_product(
-    curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None
-) -> BiPoly:
-    """W(s) W(t): symmetric_sum of the pair (W/2, W) in (e, f) when `other`
-    is None, else W(s) W_other(t) in (s, t)."""
-    if other is None:
-        return symmetric_sum([(curve.W * Fraction(1, 2), curve.W)])
-    return BiPoly.outer([(curve.W, other.W)])
+# -- the polynomials of a locus -------------------------------------------------
 
 
-def crossing_sign_polys(
-    curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None
-) -> tuple[BiPoly, BiPoly]:
-    """(cleared determinant, chart product W W) whose signs at a crossing
-    root give its local writhe; in (e, f) when `other` is None, else in (s, t)."""
-    if other is not None:
-        return crossing_det_bipoly(curve, other), chart_product(curve, other)
-    wv, c = _triple_product_factors(curve)
-    return symmetric_sum(zip(wv, c)), chart_product(curve)
+class LocusPolys:
+    """Every polynomial the loci of one component (other None, in (e, f)) or
+    of one pair of components (in (s, t): s on curve, t on other) are read
+    through, each built on first use and then shared by those loci, so its
+    reduction at a root is made once (TriangularRoot.reductions)."""
+
+    # e^2 - 4f, the same for every component: positive at a crossing (two
+    # real preimages), negative at a solitary point (conjugate imaginary ones)
+    tangency = BiPoly.from_ints({(2, 0): 1, (0, 1): -4})
+
+    def __init__(self, curve: RationalSpaceCurve, other: Optional[RationalSpaceCurve] = None):
+        self.curve = curve
+        self.other = other
+
+    @cached_property
+    def system(self) -> list[BiPoly]:
+        """The double-point system of the canonical projection."""
+        if self.other is None:
+            return symmetric_double_point_system(projected_triple(self.curve))
+        return cross_double_point_system(projected_triple(self.curve), projected_triple(self.other))
+
+    @property
+    def expected_count(self) -> int:
+        """Complex double points of a generic projection: (d - 1)(d - 2)/2 of
+        one component, the Bezout number d_i d_j of a pair."""
+        d = self.curve.degree
+        if self.other is None:
+            return (d - 1) * (d - 2) // 2
+        return d * self.other.degree
+
+    @cached_property
+    def image(self) -> tuple[BiPoly, BiPoly, BiPoly]:
+        """(num_x, num_y, den) of the image point. One component: the image is
+        (X(s)W(t) + X(t)W(s)) / (2 W(s)W(t)) in x and likewise in y, symmetric
+        in (s, t) and so written in (e, f). A pair: X/W and Y/W of curve at s."""
+        X, Y, W = projected_triple(self.curve)
+        if self.other is None:
+            return symmetric_sum([(X, W)]), symmetric_sum([(Y, W)]), symmetric_sum([(W, W)])
+        return BiPoly.from_upoly(X, 0), BiPoly.from_upoly(Y, 0), BiPoly.from_upoly(W, 0)
+
+    @cached_property
+    def chart(self) -> BiPoly:
+        """A positive multiple of W(s)W(t), the chart factor of a crossing
+        sign: on one component the image denominator 2W(s)W(t) itself, on a
+        pair W(s) W_other(t)."""
+        if self.other is None:
+            return self.image[2]
+        return BiPoly.outer([(self.curve.W, self.other.W)])
+
+    @cached_property
+    def crossing(self) -> BiPoly:
+        """The cleared determinant det[V(s); chord; V(t)] of the module
+        docstring."""
+        if self.other is None:
+            return symmetric_sum(zip(*_triple_product_factors(self.curve)))
+        return crossing_det_bipoly(self.curve, self.other)
+
+    @cached_property
+    def depth(self) -> BiPoly:
+        """The numerator of z(s) - z(t) over the chart factor W(s)W(t): on
+        one component N = Q_ZW, with z(s) - z(t) = (s - t) N / (W(s)W(t)),
+        on a pair Z(s)W_other(t) - Z_other(t)W(s). Its sign picks the
+        preimage of a solitary point (module docstring) and, with the chart
+        sign, the branch of a crossing that passes under."""
+        if self.other is None:
+            return symmetric_quotient(self.curve.Z, self.curve.W)
+        return BiPoly.outer([(self.curve.Z, self.other.W), (-self.curve.W, self.other.Z)])
+
+    @cached_property
+    def frame(self) -> BiPoly:
+        """M = Q_{nx,ny} of one component, as in the module docstring."""
+        nx, ny, _nz = self.curve.derivative_numerators()
+        return symmetric_quotient(nx, ny)
 
 
-def crossing_sign_raw(
-    curve: RationalSpaceCurve,
-    root: TriangularRoot,
-    other: Optional[RationalSpaceCurve] = None,
-    polys: Optional[tuple[BiPoly, BiPoly]] = None,
-) -> int:
-    """Local writhe of a crossing, before any orientation flags.
+# -- local signs ----------------------------------------------------------------
 
-    Same-component when `other` is None (root lives in (e, f)); otherwise an
-    inter-component crossing with root.survivor the parameter on `other` and
-    root.eliminated_poly recovering the parameter on `curve`. `polys` are
-    crossing_sign_polys(curve, other), built here when not given.
-    """
-    det, chart = polys if polys is not None else crossing_sign_polys(curve, other)
-    det_sign = root.sign_of(det)
-    chart_sign = root.sign_of(chart)
+
+def crossing_sign_raw(root: TriangularRoot, polys: LocusPolys) -> int:
+    """Local writhe of a crossing, before any orientation flags: the sign of
+    the cleared determinant times the chart sign, at a root in (e, f) of one
+    component or in (s, t) of a pair, read through the record of that
+    component or pair."""
+    det_sign = root.sign_of(polys.crossing)
+    chart_sign = root.sign_of(polys.chart)
     if chart_sign == 0:
         raise ZeroDeterminant("crossing image lies outside the affine chart")
     if det_sign == 0:
@@ -136,28 +198,13 @@ def crossing_sign_raw(
     return det_sign * chart_sign
 
 
-# -- solitary determinant ---------------------------------------------------------
-
-
-def solitary_sign_polys(curve: RationalSpaceCurve) -> tuple[BiPoly, BiPoly]:
-    """(N, M) = (Q_ZW, Q_{nx,ny}) in (e, f), as in the module docstring."""
-    nx, ny, _nz = curve.derivative_numerators()
-    return symmetric_quotient(curve.Z, curve.W), symmetric_quotient(nx, ny)
-
-
-def solitary_sign_raw(
-    curve: RationalSpaceCurve,
-    root: TriangularRoot,
-    polys: Optional[tuple[BiPoly, BiPoly]] = None,
-) -> int:
+def solitary_sign_raw(root: TriangularRoot, polys: LocusPolys) -> int:
     """Local writhe of a solitary double point: -sign N * sign M at the (e, f)
-    root (see the module docstring). `polys` are solitary_sign_polys(curve),
-    built here when not given."""
-    fiber_poly, frame_poly = polys if polys is not None else solitary_sign_polys(curve)
-    fiber = root.sign_of(fiber_poly)
+    root (see the module docstring)."""
+    fiber = root.sign_of(polys.depth)
     if fiber == 0:
         raise ZeroDeterminant("solitary fiber is degenerate (z-coordinate not imaginary)")
-    frame = root.sign_of(frame_poly)
+    frame = root.sign_of(polys.frame)
     if frame == 0:
         raise ZeroDeterminant("solitary branch frame is degenerate")
     return -fiber * frame

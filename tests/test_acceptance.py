@@ -32,6 +32,7 @@ from encwrithe.verify import (
     verify_parity_bounds,
 )
 from encwrithe.writhe import (
+    LocusPolys,
     build_diagram,
     crossing_det_bipoly,
     linking_matrix,
@@ -212,7 +213,7 @@ def test_criterion_8_choice_independence():
         for locus in analysis.loci:
             if locus.kind is LocusKind.SOLITARY:
                 component = analysis.link.components[locus.comp_i]
-                exact = solitary_sign_raw(component, locus.root)
+                exact = solitary_sign_raw(locus.root, LocusPolys(component))
                 assert solitary_signs_at_both_preimages(component, locus) == [exact, exact]
                 toggled += 1
     assert toggled >= 2

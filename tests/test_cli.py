@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,8 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 import encwrithe
-from encwrithe import projection, svg
+from encwrithe import elimination, projection, svg, writhe
 from encwrithe.algnum import algebraic_value
+from encwrithe.bipoly import BiPoly
 from encwrithe.cli import main
 from encwrithe.curves import Link, sample_random_curve
 from encwrithe.data import (
@@ -310,9 +312,8 @@ class TestDiagramCommand:
         crossings = [l for l in diagram.loci if l.kind is not LocusKind.SOLITARY]
         assert crossings
         for locus in crossings:
-            polys = svg._over_under_polys(diagram, locus)
             images = []
-            for comp, t in svg._crossing_preimages_float(locus, polys):
+            for comp, t in svg._crossing_preimages_float(locus):
                 curve = diagram.link.components[comp]
                 w = svg._feval(curve.W, t)
                 images.append((svg._feval(curve.X, t) / w, svg._feval(curve.Y, t) / w))
@@ -359,6 +360,59 @@ class TestDiagramCommand:
             main(["diagram", str(MODEL_CROSSING_PATH), "--seed", "2", "--out", str(target)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "path, flags, golden",
+        [
+            (LINKED_CIRCLES_PATH, ["--seed", "3"], "linked_circles_seed3.svg"),
+            (MODEL_SOLITARY_PATH, ["--center", "0,0,1,0"], "model_solitary_center0010.svg"),
+            (CORPUS / "knots/d5a_base.jsonl", ["--seed", "0"], "d5a_base_seed0.svg"),
+        ],
+    )
+    def test_svg_matches_golden(self, capsys, tmp_path, path, flags, golden):
+        # the whole drawing: the audit block, the under-strand breaks (an
+        # over/under sign at every crossing), the markers and their labels
+        out = tmp_path / "d.svg"
+        code = main(["diagram", str(path), *flags, "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "link, center",
+        [
+            (model_link(-1), CANONICAL_CENTER),
+            (linked_circles(), (1, -3, 3, 3)),
+            # one crossing and one solitary point on the one component
+            (parse_curve_file(CORPUS / "knots/d5a_base.jsonl"), (3, -1, 3, -2)),
+        ],
+    )
+    def test_each_locus_polynomial_is_built_once(self, monkeypatch, link, center):
+        # every bivariate polynomial is made by one of these builders; a
+        # diagram and its drawing build each polynomial of a component or
+        # pair once and share it among the loci, the signs and the SVG
+        link.validation()  # validation builds its own systems, in the input frame
+        built = []
+
+        def recording(builder):
+            def wrapper(*args):
+                poly = builder(*args)
+                built.append(poly)
+                return poly
+
+            return wrapper
+
+        for name in ("symmetric_sum", "symmetric_quotient"):
+            real = getattr(elimination, name)
+            for module in (elimination, projection, svg, writhe):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, recording(real))
+        for name in ("outer", "from_upoly"):
+            monkeypatch.setattr(BiPoly, name, staticmethod(recording(getattr(BiPoly, name))))
+        diagram = build_diagram(link, center)
+        svg.render_diagram_svg(diagram)
+        assert diagram.loci and built
+        assert [p for p, n in Counter(built).items() if n > 1] == []
 
 
 class TestErrorPaths:
@@ -515,12 +569,12 @@ class TestHostileCoefficients:
 
     @pytest.mark.parametrize("source", [MODEL_CROSSING_PATH, MODEL_SOLITARY_PATH])
     def test_reparametrized_huge_coefficients(self, capsys, tmp_path, source):
-        from encwrithe.curves import MoebiusReparam, reparametrize
+        from encwrithe.curves import MoebiusReparam
 
         link = parse_curve_file(source)
         base = self.writhe_stdout(capsys, source)
         for moebius in (MoebiusReparam.of(10**20, 0, 0, 1), MoebiusReparam.of(1, 0, 0, 7**20)):
-            curve = reparametrize(link.components[0], moebius)
+            curve = link.components[0].reparametrized(moebius)
             assert max(abs(c) for p in curve.coords for c in p.coeffs) >= 10**50
             path = tmp_path / "reparametrized.jsonl"
             write_link_file(Link([curve]), path)

@@ -11,7 +11,7 @@ from pathlib import Path
 import sympy
 
 import encwrithe
-from encwrithe import algnum, upoly
+from encwrithe import algnum, curves, projection, svg, upoly, writhe
 from encwrithe.bipoly import BiPoly, resultant_bivariate
 from encwrithe.curves import ProjectiveTransform
 
@@ -186,6 +186,81 @@ def test_deleted_names_stay_gone():
     assert not hasattr(ProjectiveTransform, "inverse")
     assert not hasattr(BiPoly, "to_upoly")
     assert not hasattr(upoly, "_sign_at_inf")
+    # the polynomials of a locus are built once, by its writhe.LocusPolys
+    # record, and the components and pairs are solved by one loop; the
+    # wrappers around the record, the analysis and curve.reparametrized had
+    # no caller in the program
+    gone = {
+        projection: (
+            "_classify_same_component",
+            "_solve_inter_component",
+            "_expected_count",
+            "_image_polys",
+            "_check_transversality",
+            "classify_double_points",
+            "double_point_system",
+        ),
+        writhe: ("chart_product", "crossing_sign_polys", "solitary_sign_polys"),
+        svg: ("_over_under_polys",),
+        curves: ("reparametrize",),
+    }
+    assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []
+    for sign_raw in (writhe.crossing_sign_raw, writhe.solitary_sign_raw):
+        assert list(inspect.signature(sign_raw).parameters) == ["root", "polys"]
+    assert list(inspect.signature(projection._fill_images).parameters) == ["loci", "certificate"]
+
+
+def _calls(tree: ast.AST, scope: str = ""):
+    """(qualified name of the enclosing function, called name) for every call
+    in tree; the called name is the attribute or the bare name called."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(node, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield scope.rstrip("."), getattr(func, "attr", getattr(func, "id", ""))
+        yield from _calls(node, scope)
+
+
+def test_one_sign_route():
+    # every sign at a root is TriangularRoot.sign_of of a polynomial in the
+    # root's two coordinates; only the completion's univariate test u(f0) asks
+    # the survivor directly. The polynomials a locus is read through are
+    # built by its writhe.LocusPolys record, never in projection or svg
+    askers = {
+        f"{m.__name__}.{scope}"
+        for m in _package_modules()
+        if m is not algnum
+        for scope, callee in _calls(ast.parse(inspect.getsource(m)))
+        if callee == "sign_of_poly"
+    }
+    assert askers == {"encwrithe.elimination.TriangularRoot.sign_of", "encwrithe.elimination._complete_root"}
+    builders = ("symmetric_sum", "symmetric_quotient", "outer", "from_upoly")
+    for module in (projection, svg):
+        built = [
+            f"{scope}: {callee}"
+            for scope, callee in _calls(ast.parse(inspect.getsource(module)))
+            if callee in builders or callee.endswith("_double_point_system")
+        ]
+        assert built == [], module.__name__
+
+
+def test_no_unused_imports():
+    # no linter runs on the package: every name a module imports is read in it
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
+    assert unused == []
 
 
 def test_no_module_level_caches():

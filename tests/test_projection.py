@@ -281,11 +281,11 @@ class TestMoebiusCommutation:
     def test_reparametrization_commutes_with_double_points(self):
         # an orientation-preserving parameter change moves the (e, f) roots
         # but fixes the image points, the classification, and the writhe
-        from encwrithe.curves import MoebiusReparam, reparametrize
+        from encwrithe.curves import MoebiusReparam
         from encwrithe.writhe import build_diagram, writhe_unoriented
 
         curve = sample_random_curve(4, seed=5)
-        moved = reparametrize(curve, MoebiusReparam.of(1, -1, 1, 1))
+        moved = curve.reparametrized(MoebiusReparam.of(1, -1, 1, 1))
         link_a, link_b = Link([curve]), Link([moved])
         da = sample_generic_center(link_a, seed=1)
         center = da.center
@@ -309,18 +309,16 @@ class TestMoebiusCommutation:
 
 class TestSpecOpWrappers:
     def test_double_point_system_counts(self):
-        from encwrithe.projection import double_point_system
-        from encwrithe.data import model_curve
+        from encwrithe.elimination import solve_system
+        from encwrithe.writhe import LocusPolys
 
-        solution = double_point_system(model_curve(-1))
-        assert solution.multiplicity_count == 1
+        polys = LocusPolys(model_curve(-1))
+        solution = solve_system(polys.system, strict=True)
+        assert solution.multiplicity_count == polys.expected_count == 1
         assert len(solution.roots) == 1
 
     def test_classify_double_points(self):
-        from encwrithe.projection import classify_double_points
-        from encwrithe.data import model_link
-
-        loci = classify_double_points(model_link(1), CANONICAL_CENTER)
+        loci = analyze_projection(model_link(1), CANONICAL_CENTER).loci
         assert [l.kind for l in loci] == [LocusKind.SOLITARY]
 
 

@@ -29,9 +29,9 @@ from encwrithe.projection import (
 )
 from encwrithe.upoly import UPoly
 from encwrithe.writhe import (
+    LocusPolys,
     build_diagram,
     crossing_det_bipoly,
-    crossing_sign_polys,
     linking_matrix,
     solitary_sign_raw,
     writhe_oriented,
@@ -134,7 +134,7 @@ class TestChoiceIndependence:
         analysis = analyze_projection(model_link(1), CANONICAL_CENTER)
         locus = analysis.loci[0]
         curve = analysis.link.components[0]
-        exact = solitary_sign_raw(curve, locus.root)
+        exact = solitary_sign_raw(locus.root, LocusPolys(curve))
         assert solitary_signs_at_both_preimages(curve, locus) == [exact, exact]
 
     def test_single_component_orientation_flip(self):
@@ -207,9 +207,9 @@ class TestCrossingDeterminantOracle:
         rng = random.Random(11)
         for _ in range(20):
             curve = _random_curve(rng)
-            det, chart = crossing_sign_polys(curve)
-            assert _through_ef(det) == _determinant_by_definition(curve, curve)
-            assert _through_ef(chart) == _sym(curve.W, S) * _sym(curve.W, T)
+            polys = LocusPolys(curve)
+            assert _through_ef(polys.crossing) == _determinant_by_definition(curve, curve)
+            assert _through_ef(polys.chart) == 2 * _sym(curve.W, S) * _sym(curve.W, T)
 
 
 class TestOrientedWrithe:
