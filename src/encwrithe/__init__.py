@@ -45,12 +45,11 @@ from .curves import (
 from .projection import (
     CANONICAL_CENTER,
     DoublePointLocus,
-    GenericityCertificate,
     LocusKind,
-    ProjectionCenter,
+    ProjectionAnalysis,
     analyze_projection,
-    genericity_check,
     normalize_center,
+    rational_center,
     sample_generic_center,
 )
 from .upoly import UPoly, resultant, squarefree_part
@@ -63,7 +62,6 @@ from .verify import (
     verify_parity_bounds,
 )
 from .writhe import (
-    Diagram,
     LocusPolys,
     WritheReport,
     build_diagram,

@@ -21,8 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .fileio import CurveFamily, parse_curve_file, write_link_file
-from .projection import ProjectionCenter
-from .rationals import rat, rat_str
+from .projection import rational_center
+from .rationals import rat_str
 from .verify import (
     scan_family,
     verify_center_independence,
@@ -36,11 +36,11 @@ EXIT_INPUT = 2
 EXIT_SAMPLING = 3
 
 
-def _parse_center(text: str) -> ProjectionCenter:
+def _parse_center(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 4:
         raise InvalidInput("center must be four rationals, e.g. '0,0,1,0'")
-    return ProjectionCenter.of([rat(p) for p in parts])
+    return rational_center(parts)
 
 
 def _load_link(path: str) -> Link:
@@ -134,7 +134,10 @@ def cmd_verify(args) -> int:
     else:
         parsed.validation().raise_for_failure()
         run_c = verify_center_independence(parsed, args.centers, args.seed)
-        run_i = verify_isotopy_invariance(parsed, args.isotopies, args.seed)
+        # both runs open with the diagram of the same trial seed: its writhe
+        # is the isotopy run's base, when the center run has made it
+        base = run_c.trials[0]["writhe"] if run_c.trials else None
+        run_i = verify_isotopy_invariance(parsed, args.isotopies, args.seed, base)
         runs = [run_c, run_i]
         for run in runs:
             verdict = "pass" if run.passed else "FAIL"

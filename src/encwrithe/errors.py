@@ -76,11 +76,12 @@ class TriplePoint(ProjectionError):
 
 
 class NonGenericProjection(ProjectionError):
-    """Catch-all for a genericity certificate with a false flag."""
+    """Catch-all for a non-generic center: an eliminant of the wrong degree
+    or not square-free, or double points stuck at parameter infinity."""
 
 
 class ZeroDeterminant(ProjectionError):
-    """A local-writhe determinant vanished; the genericity certificate is stale."""
+    """A local-writhe determinant or an image denominator vanished."""
 
 
 class SamplingExhausted(EncwritheError):

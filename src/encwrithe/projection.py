@@ -10,8 +10,10 @@ Same-component double points are solved in the symmetric coordinates
 imaginary preimages); e^2 - 4f = 0 is a genericity failure. Double points
 between distinct components are solved directly in the parameter pair.
 
-Every certificate flag is decided exactly. The certificate may be
-conservative: it can reject a workable center, never accept a bad one.
+Every genericity condition is decided exactly. The checks may be
+conservative: they can reject a workable center, never accept a bad one.
+A center either yields a certified diagram or raises the ProjectionError
+subclass of its gravest failure (_FAILURE_PRIORITY).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -32,19 +34,19 @@ from .curves import (
     ProjectiveTransform,
     RationalSpaceCurve,
 )
-from .elimination import SystemSolution, TriangularRoot, solve_system
+from .elimination import TriangularRoot, solve_system
 from .errors import (
     CenterOnCurve,
     CenterOnSingularLine,
-    DegenerateElimination,
     InvalidInput,
     NonGenericProjection,
+    ProjectionError,
     SamplingExhausted,
     TangentialPair,
     TriplePoint,
     ZeroDeterminant,
 )
-from .rationals import Interval, rat
+from .rationals import Interval, rat, rat_str
 from .upoly import UPoly, gcd_of_minors, proportional
 
 CANONICAL_CENTER = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
@@ -62,19 +64,23 @@ _INFINITY_MOEBIUS = (
     (2, 3, 1, 2),
 )
 
+# the error raised for a failed center when several conditions fail, gravest first
+_FAILURE_PRIORITY = (
+    CenterOnSingularLine,
+    TangentialPair,
+    TriplePoint,
+    ZeroDeterminant,
+    NonGenericProjection,
+)
 
-@dataclass(frozen=True)
-class ProjectionCenter:
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
 
-    @staticmethod
-    def of(*coords) -> "ProjectionCenter":
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
-        vals = tuple(rat(c) for c in coords)
-        if len(vals) != 4 or all(v == 0 for v in vals):
-            raise InvalidInput("center must be a nonzero 4-tuple")
-        return ProjectionCenter(vals)
+def rational_center(center) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The projective point `center` as four Fractions, not all zero; any
+    other argument raises InvalidInput."""
+    vals = tuple(rat(c) for c in center)
+    if len(vals) != 4 or all(v == 0 for v in vals):
+        raise InvalidInput("center must be a nonzero 4-tuple")
+    return vals
 
 
 def center_on_component(curve: RationalSpaceCurve, center) -> bool:
@@ -93,11 +99,12 @@ def normalize_center(link: Link, center) -> tuple[Link, ProjectiveTransform]:
     Returns the transformed link and the transform used. Raises
     CenterOnCurve when the center lies on a component.
     """
-    center = center.coords if isinstance(center, ProjectionCenter) else tuple(center)
-    c = [rat(v) for v in center]
+    c = rational_center(center)
     for component in link.components:
         if center_on_component(component, c):
-            raise CenterOnCurve(f"projection center {center} lies on the link")
+            raise CenterOnCurve(
+                f"projection center ({', '.join(map(rat_str, c))}) lies on the link"
+            )
     # the frame with columns (e_i, e_j, c, e_k), i < j < k the indices other
     # than the pivot p, takes (0 : 0 : 1 : 0) to c; its inverse, written out,
     # has row 2 = e_p / c_p and rows 0, 1, 3 = e_i - (c_i / c_p) e_p
@@ -190,60 +197,16 @@ class DoublePointLocus:
 
 
 @dataclass
-class GenericityCertificate:
-    """Seven exact flags; the projection is usable iff all are true."""
-
-    simple_roots: bool = True
-    no_triple_points: bool = True
-    no_tangential_pairs: bool = True
-    transversal_crossings: bool = True
-    no_infinity_parameters: bool = True
-    center_off_curve: bool = True
-    center_off_singular_lines: bool = True
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.simple_roots
-            and self.no_triple_points
-            and self.no_tangential_pairs
-            and self.transversal_crossings
-            and self.no_infinity_parameters
-            and self.center_off_curve
-            and self.center_off_singular_lines
-        )
-
-    def first_failure_error(self) -> Exception:
-        if not self.center_off_curve:
-            return CenterOnCurve("; ".join(self.notes))
-        if not self.center_off_singular_lines:
-            return CenterOnSingularLine("; ".join(self.notes))
-        if not self.no_tangential_pairs:
-            return TangentialPair("; ".join(self.notes))
-        if not self.no_triple_points:
-            return TriplePoint("; ".join(self.notes))
-        if not self.transversal_crossings:
-            return ZeroDeterminant("; ".join(self.notes))
-        return NonGenericProjection("; ".join(self.notes) or "non-generic projection")
-
-
-@dataclass
 class ProjectionAnalysis:
-    """Everything the writhe needs about one projection, exactly computed."""
+    """A certified diagram: every double point of one generic projection,
+    classified and signed, all exactly computed."""
 
     link: Link  # normalized, possibly reparametrized componentwise
-    transform: ProjectiveTransform
-    center: tuple
-    certificate: GenericityCertificate
+    center: tuple[Fraction, Fraction, Fraction, Fraction]
     loci: list[DoublePointLocus]
-    component_solutions: list[SystemSolution]
-
-    @property
-    def complex_double_point_counts(self) -> list[int]:
-        """Complex double points (with multiplicity) per component, from the
-        certified eliminant degree."""
-        return [s.multiplicity_count for s in self.component_solutions]
+    # complex double points (with multiplicity) per component, from the
+    # certified eliminant degree
+    complex_double_point_counts: list[int]
 
 
 def projected_triple(curve: RationalSpaceCurve) -> list[UPoly]:
@@ -307,21 +270,30 @@ def _resolve_infinity(link: Link) -> tuple[Link, list[str]]:
 
 
 def analyze_projection(link: Link, center) -> ProjectionAnalysis:
-    """Normalize, solve all double-point systems, classify, and certify."""
+    """Normalize, solve all double-point systems, classify, sign and certify.
+
+    Every check runs and notes each failure. If any failed, the error class
+    of the gravest (_FAILURE_PRIORITY) is raised with all notes, those of
+    the reparametrizations away from infinity first, joined by "; ".
+    A center on the link, double points stuck at parameter infinity and a
+    degenerate elimination raise at once.
+    """
     # the one local import of writhe, which owns the polynomials a locus is
     # read through and the pinned sign conventions
     from .writhe import LocusPolys, crossing_sign_raw, solitary_sign_raw
 
-    report = link.validation()
-    report.raise_for_failure()
-    certificate = GenericityCertificate()
+    center = rational_center(center)
+    link.validation().raise_for_failure()
+    nlink, _transform = normalize_center(link, center)
+    nlink, notes = _resolve_infinity(nlink)
+    failed: list[type] = []
 
-    nlink, transform = normalize_center(link, center)
-    nlink, infinity_notes = _resolve_infinity(nlink)
-    certificate.notes.extend(infinity_notes)
+    def fail(error: type, note: str) -> None:
+        failed.append(error)
+        notes.append(note)
 
     loci: list[DoublePointLocus] = []
-    component_solutions: list[SystemSolution] = []
+    counts: list[int] = []
 
     # each component, then each pair: the order of the loci before sorting is
     # the order in which the triple-point scan refines them
@@ -333,11 +305,11 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
         solution = solve_system(polys.system, strict=True)
         expected = polys.expected_count
         if solution.multiplicity_count != expected or not solution.is_simple:
-            certificate.simple_roots = False
             where = f"component {i}: eliminant" if same else f"components {i},{j}: pair eliminant"
-            certificate.notes.append(
+            fail(
+                NonGenericProjection,
                 f"{where} degree {solution.multiplicity_count} "
-                f"(expected {expected}, square-free: {solution.is_simple})"
+                f"(expected {expected}, square-free: {solution.is_simple})",
             )
         if not same:
             loci.extend(
@@ -345,61 +317,63 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
                 for root in solution.roots
             )
             continue
-        component_solutions.append(solution)
+        counts.append(solution.multiplicity_count)
         for root in solution.roots:
             tangency = root.sign_of(polys.tangency)
             if tangency == 0:
-                certificate.no_tangential_pairs = False
-                certificate.notes.append(
+                fail(
+                    TangentialPair,
                     f"component {i}: tangential pair (e^2 = 4f) at f in "
-                    f"{root.survivor.interval()!r}"
+                    f"{root.survivor.interval()!r}",
                 )
-            # a tangential pair is placed as a crossing; the certificate has failed
+            # a tangential pair is placed as a crossing; the center has failed
             kind = LocusKind.SOLITARY if tangency < 0 else LocusKind.CROSSING
             loci.append(DoublePointLocus(i, i, kind, root, polys))
 
-    _fill_images(loci, certificate)
-    _check_triple_points(loci, certificate)
+    for note in _fill_images(loci):
+        fail(ZeroDeterminant, note)
+    coincident = _check_triple_points(loci)
+    for note in coincident:
+        fail(TriplePoint, note)
     for locus in loci:
         if locus.image_fractions is None:
-            # _fill_images has failed the certificate here: the image
-            # denominator vanishes (2W(s)W(t) on one component, W_i(s) on a
-            # pair), and so does the sign's chart product, which it divides
+            # _fill_images has failed the center here: the image denominator
+            # vanishes (2W(s)W(t) on one component, W_i(s) on a pair), and so
+            # does the sign's chart product, which it divides
             continue
         sign_raw = solitary_sign_raw if locus.kind is LocusKind.SOLITARY else crossing_sign_raw
         try:
             locus.raw_sign = sign_raw(locus.root, locus.polys)
         except ZeroDeterminant as exc:
-            certificate.transversal_crossings = False
-            certificate.notes.append(f"{locus.describe()}: {exc}")
-    _singular_line_flag(link, loci, certificate)
+            fail(ZeroDeterminant, f"{locus.describe()}: {exc}")
+    # a center on a real line through conjugate imaginary singular points
+    # makes two solitary loci share an image, which the triple-point scan
+    # has already looked for
+    if coincident and any(
+        r.imaginary_singular_candidates for r in link.validation().component_reports
+    ):
+        fail(
+            CenterOnSingularLine,
+            "imaginary space singularities present and solitary images collide",
+        )
+    if failed:
+        raise next(e for e in _FAILURE_PRIORITY if e in failed)("; ".join(notes))
 
     loci.sort(key=_locus_sort_key)
-    center_tuple = (
-        center.coords
-        if isinstance(center, ProjectionCenter)
-        else tuple(rat(v) for v in center)
-    )
-    return ProjectionAnalysis(
-        link=nlink,
-        transform=transform,
-        center=center_tuple,
-        certificate=certificate,
-        loci=loci,
-        component_solutions=component_solutions,
-    )
+    return ProjectionAnalysis(nlink, center, loci, counts)
 
 
-def _fill_images(loci: list[DoublePointLocus], certificate: GenericityCertificate) -> None:
+def _fill_images(loci: list[DoublePointLocus]) -> list[str]:
+    """Set each locus's image polynomials; a note for each image outside the
+    affine chart."""
+    notes = []
     for locus in loci:
         num_x, num_y, den = locus.polys.image
         if locus.root.sign_of(den) == 0:
-            certificate.transversal_crossings = False
-            certificate.notes.append(
-                f"{locus.describe()}: image lies outside the affine chart"
-            )
+            notes.append(f"{locus.describe()}: image lies outside the affine chart")
             continue
         locus.image_fractions = tuple(locus.root.substitute(p) for p in (num_x, num_y, den))
+    return notes
 
 
 # refinement rounds of the two survivors before two image boxes that still
@@ -427,10 +401,8 @@ def _images_coincide(a: DoublePointLocus, b: DoublePointLocus) -> bool:
     return a.image_x.equals(b.image_x) and a.image_y.equals(b.image_y)
 
 
-def _check_triple_points(
-    loci: list[DoublePointLocus], certificate: GenericityCertificate
-) -> None:
-    """Flag two loci with the same image point.
+def _check_triple_points(loci: list[DoublePointLocus]) -> list[str]:
+    """A note for every two loci with the same image point.
 
     Each pair is told apart by interval boxes first: num/den of both images
     evaluated on the survivors' current intervals; the images are apart when
@@ -440,34 +412,13 @@ def _check_triple_points(
     AlgebraicNumber.equals.
     """
     usable = [l for l in loci if l.image_fractions is not None]
+    notes = []
     for a_idx in range(len(usable)):
         for b_idx in range(a_idx + 1, len(usable)):
             a, b = usable[a_idx], usable[b_idx]
             if _images_coincide(a, b):
-                certificate.no_triple_points = False
-                certificate.notes.append(
-                    f"coincident images: [{a.describe()}] and [{b.describe()}]"
-                )
-
-
-def _singular_line_flag(
-    link: Link, loci: list[DoublePointLocus], certificate: GenericityCertificate
-) -> None:
-    """Exclusion of centers on real lines through conjugate imaginary singular
-    points: with imaginary space singularities present, a bad center makes two
-    solitary loci share an image, which the triple-point scan has already
-    looked for. Without them the flag holds vacuously."""
-    candidates = sum(
-        r.imaginary_singular_candidates for r in link.validation().component_reports
-    )
-    if candidates == 0:
-        certificate.center_off_singular_lines = True
-        return
-    certificate.center_off_singular_lines = certificate.no_triple_points
-    if not certificate.no_triple_points:
-        certificate.notes.append(
-            "imaginary space singularities present and solitary images collide"
-        )
+                notes.append(f"coincident images: [{a.describe()}] and [{b.describe()}]")
+    return notes
 
 
 def _locus_sort_key(locus: DoublePointLocus):
@@ -476,65 +427,37 @@ def _locus_sort_key(locus: DoublePointLocus):
     return (locus.comp_i, locus.comp_j, locus.kind.value, survivor.lo, survivor.hi)
 
 
-def genericity_check(link: Link, center) -> GenericityCertificate:
-    """Run the full analysis and return the certificate (never raises for
-    flag failures, only for broken preconditions)."""
-    try:
-        return analyze_projection(link, center).certificate
-    except (CenterOnCurve,) as exc:
-        cert = GenericityCertificate()
-        cert.center_off_curve = False
-        cert.notes.append(str(exc))
-        return cert
-    except NonGenericProjection as exc:
-        cert = GenericityCertificate()
-        cert.no_infinity_parameters = False
-        cert.notes.append(str(exc))
-        return cert
-    except DegenerateElimination as exc:
-        cert = GenericityCertificate()
-        cert.simple_roots = False
-        cert.notes.append(str(exc))
-        return cert
-
-
 def _rejection_label(error: type) -> str:
     """'TriplePoint' -> 'triple-point'."""
     return re.sub(r"(?<!^)(?=[A-Z])", "-", error.__name__).lower()
 
 
 def sample_generic_center(link: Link, seed: int = 0, budget: int = 240) -> ProjectionAnalysis:
-    """The analysis of the first drawn rational center that passes the full
-    certificate; its `.center` is that center.
+    """The analysis of the first drawn rational center that passes every
+    genericity check; its `.center` is that center.
 
     The draws are a deterministic function of the seed and the number of
     components. The accepted analysis is returned as it is, so a caller
     never analyses the same center twice. After `budget` rejected draws,
-    SamplingExhausted names how many draws each failure rejected: the error
-    class a draw raised, or the one its first failing flag maps to.
+    SamplingExhausted names how many draws each error class rejected.
     """
     rng = random.Random(f"center-{seed}-{link.n_components}")
     bound = 3
     tries_at_bound = 0
     rejected: Counter[str] = Counter()
     for _ in range(budget):
-        coords = tuple(rng.randint(-bound, bound) for _ in range(4))
+        center = tuple(rng.randint(-bound, bound) for _ in range(4))
         tries_at_bound += 1
         if tries_at_bound >= 40:
             bound *= 2
             tries_at_bound = 0
-        if all(v == 0 for v in coords):
+        if all(v == 0 for v in center):
             rejected["zero-vector"] += 1
             continue
-        center = ProjectionCenter.of(coords)
         try:
-            analysis = analyze_projection(link, center)
-        except (NonGenericProjection, DegenerateElimination, CenterOnCurve) as exc:
+            return analyze_projection(link, center)
+        except ProjectionError as exc:
             rejected[_rejection_label(type(exc))] += 1
-            continue
-        if analysis.certificate.all_ok:
-            return analysis
-        rejected[_rejection_label(type(analysis.certificate.first_failure_error()))] += 1
     counts = ", ".join(f"{n} {label}" for label, n in rejected.most_common())
     raise SamplingExhausted(
         f"no generic center found (seed {seed}); {budget} draws: {counts}"

@@ -17,10 +17,9 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .projection import DoublePointLocus, LocusKind, _image_box
+from .projection import DoublePointLocus, LocusKind, ProjectionAnalysis, _image_box
 from .rationals import rat_str
 from .upoly import UPoly
-from .writhe import Diagram
 
 _SAMPLES_PER_COMPONENT = 800
 # a crossing's preimages, and every marker's image point, are read as floats
@@ -111,7 +110,7 @@ def _feval(p: UPoly, t: float) -> float:
     return acc
 
 
-def render_diagram_svg(diagram: Diagram, out_path=None, size: int = 480) -> str:
+def render_diagram_svg(diagram: ProjectionAnalysis, out_path=None, size: int = 480) -> str:
     link = diagram.link
     loci = diagram.loci
     crossings = [

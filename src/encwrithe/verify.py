@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .curves import Link, ProjectiveTransform, sample_random_curve
 from .errors import EncwritheError, InputTooLarge, ProjectionError
-from .projection import CANONICAL_CENTER, ProjectionCenter
+from .projection import CANONICAL_CENTER, rational_center
 from .rationals import rat, rat_str
 from .upoly import det_rational
 from .writhe import build_diagram, writhe_unoriented
@@ -77,10 +77,17 @@ def random_transform(rng: random.Random, want_sign: int, bound: int = 5) -> Proj
             return ProjectiveTransform.of(rows)
 
 
-def verify_isotopy_invariance(link: Link, n: int, seed: int) -> VerificationRun:
-    """n orientation-preserving transforms fix the writhe; n mirrors negate it."""
+def verify_isotopy_invariance(
+    link: Link, n: int, seed: int, base: Optional[int] = None
+) -> VerificationRun:
+    """n orientation-preserving transforms fix the writhe; n mirrors negate it.
+
+    `base` is the writhe of the link at the center of trial seed 0, the
+    first trial of verify_center_independence with the same seed; when it
+    is None it is computed here."""
     run = VerificationRun("link", "isotopy-invariance-and-mirror", seed)
-    base = writhe_unoriented(build_diagram(link, seed=_trial_seed(seed, 0)))
+    if base is None:
+        base = writhe_unoriented(build_diagram(link, seed=_trial_seed(seed, 0)))
     run.record(transform="identity", writhe=base)
     rng = random.Random(f"isotopy-{seed}")
     for k in range(n):
@@ -181,7 +188,7 @@ def scan_family(
     singular when curve validation fails, or when the fixed projection is
     not generic for it.
     """
-    center = ProjectionCenter.of(center) if center is not None else ProjectionCenter.of(CANONICAL_CENTER)
+    center = rational_center(CANONICAL_CENTER if center is None else center)
     members = []
     for raw_tau in grid:
         tau = rat(raw_tau)

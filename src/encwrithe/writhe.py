@@ -67,7 +67,6 @@ from .elimination import (
 )
 from .errors import MissingOrientation, ZeroDeterminant
 from .projection import (
-    DoublePointLocus,
     ProjectionAnalysis,
     analyze_projection,
     projected_triple,
@@ -213,79 +212,50 @@ def solitary_sign_raw(root: TriangularRoot, polys: LocusPolys) -> int:
 # -- diagrams and writhe ----------------------------------------------------------
 
 
-@dataclass
-class Diagram:
-    """All classified, signed double points of one generic projection."""
-
-    analysis: ProjectionAnalysis
-
-    @property
-    def loci(self) -> list[DoublePointLocus]:
-        return self.analysis.loci
-
-    @property
-    def link(self) -> Link:
-        return self.analysis.link
-
-    @property
-    def center(self) -> tuple:
-        return self.analysis.center
-
-    def same_component_loci(self) -> list[DoublePointLocus]:
-        return [l for l in self.loci if l.is_same_component]
-
-    def inter_component_loci(self) -> list[DoublePointLocus]:
-        return [l for l in self.loci if not l.is_same_component]
-
-
-def build_diagram(link: Link, center=None, seed: int = 0) -> Diagram:
+def build_diagram(link: Link, center=None, seed: int = 0) -> ProjectionAnalysis:
     """Find, classify, and sign every double point of a generic projection.
 
     With center=None a deterministic generic center is sampled from `seed`,
-    and the sampler's accepted analysis is the diagram's: the center is
-    analysed once. With a given center, raises the typed error of the first
-    failing certificate flag.
+    and the sampler's accepted analysis is the diagram: the center is
+    analysed once. With a given center, raises the typed error of its
+    gravest genericity failure.
     """
     if center is None:
-        analysis = sample_generic_center(link, seed)
-    else:
-        analysis = analyze_projection(link, center)
-    if not analysis.certificate.all_ok:
-        raise analysis.certificate.first_failure_error()
-    for locus in analysis.loci:
-        if locus.raw_sign is None:
-            raise ZeroDeterminant(f"unsigned locus: {locus.describe()}")
-    return Diagram(analysis)
+        return sample_generic_center(link, seed)
+    return analyze_projection(link, center)
 
 
-def writhe_unoriented(diagram: Diagram) -> int:
+def writhe_unoriented(diagram: ProjectionAnalysis) -> int:
     """Sum of local writhes over solitary points and same-component crossings."""
-    return sum(l.raw_sign for l in diagram.same_component_loci())
+    return sum(l.raw_sign for l in diagram.loci if l.is_same_component)
 
 
-def _orientations(diagram: Diagram) -> tuple[int, ...]:
+def _orientations(diagram: ProjectionAnalysis) -> tuple[int, ...]:
     flags = diagram.link.orientations
     if flags is None:
         raise MissingOrientation("link carries no orientation flags")
     return flags
 
 
-def writhe_oriented(diagram: Diagram) -> int:
+def writhe_oriented(diagram: ProjectionAnalysis) -> int:
     """Sum over all double points, inter-component crossings included, using
     the link's orientation flags."""
     flags = _orientations(diagram)
     total = writhe_unoriented(diagram)
-    for locus in diagram.inter_component_loci():
-        total += locus.raw_sign * flags[locus.comp_i] * flags[locus.comp_j]
+    for locus in diagram.loci:
+        if not locus.is_same_component:
+            total += locus.raw_sign * flags[locus.comp_i] * flags[locus.comp_j]
     return total
 
 
-def linking_matrix(diagram: Diagram) -> list[list[Fraction]]:
+def linking_matrix(diagram: ProjectionAnalysis) -> list[list[Fraction]]:
     """Half the sum of oriented inter-component crossing signs, per pair."""
     flags = _orientations(diagram)
     n = diagram.link.n_components
     matrix = [[Fraction(0)] * n for _ in range(n)]
-    for locus in diagram.inter_component_loci():
+    for locus in diagram.loci:
+        if locus.is_same_component:
+            continue
         value = Fraction(locus.raw_sign * flags[locus.comp_i] * flags[locus.comp_j], 2)
         matrix[locus.comp_i][locus.comp_j] += value
         matrix[locus.comp_j][locus.comp_i] += value
@@ -326,5 +296,5 @@ def writhe_report(link: Link, center=None, seed: int = 0) -> WritheReport:
         linking=linking,
         center=diagram.center,
         loci=[(l.describe(), l.raw_sign) for l in diagram.loci],
-        counts=diagram.analysis.complex_double_point_counts,
+        counts=diagram.complex_double_point_counts,
     )

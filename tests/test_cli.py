@@ -8,12 +8,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import encwrithe
-from encwrithe import elimination, projection, svg, writhe
+from encwrithe import elimination, projection, svg, verify, writhe
 from encwrithe.algnum import algebraic_value
 from encwrithe.bipoly import BiPoly
 from encwrithe.cli import main
@@ -27,6 +26,7 @@ from encwrithe.data import (
     linked_circles,
     model_link,
 )
+from encwrithe.errors import TriplePoint
 from encwrithe.fileio import link_to_lines, parse_curve_file, write_link_file
 from encwrithe.projection import CANONICAL_CENTER, LocusKind
 from encwrithe.writhe import build_diagram
@@ -76,7 +76,7 @@ class TestWritheCommand:
     def test_sampled_center_on_a_common_image_root(self, capsys, tmp_path):
         # with this seed the first sampled center puts a rational crossing
         # image on W = 0, where the image resultant vanishes identically;
-        # the certificate rejects that center and sampling goes on
+        # the analysis rejects that center and sampling goes on
         path = tmp_path / "quintic.jsonl"
         path.write_text(
             '{"kind": "link"}\n'
@@ -175,11 +175,8 @@ class TestWritheCommand:
         assert "center: (3, -1, 3, -2)" in out
 
     def test_sampling_exhausted_names_rejections(self, capsys, monkeypatch):
-        from encwrithe import projection
-
         def always_triple(link, center):
-            cert = projection.GenericityCertificate(no_triple_points=False)
-            return SimpleNamespace(certificate=cert)
+            raise TriplePoint("coincident images")
 
         monkeypatch.setattr(projection, "analyze_projection", always_triple)
         code = main(["writhe", str(MODEL_CROSSING_PATH), "--seed", "1"])
@@ -217,6 +214,46 @@ class TestWritheCommand:
         assert capsys.readouterr().out == golden.read_text()
 
 
+# the inputs of tests/golden/failures.json, one curve each
+FAILING_CURVES = {
+    "trisecant": '{"x": [6, -7, 0, 1], "y": [0, 6, -7, 0, 1], "z": [0, 1], "w": [1, 0, 1]}',
+    "w_zero": '{"x": [2, 0, -1], "y": [0, 1, 0, -1], "z": [0, -1], "w": [-1, 0, 1]}',
+    "model_tau0": '{"x": [0, 0, -1], "y": [0, 0, 0, -1], "z": [0, -1], "w": [1]}',
+}
+
+
+class TestFailureGoldens:
+    """`writhe` at failing centers: each case raises one error class. The
+    trisecant at 0,0,1,0 (TriplePoint) reaches the exact triple-point
+    fallback, at 1,0,0,0 its elimination degenerates; the cubic of
+    test_explicit_center_puts_a_crossing_image_on_w_zero gives
+    ZeroDeterminant; the model cubic at tau = 0 fails the tangency and the
+    transversality checks at 0,0,1,0, which pins their priority
+    (TangentialPair, both notes), and its eliminant degree at 1,0,0,0
+    (NonGenericProjection)."""
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((GOLDEN / "failures.json").read_text()),
+        ids=lambda case: f"{case['input']}-{case['center']}",
+    )
+    def test_failure_matches_golden(self, capsys, tmp_path, case):
+        path = tmp_path / "link.jsonl"
+        path.write_text('{"kind": "link"}\n' + FAILING_CURVES[case["input"]] + "\n")
+        code = main(["writhe", str(path), "--center", case["center"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_family_notes_match_golden(self, capsys):
+        assert main(["writhe", str(MODEL_FAMILY_PATH)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "model_family.txt").read_text()
+
+    def test_center_on_curve_prints_rationals(self, capsys):
+        assert main(["writhe", str(MODEL_CROSSING_PATH), "--center=0,1,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: projection center (0, 1, 0, 0) lies on the link\n"
+
+
 class TestVerifyCommand:
     def test_model_passes(self, capsys, tmp_path):
         report = tmp_path / "verify.json"
@@ -240,6 +277,32 @@ class TestVerifyCommand:
         assert "isotopy-invariance-and-mirror: pass" in out
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("path", [LINKED_CIRCLES_PATH, MODEL_CROSSING_PATH])
+    def test_each_trial_is_built_once(self, capsys, tmp_path, monkeypatch, path):
+        # the isotopy run takes trial 0 of the center run, which has the same
+        # trial seed, as its base; with no center trials it builds its own
+        seeds = []
+        real = verify.build_diagram
+
+        def counted(link, center=None, seed=0):
+            seeds.append(seed)
+            return real(link, center, seed)
+
+        monkeypatch.setattr(verify, "build_diagram", counted)
+        report = tmp_path / "verify.json"
+        argv = ["verify", str(path), "--isotopies", "3", "--seed", "0", "--json", str(report)]
+        assert main(argv + ["--centers", "3"]) == 0
+        capsys.readouterr()
+        assert seeds == [1, 8, 15, 1, 8, 15, 22, 29, 36]
+        # the run reads as one that built its base itself
+        alone = verify.verify_isotopy_invariance(parse_curve_file(path), 3, 0)
+        assert json.loads(report.read_text())["runs"][1] == alone.to_json()
+        seeds.clear()
+        assert main(argv + ["--centers", "0"]) == 0
+        capsys.readouterr()
+        assert seeds == [1, 1, 8, 15, 22, 29, 36]
+        assert json.loads(report.read_text())["runs"][1] == alone.to_json()
 
     def test_family_scan(self, capsys):
         code = main(["verify", str(WALL_QUARTIC_FAMILY_PATH)])

@@ -11,7 +11,7 @@ from pathlib import Path
 import sympy
 
 import encwrithe
-from encwrithe import algnum, curves, projection, svg, upoly, writhe
+from encwrithe import algnum, curves, errors, projection, svg, upoly, writhe
 from encwrithe.bipoly import BiPoly, resultant_bivariate
 from encwrithe.curves import ProjectiveTransform
 
@@ -204,10 +204,36 @@ def test_deleted_names_stay_gone():
         svg: ("_over_under_polys",),
         curves: ("reparametrize",),
     }
+    # a failed center has one channel, the typed error analyze_projection
+    # raises; the analysis it returns is the certified diagram, and a center
+    # is a tuple of four Fractions
+    gone[projection] += ("GenericityCertificate", "genericity_check", "ProjectionCenter", "_singular_line_flag")
+    gone[writhe] += ("Diagram",)
+    gone[encwrithe] = ("GenericityCertificate", "genericity_check", "first_failure_error", "Diagram", "ProjectionCenter")
     assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []
+    fields = projection.ProjectionAnalysis.__dataclass_fields__
+    assert [name for name in ("transform", "certificate", "component_solutions") if name in fields] == []
     for sign_raw in (writhe.crossing_sign_raw, writhe.solitary_sign_raw):
         assert list(inspect.signature(sign_raw).parameters) == ["root", "polys"]
-    assert list(inspect.signature(projection._fill_images).parameters) == ["loci", "certificate"]
+    assert list(inspect.signature(projection._fill_images).parameters) == ["loci"]
+
+
+def test_one_failure_channel():
+    # the genericity failures are raised in projection only, as the gravest
+    # of the failures one analysis noted, and the sampler rejects a draw by
+    # the one ProjectionError it catches
+    for error in (errors.TangentialPair, errors.TriplePoint, errors.CenterOnSingularLine):
+        users = {
+            m.__name__
+            for m in _package_modules()
+            if m not in (encwrithe, errors)
+            for node in ast.walk(ast.parse(inspect.getsource(m)))
+            if isinstance(node, ast.Name) and node.id == error.__name__
+        }
+        assert users == {"encwrithe.projection"}, error
+    sampler = ast.parse(inspect.getsource(projection.sample_generic_center))
+    handlers = [node for node in ast.walk(sampler) if isinstance(node, ast.ExceptHandler)]
+    assert [handler.type.id for handler in handlers] == ["ProjectionError"]
 
 
 def _calls(tree: ast.AST, scope: str = ""):

@@ -2,7 +2,6 @@
 
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,18 +12,17 @@ from encwrithe.data import linked_circles, model_curve, model_link
 from encwrithe.errors import (
     CenterOnCurve,
     DegenerateElimination,
+    InvalidInput,
     SamplingExhausted,
+    TangentialPair,
     TriplePoint,
 )
 from encwrithe.upoly import UPoly
 from encwrithe.writhe import build_diagram
 from encwrithe.projection import (
     CANONICAL_CENTER,
-    GenericityCertificate,
     LocusKind,
-    ProjectionCenter,
     analyze_projection,
-    genericity_check,
     normalize_center,
     sample_generic_center,
 )
@@ -48,6 +46,22 @@ def irrational_trisecant_quartic() -> Link:
     x = [6, -2, -3, 1]
     y = [0, 6, -2, -3, 1]
     return Link([RationalSpaceCurve(x, y, [0, 1], [1, 0, 1])])
+
+
+def scanned_loci(monkeypatch, link) -> list:
+    """The loci of an analysis at the canonical center that raises
+    TriplePoint, as the triple-point scan saw them."""
+    seen = []
+    real = projection._check_triple_points
+
+    def spy(loci):
+        seen.append(loci)
+        return real(loci)
+
+    monkeypatch.setattr(projection, "_check_triple_points", spy)
+    with pytest.raises(TriplePoint):
+        analyze_projection(link, CANONICAL_CENTER)
+    return seen[0]
 
 
 def exact_pair(locus) -> tuple[Fraction, Fraction]:
@@ -79,13 +93,10 @@ class TestModelSystem:
         assert analysis.complex_double_point_counts == [0]
 
     def test_model_certificate_all_true(self):
+        # an analysis that returns is certified: every locus is signed
         analysis = analyze_projection(model_link(-1), CANONICAL_CENTER)
-        cert = analysis.certificate
-        assert cert.all_ok
-        assert cert.simple_roots and cert.no_triple_points
-        assert cert.no_tangential_pairs and cert.transversal_crossings
-        assert cert.no_infinity_parameters and cert.center_off_curve
-        assert cert.center_off_singular_lines
+        assert [l.raw_sign for l in analysis.loci] == [-1]
+        assert analysis.center == CANONICAL_CENTER
 
 
 class TestComplexCounts:
@@ -115,16 +126,14 @@ class TestGenericityFailures:
         point = curve.evaluate(t0)
         velocity = tuple(p.derivative()(t0) for p in curve.coords)
         center = tuple(p + v for p, v in zip(point, velocity))
-        cert = genericity_check(Link([curve]), center)
-        assert not cert.all_ok
-        assert not cert.no_tangential_pairs
+        with pytest.raises(TangentialPair, match="tangential pair"):
+            analyze_projection(Link([curve]), center)
 
     def test_chord_center_is_still_generic(self):
         # the chord through P(-1), P(1) of the model curve is the z-axis: any
         # center on it identifies the same pair the standard projection does,
         # and the projection stays perfectly generic
-        cert = genericity_check(model_link(-1), (0, 0, 1, 2))
-        assert cert.all_ok
+        assert len(analyze_projection(model_link(-1), (0, 0, 1, 2)).loci) == 1
 
     def test_doubly_covered_image_degenerates(self):
         # circle in the y = 0 plane projects 2:1 onto a segment along z
@@ -137,18 +146,16 @@ class TestGenericityFailures:
         # exact comparison after the box rounds
         link = trisecant_quartic()
         assert link.validation().valid
-        cert = genericity_check(link, CANONICAL_CENTER)
-        assert cert.no_triple_points is False
-        assert cert.simple_roots and cert.no_tangential_pairs
-        assert cert.center_off_curve and cert.center_off_singular_lines
-        with pytest.raises(TriplePoint):
+        with pytest.raises(TriplePoint) as info:
             build_diagram(link, CANONICAL_CENTER)
+        # coincident images are the only failure
+        notes = str(info.value).split("; ")
+        assert len(notes) == 3
+        assert all(note.startswith("coincident images: ") for note in notes)
 
     def test_irrational_trisecant_reaches_the_exact_fallback(self, monkeypatch):
         link = irrational_trisecant_quartic()
         assert link.validation().valid
-        analysis = analyze_projection(link, CANONICAL_CENTER)
-        assert sorted(l.root.survivor.is_exact for l in analysis.loci) == [False, False, True]
         compared = []
         real_equals = AlgebraicNumber.equals
 
@@ -157,26 +164,32 @@ class TestGenericityFailures:
             return real_equals(a, b)
 
         monkeypatch.setattr(AlgebraicNumber, "equals", counted)
-        cert = genericity_check(link, CANONICAL_CENTER)
-        assert cert.no_triple_points is False
-        assert sum("coincident images" in note for note in cert.notes) == 3
+        loci = scanned_loci(monkeypatch, link)
+        assert sorted(l.root.survivor.is_exact for l in loci) == [False, False, True]
         # every pair overlapped through all box rounds and was decided by
         # equals on the exact x and then the exact y coordinates
         assert len(compared) == 6
-        with pytest.raises(TriplePoint):
+        with pytest.raises(TriplePoint) as info:
             build_diagram(link, CANONICAL_CENTER)
+        assert str(info.value).count("coincident images") == 3
 
-    def test_images_stay_exact_and_readable(self):
-        analysis = analyze_projection(trisecant_quartic(), CANONICAL_CENTER)
-        assert len(analysis.loci) == 3
-        for locus in analysis.loci:
+    def test_images_stay_exact_and_readable(self, monkeypatch):
+        loci = scanned_loci(monkeypatch, trisecant_quartic())
+        assert len(loci) == 3
+        for locus in loci:
             assert locus.image_x.equals(AlgebraicNumber.from_rational(0))
             assert locus.image_y.equals(AlgebraicNumber.from_rational(0))
 
     def test_model_zero_standard_projection_cusped(self):
-        cert = genericity_check(model_link(0), CANONICAL_CENTER)
-        assert not cert.all_ok
-        assert not cert.no_tangential_pairs
+        # the cusp fails the tangency and the transversality checks; the
+        # tangential pair is the graver failure, and both notes are kept
+        with pytest.raises(TangentialPair) as info:
+            analyze_projection(model_link(0), CANONICAL_CENTER)
+        assert str(info.value) == (
+            "component 0: tangential pair (e^2 = 4f) at f in [0, 0]; "
+            "crossing on component 0: e in [0, 0], f in [0, 0]: "
+            "crossing frame is degenerate (non-transversal branches)"
+        )
 
 
 class TestNormalizeCenter:
@@ -200,14 +213,25 @@ class TestNormalizeCenter:
         with pytest.raises(CenterOnCurve):
             normalize_center(Link([curve]), curve.evaluate(2))
 
+    def test_center_on_curve_message_prints_rationals(self):
+        with pytest.raises(CenterOnCurve) as info:
+            analyze_projection(model_link(-1), (0, Fraction(2, 4), 0, 0))
+        assert str(info.value) == "projection center (0, 1/2, 0, 0) lies on the link"
+
+    @pytest.mark.parametrize("entry", [analyze_projection, normalize_center])
+    @pytest.mark.parametrize("center", [(0, 0, 0, 0), (0, 0, 1), (0, 0, 1, 0, 0)])
+    def test_bad_center_is_invalid_input(self, entry, center):
+        with pytest.raises(InvalidInput, match="nonzero 4-tuple"):
+            entry(model_link(-1), center)
+
     def test_writhe_agrees_after_normalizing_noncanonical_center(self):
         # downstream check that normalization itself does not move the answer
         from encwrithe.writhe import build_diagram, writhe_unoriented
 
         link = model_link(-1)
-        for center in [(0, 0, 1, 1), (1, 1, 5, 2)]:
-            if genericity_check(link, center).all_ok:
-                assert writhe_unoriented(build_diagram(link, center)) == -1
+        with pytest.raises(CenterOnCurve):
+            build_diagram(link, (0, 0, 1, 1))
+        assert writhe_unoriented(build_diagram(link, (1, 1, 5, 2))) == -1
 
 
 class TestInterComponent:
@@ -266,7 +290,7 @@ class TestRootIsTheOnlyRecord:
 
         monkeypatch.setattr(projection, "algebraic_value", counted)
         analysis = analyze_projection(link, center)
-        assert analysis.certificate.all_ok and analysis.loci
+        assert analysis.loci
         assert calls == []
         # the printed e (or s) interval encloses the exact eliminated coordinate
         for locus in analysis.loci:
@@ -289,7 +313,6 @@ class TestMoebiusCommutation:
         link_a, link_b = Link([curve]), Link([moved])
         da = sample_generic_center(link_a, seed=1)
         center = da.center
-        assert genericity_check(link_b, center).all_ok
         db = analyze_projection(link_b, center)
         assert len(da.loci) == len(db.loci)
         for la, lb in zip(da.loci, db.loci):
@@ -332,7 +355,7 @@ class TestCenterSampling:
     def test_certificate_passes(self):
         link = model_link(-1)
         center = sample_generic_center(link, seed=0).center
-        assert genericity_check(link, center).all_ok
+        assert analyze_projection(link, center).center == center
 
     def test_line_first_sample_trivially_generic(self):
         line = Link([RationalSpaceCurve([0, 1], [0], [0], [1])])
@@ -342,15 +365,13 @@ class TestCenterSampling:
     def test_returns_its_analysis(self):
         link = model_link(-1)
         analysis = sample_generic_center(link, seed=5)
-        assert analysis.certificate.all_ok
         again = analyze_projection(link, analysis.center)
         assert [l.describe() for l in analysis.loci] == [l.describe() for l in again.loci]
         assert [l.raw_sign for l in analysis.loci] == [l.raw_sign for l in again.loci]
 
     def test_exhausted_names_the_rejections(self, monkeypatch):
         def always_triple(link, center):
-            cert = GenericityCertificate(no_triple_points=False)
-            return SimpleNamespace(certificate=cert)
+            raise TriplePoint("coincident images")
 
         monkeypatch.setattr(projection, "analyze_projection", always_triple)
         with pytest.raises(SamplingExhausted) as info:
@@ -364,7 +385,7 @@ class TestCenterSampling:
             draws.append(center)
             if len(draws) % 3 == 0:
                 raise CenterOnCurve("on the curve")
-            return SimpleNamespace(certificate=GenericityCertificate(no_tangential_pairs=False))
+            raise TangentialPair("tangential pair")
 
         monkeypatch.setattr(projection, "analyze_projection", alternate)
         with pytest.raises(SamplingExhausted) as info:

@@ -20,7 +20,7 @@ from encwrithe.algnum import algebraic_value
 from encwrithe.curves import Link, ProjectiveTransform, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link, separated_circles
 from encwrithe import projection, writhe
-from encwrithe.errors import CenterOnCurve, InvalidInput, MissingOrientation
+from encwrithe.errors import CenterOnCurve, InvalidInput, MissingOrientation, ProjectionError
 from encwrithe.projection import (
     CANONICAL_CENTER,
     LocusKind,
@@ -278,10 +278,11 @@ class TestOneAnalysisPerDiagram:
 
     @pytest.fixture
     def analyses(self, monkeypatch):
-        """Every analysis made, as (center, certificate passed); the first
-        `reject` draws are refused before any analysis. The counter replaces
-        the name in both modules that call it: the sampler's draws resolve it
-        in projection, a diagram at a given center resolves it in writhe."""
+        """Every analysis made, as (center, passed); an analysis that raises
+        is a refusal, and the first `reject` draws are refused before any
+        analysis. The counter replaces the name in both modules that call it:
+        the sampler's draws resolve it in projection, a diagram at a given
+        center resolves it in writhe."""
         real = projection.analyze_projection
         record = SimpleNamespace(calls=[], reject=0)
 
@@ -289,8 +290,12 @@ class TestOneAnalysisPerDiagram:
             if len(record.calls) < record.reject:
                 record.calls.append((center, False))
                 raise CenterOnCurve("refused by the test")
-            analysis = real(link, center)
-            record.calls.append((center, analysis.certificate.all_ok))
+            try:
+                analysis = real(link, center)
+            except ProjectionError:
+                record.calls.append((center, False))
+                raise
+            record.calls.append((center, True))
             return analysis
 
         monkeypatch.setattr(projection, "analyze_projection", counted)
@@ -304,7 +309,7 @@ class TestOneAnalysisPerDiagram:
         # which is not analysed again
         passed = [ok for _, ok in analyses.calls]
         assert len(passed) >= 3 and passed[-1] and not any(passed[:-1])
-        assert diagram.center == analyses.calls[-1][0].coords
+        assert diagram.center == analyses.calls[-1][0]
         assert writhe_unoriented(diagram) == -1
 
     def test_verify_runs_analyse_each_accepted_center_once(self, analyses):
