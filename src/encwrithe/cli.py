@@ -13,13 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curves import Link, sample_random_curve
-from .errors import (
-    EncwritheError,
-    InvalidInput,
-    ParseError,
-    SamplingExhausted,
-    ValidationError,
-)
+from .errors import EncwritheError, InvalidInput, SamplingExhausted
 from .fileio import CurveFamily, parse_curve_file, write_link_file
 from .projection import rational_center
 from .rationals import rat_str
@@ -219,9 +213,6 @@ def main(argv=None) -> int:
     except SamplingExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except (ParseError, ValidationError, InvalidInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except EncwritheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,7 +9,8 @@ primitive integer coefficients, which changes nothing projectively.
 Validation certifies the structural invariants exactly: reduced
 parametrization, immersion (including the point at parameter infinity),
 birationality onto the image, and absence of real double points of the
-space curve. Imaginary double points are allowed and reported.
+space curve. The first failed check raises its ValidationError subclass;
+imaginary double points are allowed and counted.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     ReducibleParametrization,
     SamplingExhausted,
     SingularMatrix,
+    ValidationError,
 )
 from .rationals import rat, sign
 from .upoly import UPoly, det_rational, gcd_of_minors, poly_gcd, proportional
@@ -273,6 +275,8 @@ class Link:
         )
 
     def validation(self) -> "LinkValidationReport":
+        """validate_link of this link, memoized: the sampler analyzes one
+        link at many centers."""
         if self._validation is None:
             self._validation = validate_link(self)
         return self._validation
@@ -281,161 +285,117 @@ class Link:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
-class CurveValidationReport:
-    reduced: bool = True
-    reduced_witness: Optional[UPoly] = None
-    immersion: bool = True
-    cusp_witness: Optional[str] = None
-    birational: bool = True
-    no_real_singularities: bool = True
-    singular_witness: Optional[str] = None
-    imaginary_singular_candidates: int = 0
+def validate(curve: RationalSpaceCurve) -> int:
+    """Exact validation of the curve invariants: the first failed check
+    raises its ValidationError subclass; a valid curve returns the number of
+    its imaginary singular candidates, the distinct complex (e, f) roots of
+    its double-point system, none of which is real.
 
-    @property
-    def valid(self) -> bool:
-        return (
-            self.reduced
-            and self.immersion
-            and self.birational
-            and self.no_real_singularities
-        )
-
-    def raise_for_failure(self) -> None:
-        if not self.reduced:
-            raise ReducibleParametrization(
-                f"common factor in the coordinate quadruple: {self.reduced_witness!r}"
-            )
-        if not self.immersion:
-            raise CuspDetected(f"parametrization is not an immersion: {self.cusp_witness}")
-        if not self.birational:
-            raise ReducibleParametrization(
-                "parametrization traverses its image more than once"
-            )
-        if not self.no_real_singularities:
-            raise RealSingularityDetected(
-                f"space curve has a real double point: {self.singular_witness}"
-            )
-
-
-def validate(curve: RationalSpaceCurve) -> CurveValidationReport:
-    """Exact validation of the curve invariants."""
-    report = CurveValidationReport()
-    _check_reduced(curve, report)
-    if not report.reduced:
-        return report
-    _check_immersion(curve, report)
-    _check_space_double_points(curve, report)
-    return report
-
-
-def _check_reduced(curve: RationalSpaceCurve, report: CurveValidationReport) -> None:
+    The checks run in this order: reduced; an immersion at the finite
+    parameters, then at parameter infinity; the (e, f) solve does not
+    degenerate (birational onto the image); no double point through
+    P(infinity); no real (e, f) root, completed or not.
+    """
     g = None
     for p in curve.coords:
         if p.is_zero:
             continue
         g = p if g is None else poly_gcd(g, p)
         if g.degree == 0:
-            return
+            break
     if g is None or g.degree > 0:
-        report.reduced = False
-        report.reduced_witness = g
-
-
-def _check_immersion(curve: RationalSpaceCurve, report: CurveValidationReport) -> None:
+        raise ReducibleParametrization(f"common factor in the coordinate quadruple: {g!r}")
     g = gcd_of_minors(curve.coords, [p.derivative() for p in curve.coords])
     if g is None or g.degree > 0:
-        report.immersion = False
-        report.cusp_witness = f"affine cusp parameters: roots of {g!r}"
-        return
+        raise CuspDetected(
+            f"parametrization is not an immersion: affine cusp parameters: roots of {g!r}"
+        )
     # at parameter infinity the velocity direction is the subleading
     # coefficient vector of the homogenization
     if proportional(curve.leading_vector(), curve.subleading_vector()):
-        report.immersion = False
-        report.cusp_witness = "cusp at parameter infinity"
-
-
-def _check_space_double_points(
-    curve: RationalSpaceCurve, report: CurveValidationReport
-) -> None:
-    system = symmetric_double_point_system(list(curve.coords))
+        raise CuspDetected("parametrization is not an immersion: cusp at parameter infinity")
     try:
-        solution = solve_system(system, strict=False)
+        solution = solve_system(symmetric_double_point_system(list(curve.coords)))
     except DegenerateElimination:
-        report.birational = False
-        return
-    real_count = len(solution.roots)
-    if real_count:
-        root = solution.roots[0]
-        report.no_real_singularities = False
-        report.singular_witness = (
-            f"(e, f) solution with f in {root.survivor.interval()!r}"
-        )
-    report.imaginary_singular_candidates = solution.distinct_count - real_count
+        raise ReducibleParametrization(
+            "parametrization traverses its image more than once"
+        ) from None
     # a double point with one branch at parameter infinity sits at the real
     # point P(infinity), so any coincidence there is a real singularity
     g = gcd_of_minors(curve.coords, curve.leading_vector())
     if g is None or g.degree > 0:
-        report.no_real_singularities = False
-        report.singular_witness = "double point through the point at parameter infinity"
+        raise RealSingularityDetected(
+            "space curve has a real double point: "
+            "double point through the point at parameter infinity"
+        )
+    if solution.roots:
+        raise RealSingularityDetected(
+            "space curve has a real double point: (e, f) solution with f in "
+            f"{solution.roots[0].survivor.interval()!r}"
+        )
+    if solution.undecided is not None:
+        raise RealSingularityDetected(
+            "space curve may have a real double point: (e, f) eliminant root at f in "
+            f"{solution.undecided.interval()!r} could not be completed"
+        )
+    return solution.distinct_count
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkValidationReport:
-    component_reports: list[CurveValidationReport]
-    disjoint: bool = True
-    intersection_witness: Optional[str] = None
+    """The first failure validate_link found, or None and the imaginary
+    singular candidates of all the components."""
+
+    error: Optional[ValidationError]
+    imaginary_singular_candidates: int = 0
 
     @property
     def valid(self) -> bool:
-        return self.disjoint and all(r.valid for r in self.component_reports)
+        return self.error is None
 
     def raise_for_failure(self) -> None:
-        for r in self.component_reports:
-            r.raise_for_failure()
-        if not self.disjoint:
-            raise ComponentsIntersect(self.intersection_witness or "components intersect")
+        if self.error is not None:
+            raise self.error
 
 
 def validate_link(link: Link) -> LinkValidationReport:
-    report = LinkValidationReport([validate(c) for c in link.components])
-    if not all(r.valid for r in report.component_reports):
-        return report
+    """Validate each component, then the disjointness of each pair; the
+    first failure ends the validation and is the report's error."""
     n = link.n_components
-    for i in range(n):
-        for j in range(i + 1, n):
-            witness = _intersection_witness(link.components[i], link.components[j])
-            if witness is not None:
-                report.disjoint = False
-                report.intersection_witness = f"components {i} and {j}: {witness}"
-                return report
-    return report
+    try:
+        candidates = sum(validate(c) for c in link.components)
+        for i in range(n):
+            for j in range(i + 1, n):
+                _check_disjoint(
+                    link.components[i], link.components[j], f"components {i} and {j}"
+                )
+    except ValidationError as error:
+        return LinkValidationReport(error)
+    return LinkValidationReport(None, candidates)
 
 
-def _intersection_witness(
-    a: RationalSpaceCurve, b: RationalSpaceCurve
-) -> Optional[str]:
-    """None iff the complexifications are certifiably disjoint (including the
-    parameter-infinity points); otherwise a description of the failure."""
+def _check_disjoint(a: RationalSpaceCurve, b: RationalSpaceCurve, where: str) -> None:
+    """Raise ComponentsIntersect, its note prefixed by where, unless the
+    complexifications are certifiably disjoint (including the
+    parameter-infinity points)."""
     system = [m for m in cross_double_point_system(list(a.coords), list(b.coords)) if not m.is_zero]
     if not system:
-        return "coincidence system vanishes identically"
+        raise ComponentsIntersect(f"{where}: coincidence system vanishes identically")
     if not any(m.is_constant for m in system):
         if len(system) < 2:
-            return "coincidence system is not zero-dimensional"
+            raise ComponentsIntersect(f"{where}: coincidence system is not zero-dimensional")
         g = pairwise_eliminant(system)
         if g is None:
-            return "all coincidence resultants vanish"
+            raise ComponentsIntersect(f"{where}: all coincidence resultants vanish")
         if g.degree > 0:
-            return f"nonconstant coincidence eliminant {g!r}"
+            raise ComponentsIntersect(f"{where}: nonconstant coincidence eliminant {g!r}")
     # parameter infinity of a against b, and vice versa, and both at infinity
     for lead, other in ((a.leading_vector(), b), (b.leading_vector(), a)):
         g = gcd_of_minors(other.coords, lead)
         if g is None or g.degree > 0:
-            return "coincidence at a parameter-infinity point"
+            raise ComponentsIntersect(f"{where}: coincidence at a parameter-infinity point")
     if proportional(a.leading_vector(), b.leading_vector()):
-        return "both parameter-infinity points coincide"
-    return None
+        raise ComponentsIntersect(f"{where}: both parameter-infinity points coincide")
 
 
 # -- random sampling ------------------------------------------------------------
@@ -468,8 +428,11 @@ def sample_random_curve(
             continue
         if curve.W.is_zero:
             continue
-        if validate(curve).valid:
-            return curve
+        try:
+            validate(curve)
+        except ValidationError:
+            continue
+        return curve
     raise SamplingExhausted(
         f"no valid degree-{degree} curve found in {budget} draws (seed {seed})"
     )

@@ -119,6 +119,9 @@ class SystemSolution:
     roots: list[TriangularRoot]
     gcd_eliminant: UPoly
     squarefree_eliminant: UPoly
+    # the first real eliminant root that no member completed and verified;
+    # the solve stops there, so roots holds only the roots before it
+    undecided: AlgebraicNumber | None = None
 
     @property
     def multiplicity_count(self) -> int:
@@ -186,13 +189,13 @@ def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:
     return _eliminate([p.integer_rows(0)[0] for p in polys])[0]
 
 
-def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
+def solve_system(polys: list[BiPoly]) -> SystemSolution:
     """Solve a zero-dimensional bivariate system for its real points.
 
     Variable 0 is eliminated by resultants; the survivor coordinate of each
-    root is variable 1. With strict=True a real eliminant root that cannot be
-    completed and verified raises DegenerateElimination; otherwise such roots
-    are discarded as extraneous.
+    root is variable 1. The solve stops at the first real eliminant root
+    that cannot be completed and verified and returns it as `undecided`:
+    it is never dropped as extraneous, since a real point may sit there.
     """
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
@@ -226,11 +229,7 @@ def solve_system(polys: list[BiPoly], strict: bool = True) -> SystemSolution:
     for f0 in isolate_real_roots(sf):
         root = _complete_root(f0, nonzero, members, completions, reductions)
         if root is None:
-            if strict:
-                raise DegenerateElimination(
-                    "real eliminant root could not be completed and verified"
-                )
-            continue
+            return SystemSolution(roots, g, sf, f0)
         roots.append(root)
     return SystemSolution(roots, g, sf)
 

@@ -38,6 +38,7 @@ from .elimination import TriangularRoot, solve_system
 from .errors import (
     CenterOnCurve,
     CenterOnSingularLine,
+    DegenerateElimination,
     InvalidInput,
     NonGenericProjection,
     ProjectionError,
@@ -302,7 +303,9 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     for i, j in keys:
         same = i == j
         polys = LocusPolys(nlink.components[i], None if same else nlink.components[j])
-        solution = solve_system(polys.system, strict=True)
+        solution = solve_system(polys.system)
+        if solution.undecided is not None:
+            raise DegenerateElimination("real eliminant root could not be completed and verified")
         expected = polys.expected_count
         if solution.multiplicity_count != expected or not solution.is_simple:
             where = f"component {i}: eliminant" if same else f"components {i},{j}: pair eliminant"
@@ -349,9 +352,7 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     # a center on a real line through conjugate imaginary singular points
     # makes two solitary loci share an image, which the triple-point scan
     # has already looked for
-    if coincident and any(
-        r.imaginary_singular_candidates for r in link.validation().component_reports
-    ):
+    if coincident and link.validation().imaginary_singular_candidates:
         fail(
             CenterOnSingularLine,
             "imaginary space singularities present and solitary images collide",

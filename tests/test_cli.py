@@ -214,11 +214,28 @@ class TestWritheCommand:
         assert capsys.readouterr().out == golden.read_text()
 
 
-# the inputs of tests/golden/failures.json, one curve each
+# the inputs of tests/golden/failures.json, one component per line
 FAILING_CURVES = {
     "trisecant": '{"x": [6, -7, 0, 1], "y": [0, 6, -7, 0, 1], "z": [0, 1], "w": [1, 0, 1]}',
     "w_zero": '{"x": [2, 0, -1], "y": [0, 1, 0, -1], "z": [0, -1], "w": [-1, 0, 1]}',
     "model_tau0": '{"x": [0, 0, -1], "y": [0, 0, 0, -1], "z": [0, -1], "w": [1]}',
+    # the curves of test_curves.TestValidation
+    "nodal_quartic": '{"x": [0, -1, 1, -1, 1], "y": [0, -1, 0, -1, 2], "z": [0, 1, 0, -2, 1], "w": [1]}',
+    "cuspidal": '{"x": [0, 0, 1], "y": [0, 0, 0, 1], "z": [0, 0, 1, 1], "w": [1]}',
+    "reducible": '{"x": [0, 1, 1], "y": [0, 1], "z": [0, 2], "w": [0, 1]}',
+    "coplanar_circles": '{"x": [1, 0, -1], "y": [0, 2], "z": [0], "w": [1, 0, 1]}\n'
+    '{"x": [4, 0, 2], "y": [0, 2], "z": [0], "w": [1, 0, 1]}',
+    "cusp_at_infinity": '{"x": [-2, 0, 3, 2, 2], "y": [-2, 0, 2, 1, 1], "z": [3, 1, 2, 1, 1], "w": [2, 0, -2, 2, 2]}',
+    # real nodes at finite parameters, P(0) = P(1) among them, and one
+    # through P(infinity)
+    "node_and_node_at_infinity": '{"x": [-15, 0, -2, 1, 1], "y": [-3, 2, -2, -1, 1], '
+    '"z": [-25, -3, 0, 2, 1], "w": [39, 5, -3, 1, -3]}',
+    # a cusp at t = 0, which the (e, f) system also sees as the real root (0, 0)
+    "cusp_and_node": '{"x": [0, 0, 1, 0, -1], "y": [0, 0, 0, 1, -1], "z": [0, 0, 1, 1, 0], "w": [1]}',
+    # P(1) = P(2) and P(-1) = P(-2): both nodes have f = st = 2, and no
+    # completion member verifies at f = 2
+    "two_real_nodes": '{"x": [10, -100, -15, 1, 3, 3], "y": [-1, 114, 5, -3, -1, -3], '
+    '"z": [0, -21, 0, 3], "w": [14, 62, -15, 0, 3, -2]}',
 }
 
 
@@ -230,7 +247,12 @@ class TestFailureGoldens:
     ZeroDeterminant; the model cubic at tau = 0 fails the tangency and the
     transversality checks at 0,0,1,0, which pins their priority
     (TangentialPair, both notes), and its eliminant degree at 1,0,0,0
-    (NonGenericProjection)."""
+    (NonGenericProjection). The cases with no center fail validation, which
+    runs before a center is parsed or sampled: each raises the first failed
+    check in validation's order, so the cusp is reported before its real
+    (e, f) root and the node through P(infinity) before the finite ones; the
+    two-node quintic
+    is rejected because a real (e, f) root could not be completed."""
 
     @pytest.mark.parametrize(
         "case",
@@ -240,7 +262,8 @@ class TestFailureGoldens:
     def test_failure_matches_golden(self, capsys, tmp_path, case):
         path = tmp_path / "link.jsonl"
         path.write_text('{"kind": "link"}\n' + FAILING_CURVES[case["input"]] + "\n")
-        code = main(["writhe", str(path), "--center", case["center"]])
+        center = ["--center", case["center"]] if case["center"] else []
+        code = main(["writhe", str(path), *center])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
 

@@ -17,7 +17,14 @@ from encwrithe.curves import (
     validate_link,
 )
 from encwrithe.data import linked_circles, model_curve, separated_circles
-from encwrithe.errors import InvalidInput, SingularMatrix
+from encwrithe.errors import (
+    ComponentsIntersect,
+    CuspDetected,
+    InvalidInput,
+    RealSingularityDetected,
+    ReducibleParametrization,
+    SingularMatrix,
+)
 from encwrithe.upoly import UPoly
 
 MIRROR_Z = ProjectiveTransform.of(
@@ -44,49 +51,62 @@ def proportional(a, b) -> bool:
 
 class TestValidation:
     def test_model_minus_one_valid(self):
-        assert validate(model_curve(-1)).valid
+        assert validate(model_curve(-1)) == 0
 
     @pytest.mark.parametrize("tau", ["-2", "-1", "-1/2", "1/2", "1", "2"])
     def test_model_family_members_valid(self, tau):
-        assert validate(model_curve(Fraction(tau))).valid
+        validate(model_curve(Fraction(tau)))
 
     def test_model_zero_is_a_nonsingular_space_curve(self):
         # the tau = 0 member is a twisted cubic: its *standard projection*
         # is cuspidal, but the space curve itself is an embedded immersion
-        report = validate(model_curve(0))
-        assert report.valid
+        validate(model_curve(0))
 
     def test_line_valid_degree_one(self):
         line = RationalSpaceCurve([0, 1], [0], [0], [1])
         assert line.degree == 1
-        assert validate(line).valid
+        validate(line)
 
     def test_nodal_quartic_rejected(self):
         # P(0) = P(1) = (0, 0, 0): a real double point
         curve = RationalSpaceCurve(
             [0, -1, 1, -1, 1], [0, -1, 0, -1, 2], [0, 1, 0, -2, 1], [1]
         )
-        report = validate(curve)
-        assert not report.valid
-        assert not report.no_real_singularities
+        with pytest.raises(RealSingularityDetected):
+            validate(curve)
 
     def test_cuspidal_parametrization_rejected(self):
         # velocity vanishes at t = 0
         curve = RationalSpaceCurve([0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1], [1])
-        report = validate(curve)
-        assert not report.immersion
+        with pytest.raises(CuspDetected):
+            validate(curve)
 
     def test_reducible_parametrization_rejected(self):
         # common factor t in all four coordinates
         curve = RationalSpaceCurve([0, 1, 1], [0, 1], [0, 2], [0, 1])
-        report = validate(curve)
-        assert not report.reduced
+        with pytest.raises(ReducibleParametrization):
+            validate(curve)
 
     def test_nonbirational_parametrization_rejected(self):
-        # even parametrization traverses the image twice
+        # even parametrization traverses the image twice. By Lueroth's
+        # theorem a parametrization that is not birational factors through
+        # a cover of degree >= 2, here t -> t^2, and the cover's ramification
+        # points are cusps of the curve: the immersion check, which runs
+        # first, rejects it at t = 0. The birational check stays as a guard.
         curve = RationalSpaceCurve([0, 0, 1], [1, 0, 0, 0, 1], [0, 0, 3], [1])
-        report = validate(curve)
-        assert not report.valid
+        with pytest.raises(CuspDetected):
+            validate(curve)
+
+    def test_two_real_nodes_sharing_f_rejected(self):
+        # P(1) = P(2) and P(-1) = P(-2): both nodes have f = st = 2, where no
+        # completion member verifies, so the real eliminant root is undecided
+        curve = RationalSpaceCurve(
+            [10, -100, -15, 1, 3, 3], [-1, 114, 5, -3, -1, -3], [0, -21, 0, 3], [14, 62, -15, 0, 3, -2]
+        )
+        assert curve.evaluate(1) == curve.evaluate(2)
+        assert curve.evaluate(-1) == curve.evaluate(-2)
+        with pytest.raises(RealSingularityDetected, match="may have a real double point"):
+            validate(curve)
 
     def test_zero_quadruple_rejected(self):
         with pytest.raises(InvalidInput):
@@ -101,7 +121,9 @@ class TestValidation:
         a = RationalSpaceCurve([1, 0, -1], [0, 2], [0], [1, 0, 1])
         b = RationalSpaceCurve([4, 0, 2], [0, 2], [0], [1, 0, 1])
         report = validate_link(Link([a, b]))
-        assert not report.disjoint
+        assert isinstance(report.error, ComponentsIntersect)
+        with pytest.raises(ComponentsIntersect):
+            report.raise_for_failure()
 
 
 class TestEvaluation:
@@ -233,7 +255,7 @@ class TestSampling:
     def test_degree_one_is_a_line(self):
         curve = sample_random_curve(1, seed=0)
         assert curve.degree == 1
-        assert validate(curve).valid
+        validate(curve)
 
     def test_deterministic(self):
         a = sample_random_curve(3, seed=42)
@@ -245,4 +267,4 @@ class TestSampling:
         for seed in range(6):
             curve = sample_random_curve(degree, seed=seed)
             assert curve.degree == degree
-            assert validate(curve).valid
+            validate(curve)

@@ -42,7 +42,7 @@ class TestSolveSystem:
             bp({(1, 1): 1, (0, 0): -1}),
             bp({(1, 0): 1, (0, 1): -1}),
         ]
-        solution = solve_system(system, strict=False)
+        solution = solve_system(system)
         assert len(solution.roots) == 1
         assert solution.roots[0].survivor.exact_value == 1
 

@@ -8,12 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 import sympy
 
 import encwrithe
-from encwrithe import algnum, curves, errors, projection, svg, upoly, writhe
+from encwrithe import algnum, curves, elimination, errors, projection, svg, upoly, writhe
 from encwrithe.bipoly import BiPoly, resultant_bivariate
 from encwrithe.curves import ProjectiveTransform
+from encwrithe.data import model_curve
 
 PACKAGE = Path(encwrithe.__file__).parent
 
@@ -210,6 +212,13 @@ def test_deleted_names_stay_gone():
     gone[projection] += ("GenericityCertificate", "genericity_check", "ProjectionCenter", "_singular_line_flag")
     gone[writhe] += ("Diagram",)
     gone[encwrithe] = ("GenericityCertificate", "genericity_check", "first_failure_error", "Diagram", "ProjectionCenter")
+    # a failed validation has one channel too, the typed error of its first
+    # failed check; a real eliminant root that no member completes is the
+    # solution's undecided root, never dropped by a knob
+    gone[curves] += ("CurveValidationReport",)
+    gone[encwrithe] += ("CurveValidationReport",)
+    assert list(inspect.signature(elimination.solve_system).parameters) == ["polys"]
+    assert tuple(curves.LinkValidationReport.__dataclass_fields__) == ("error", "imaginary_singular_candidates")
     assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []
     fields = projection.ProjectionAnalysis.__dataclass_fields__
     assert [name for name in ("transform", "certificate", "component_solutions") if name in fields] == []
@@ -221,8 +230,18 @@ def test_deleted_names_stay_gone():
 def test_one_failure_channel():
     # the genericity failures are raised in projection only, as the gravest
     # of the failures one analysis noted, and the sampler rejects a draw by
-    # the one ProjectionError it catches
-    for error in (errors.TangentialPair, errors.TriplePoint, errors.CenterOnSingularLine):
+    # the one ProjectionError it catches; the validation failures are raised
+    # in curves only, each by the check that finds it
+    owners = {
+        errors.TangentialPair: "encwrithe.projection",
+        errors.TriplePoint: "encwrithe.projection",
+        errors.CenterOnSingularLine: "encwrithe.projection",
+        errors.ReducibleParametrization: "encwrithe.curves",
+        errors.CuspDetected: "encwrithe.curves",
+        errors.RealSingularityDetected: "encwrithe.curves",
+        errors.ComponentsIntersect: "encwrithe.curves",
+    }
+    for error, owner in owners.items():
         users = {
             m.__name__
             for m in _package_modules()
@@ -230,10 +249,30 @@ def test_one_failure_channel():
             for node in ast.walk(ast.parse(inspect.getsource(m)))
             if isinstance(node, ast.Name) and node.id == error.__name__
         }
-        assert users == {"encwrithe.projection"}, error
+        assert users == {owner}, error
     sampler = ast.parse(inspect.getsource(projection.sample_generic_center))
     handlers = [node for node in ast.walk(sampler) if isinstance(node, ast.ExceptHandler)]
     assert [handler.type.id for handler in handlers] == ["ProjectionError"]
+
+
+def test_validation_stops_at_the_first_failure(monkeypatch):
+    # a cusped curve is rejected before its (e, f) system is solved, and a
+    # link whose component 0 is cusped never validates component 1
+    solves = []
+    real_solve = elimination.solve_system
+
+    def spy(polys, *args, **kwargs):
+        solves.append(polys)
+        return real_solve(polys, *args, **kwargs)
+
+    monkeypatch.setattr(curves, "solve_system", spy)
+    cusped = curves.RationalSpaceCurve([0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1], [1])
+    report = curves.validate_link(curves.Link([cusped, model_curve(-1)]))
+    assert solves == []
+    assert isinstance(report.error, errors.CuspDetected)
+    with pytest.raises(errors.CuspDetected):
+        curves.validate(cusped)
+    assert solves == []
 
 
 def _calls(tree: ast.AST, scope: str = ""):

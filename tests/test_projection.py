@@ -261,7 +261,7 @@ class TestInterComponent:
             projected_triple(nlink.components[0]),
             projected_triple(nlink.components[1]),
         )
-        solution = solve_system(system, strict=True)
+        solution = solve_system(system)
         assert solution.multiplicity_count == 4
 
 
@@ -336,7 +336,7 @@ class TestSpecOpWrappers:
         from encwrithe.writhe import LocusPolys
 
         polys = LocusPolys(model_curve(-1))
-        solution = solve_system(polys.system, strict=True)
+        solution = solve_system(polys.system)
         assert solution.multiplicity_count == polys.expected_count == 1
         assert len(solution.roots) == 1
 

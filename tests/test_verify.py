@@ -100,3 +100,13 @@ class TestFamilyScans:
         scan = scan_family(constant, [Fraction(-1), Fraction(0), Fraction(1)])
         assert {m.writhe for m in scan.members} == {-1}
         assert scan.constant_between_walls()
+
+    def test_undecided_real_root_is_a_singular_member(self):
+        # P(1) = P(2) and P(-1) = P(-2): validation cannot complete the real
+        # eliminant root f = 2, so the member is singular, not a projection
+        # failure at the fixed center
+        two_nodes = RationalSpaceCurve(
+            [10, -100, -15, 1, 3, 3], [-1, 114, 5, -3, -1, -3], [0, -21, 0, 3], [14, 62, -15, 0, 3, -2]
+        )
+        scan = scan_family(lambda _tau: Link([two_nodes]), [Fraction(0)])
+        assert [m.status for m in scan.members] == ["singular-curve"]
