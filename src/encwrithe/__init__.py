@@ -63,13 +63,11 @@ from .verify import (
 )
 from .writhe import (
     LocusPolys,
-    WritheReport,
     build_diagram,
     crossing_sign_raw,
     linking_matrix,
     solitary_sign_raw,
     writhe_oriented,
-    writhe_report,
     writhe_unoriented,
 )
 

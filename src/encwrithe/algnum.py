@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput
-from .rationals import Interval, rat, sign
+from .rationals import Interval, rat, rat_str, sign
 from .upoly import (
     UPoly,
     _pdivmod,
@@ -101,8 +101,8 @@ class AlgebraicNumber:
 
     def __repr__(self) -> str:
         if self.is_exact:
-            return f"AlgebraicNumber({self.lo})"
-        return f"AlgebraicNumber(deg {self.defining.degree} in [{self.lo}, {self.hi}])"
+            return f"AlgebraicNumber({rat_str(self.lo)})"
+        return f"AlgebraicNumber(deg {self.defining.degree} in {self.interval()!r})"
 
     # -- refinement --------------------------------------------------------
 

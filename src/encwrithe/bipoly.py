@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import rat
+from .rationals import rat, rat_str
 from .upoly import UPoly, _cleared, _lowest_terms, _subresultants
 
 
@@ -115,7 +115,7 @@ class BiPoly:
         if not self.ints:
             return "BiPoly(0)"
         parts = [
-            f"{c}*s^{i}t^{j}"
+            f"{rat_str(c)}*s^{i}t^{j}"
             for (i, j), c in sorted(self.terms.items())
         ]
         return "BiPoly(" + " + ".join(parts) + ")"

@@ -9,20 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from .curves import Link, sample_random_curve
 from .errors import EncwritheError, InvalidInput, SamplingExhausted
 from .fileio import CurveFamily, parse_curve_file, write_link_file
-from .projection import rational_center
+from .projection import LocusKind, rational_center
 from .rationals import rat_str
 from .verify import (
     scan_family,
     verify_center_independence,
     verify_isotopy_invariance,
 )
-from .writhe import build_diagram, writhe_report
+from .writhe import build_diagram, linking_matrix, writhe_oriented, writhe_unoriented
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -62,41 +63,46 @@ def cmd_writhe(args) -> int:
         scan = scan_family(parsed.instantiate, parsed.grid, center=center)
         print(f"family scan over {parsed.parameter} ({len(scan.members)} members):")
         for member in scan.members:
+            tau = rat_str(member.tau)
             if member.singular:
-                print(f"  {parsed.parameter} = {member.tau}: {member.status} ({member.note})")
+                print(f"  {parsed.parameter} = {tau}: {member.status} ({member.note})")
             else:
-                print(f"  {parsed.parameter} = {member.tau}: Cw = {member.writhe}")
+                print(f"  {parsed.parameter} = {tau}: Cw = {member.writhe}")
         if args.json:
             payload = {"members": _member_entries(scan)}
             Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
         return EXIT_OK
     parsed.validation().raise_for_failure()
     center = _parse_center(args.center) if args.center else None
-    result = writhe_report(parsed, center=center, seed=args.seed)
-    print(f"Cw = {result.unoriented}")
-    if result.oriented is not None:
-        print(f"Cw (oriented) = {result.oriented}")
-        n = len(result.linking)
-        for i in range(n):
-            for j in range(i + 1, n):
-                print(f"lk[{i}][{j}] = {result.linking[i][j]}")
-    print(f"center: ({', '.join(rat_str(Fraction(c)) for c in result.center)})")
-    crossings = sum(1 for desc, _ in result.loci if "crossing" in desc)
-    solitaries = sum(1 for desc, _ in result.loci if "solitary" in desc)
-    print(f"double points: {crossings} crossing(s), {solitaries} solitary")
-    for desc, sign in result.loci:
-        print(f"  [{sign:+d}] {desc}")
-    print(f"complex double points per component: {result.counts}")
+    diagram = build_diagram(parsed, center, seed=args.seed)
+    unoriented = writhe_unoriented(diagram)
+    oriented = linking = None
+    print(f"Cw = {unoriented}")
+    if parsed.orientations is not None:
+        oriented = writhe_oriented(diagram)
+        linking = linking_matrix(diagram)
+        print(f"Cw (oriented) = {oriented}")
+        for i, row in enumerate(linking):
+            for j in range(i + 1, len(row)):
+                print(f"lk[{i}][{j}] = {rat_str(row[j])}")
+    print(f"center: ({', '.join(rat_str(c) for c in diagram.center)})")
+    kinds = Counter(locus.kind for locus in diagram.loci)
+    print(
+        f"double points: {kinds[LocusKind.CROSSING]} crossing(s), "
+        f"{kinds[LocusKind.SOLITARY]} solitary"
+    )
+    for locus in diagram.loci:
+        print(f"  [{locus.raw_sign:+d}] {locus.describe()}")
+    counts = diagram.complex_double_point_counts
+    print(f"complex double points per component: {counts}")
     if args.json:
         payload = {
-            "unoriented": result.unoriented,
-            "oriented": result.oriented,
-            "linking": [[rat_str(v) for v in row] for row in result.linking]
-            if result.linking
-            else None,
-            "center": [rat_str(Fraction(c)) for c in result.center],
-            "loci": [{"description": d, "sign": s} for d, s in result.loci],
-            "complex_counts": result.counts,
+            "unoriented": unoriented,
+            "oriented": oriented,
+            "linking": [[rat_str(v) for v in row] for row in linking] if linking else None,
+            "center": [rat_str(c) for c in diagram.center],
+            "loci": [{"description": l.describe(), "sign": l.raw_sign} for l in diagram.loci],
+            "complex_counts": counts,
         }
         Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
     return EXIT_OK
@@ -111,11 +117,11 @@ def cmd_verify(args) -> int:
         print(f"family scan over {parsed.parameter}:")
         for member in scan.members:
             status = member.status if member.singular else f"Cw = {member.writhe}"
-            print(f"  {parsed.parameter} = {member.tau}: {status}")
+            print(f"  {parsed.parameter} = {rat_str(member.tau)}: {status}")
         constant = scan.constant_between_walls()
         print(f"constant between walls: {'pass' if constant else 'FAIL'}")
         for a, b, jump in scan.wall_jumps():
-            print(f"wall between {a} and {b}: jump {jump:+d}")
+            print(f"wall between {rat_str(a)} and {rat_str(b)}: jump {jump:+d}")
         payload = {
             "members": _member_entries(scan),
             "constant_between_walls": constant,
@@ -213,7 +219,9 @@ def main(argv=None) -> int:
     except SamplingExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except EncwritheError as exc:
+    except (EncwritheError, OSError) as exc:
+        # an OSError here is an output path that cannot be written; a file
+        # that cannot be read is already a ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -121,9 +121,6 @@ class RationalSpaceCurve:
         """Change the parameter; the curve in projective space is unchanged."""
         return moebius.apply(self)
 
-    def transformed(self, transform: "ProjectiveTransform") -> "RationalSpaceCurve":
-        return transform.apply(self)
-
 
 def _common_integer_scaling(coords: list[UPoly]) -> list[UPoly]:
     """coords times the one positive rational that makes them integer

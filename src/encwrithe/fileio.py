@@ -23,15 +23,11 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .curves import Link, RationalSpaceCurve
-from .errors import InputTooLarge, InvalidInput, ParseError
-from .rationals import rat, rat_str
+from .errors import InvalidInput, ParseError
+from .rationals import check_power, rat, rat_str
 from .upoly import UPoly
 
 _COORD_KEYS = ("x", "y", "z", "w")
-
-# a power in a coefficient expression whose value would need more bits than
-# this is refused before it is computed
-_POWER_BIT_BUDGET = 4096
 
 
 @dataclass
@@ -42,7 +38,6 @@ class CurveFamily:
     grid: list[Fraction]
     instantiate: Callable[[Fraction], Link]
     center: Optional[tuple] = None
-    orientations: Optional[tuple] = None
 
 
 # a coefficient as parsed: a rational, or the evaluator of an expression in
@@ -104,12 +99,8 @@ def _compile_coeff_expr(text: str, parameter: str, where: str) -> Callable[[Frac
         exp = right
         if exp.denominator != 1 or exp < 0:
             raise ParseError(f"bad exponent in {text!r}")
-        # |left| ** exp has at least exp * (bit length - 1) bits
         base_bits = max(abs(left.numerator).bit_length(), left.denominator.bit_length())
-        if exp * (base_bits - 1) > _POWER_BIT_BUDGET:
-            raise InputTooLarge(
-                f"{text!r} exceeds the {_POWER_BIT_BUDGET}-bit budget for a power"
-            )
+        check_power(base_bits, int(exp), text)
         return left ** int(exp)
 
     return lambda value: walk(tree.body, value)
@@ -123,8 +114,8 @@ def _parse_coefficient(entry, parameter: Optional[str], where: str) -> Coefficie
     if isinstance(entry, str):
         text = entry.strip()
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            return rat(text)
+        except InvalidInput:
             pass
         if parameter is None:
             raise ParseError(f"{where}: non-rational coefficient {entry!r} outside a family")
@@ -182,7 +173,7 @@ def parse_curve_file(path) -> Link | CurveFamily:
             continue
         try:
             records.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     if not records:
         raise ParseError(f"{path}: empty file")
@@ -196,16 +187,15 @@ def parse_curve_file(path) -> Link | CurveFamily:
     if orientations is not None:
         if not isinstance(orientations, list) or any(o not in (1, -1) for o in orientations):
             raise ParseError(f"{path}: orientations must be a list of +1/-1")
+        if len(orientations) != len(body):
+            raise ParseError(f"{path}: one orientation flag per component required")
         orientations = tuple(orientations)
 
     if header["kind"] == "link":
         components = [
             _component(_parse_record(rec, idx), idx) for idx, (_, rec) in enumerate(body)
         ]
-        try:
-            return Link(components, orientations)
-        except InvalidInput as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        return Link(components, orientations)
 
     if header["kind"] == "family":
         parameter = header.get("parameter")
@@ -246,7 +236,6 @@ def parse_curve_file(path) -> Link | CurveFamily:
             grid=grid,
             instantiate=instantiate,
             center=center,
-            orientations=orientations,
         )
 
     raise ParseError(f"{path}: unknown kind {header['kind']!r}")

@@ -9,39 +9,71 @@ equality decisions are always made symbolically upstream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
-from .errors import InvalidInput
+from .errors import InputTooLarge, InvalidInput
 
-Rat = Union[int, Fraction]
+# a power in an input whose value would need more bits than this is refused
+# before it is formed: a power in a family coefficient expression, or the
+# power of ten of a decimal exponent such as "1e5"
+POWER_BIT_BUDGET = 4096
+
+# the exponent of a decimal such as "-1.5e3"
+_DECIMAL_EXPONENT = re.compile(r"[-+]?[0-9_.]+[eE][-+]?([0-9_]+)$")
+
+
+def check_power(base_bits: int, exp: int, text: str) -> None:
+    """Refuse `text` if a power `exp` of a base of `base_bits` bits is past
+    the budget; that power has at least exp * (base_bits - 1) bits."""
+    if exp * (base_bits - 1) > POWER_BIT_BUDGET:
+        raise InputTooLarge(f"{text!r} exceeds the {POWER_BIT_BUDGET}-bit budget for a power")
 
 
 def rat(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction.
 
     Anything else, a malformed string or a zero denominator included,
-    raises InvalidInput.
+    raises InvalidInput; a decimal exponent past the power budget raises
+    InputTooLarge.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _DECIMAL_EXPONENT.match(text)
+        if exponent:
+            # the power of ten, a 4-bit base; an exponent with more digits
+            # than the budget is past it and is not read
+            digits = exponent[1].replace("_", "").lstrip("0")
+            too_long = len(digits) > len(str(POWER_BIT_BUDGET))
+            check_power(4, POWER_BIT_BUDGET if too_long else int(digits or 0), value)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
     raise InvalidInput(f"not an exact rational: {value!r}")
+
+
+def int_str(n: int) -> str:
+    """The decimal digits of n, also past the interpreter's limit on
+    int-to-str conversion, which bounds only the reading of input."""
+    try:
+        return str(n)
+    except ValueError:
+        return format(Decimal(n), "f")
 
 
 def rat_str(value: Fraction) -> str:
     """Serialize a Fraction losslessly ('p/q' or plain integer)."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_str(value.numerator)
+    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
 
 
 def sign(value: Fraction | int) -> int:
@@ -57,7 +89,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise InvalidInput(f"empty interval [{self.lo}, {self.hi}]")
+            raise InvalidInput(f"empty interval {self!r}")
 
     @staticmethod
     def point(x) -> "Interval":
@@ -109,7 +141,7 @@ class Interval:
         return 0
 
     def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
 
 def _as_interval(value) -> Interval:

@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput
-from .rationals import Interval, rat, sign
+from .rationals import Interval, rat, rat_str, sign
 
 
 class UPoly:
@@ -144,7 +144,7 @@ class UPoly:
         terms = []
         for k, c in enumerate(self.coeffs):
             if c:
-                terms.append(f"{c}*x^{k}" if k else f"{c}")
+                terms.append(f"{rat_str(c)}*x^{k}" if k else rat_str(c))
         return "UPoly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ---------------------------------------------------
@@ -626,10 +626,10 @@ def _subresultants(
     all integer coefficients) stay below |p|_1^deg q * |q|_1^deg p; with k two
     bits past that bound the signed base-2^k digits of such a value are its
     coefficients (_unpack), and a packed value is zero exactly when its
-    polynomial is. So degrees are tested on the divided members only, never
-    on an undivided pseudo-remainder, whose coefficients may exceed the
-    bound, and only the resultant and S1 are read back. An exact division
-    that leaves an integer remainder raises InvalidInput.
+    polynomial is. An undivided pseudo-remainder may exceed the bound, but
+    evaluation at 2^k is a ring map, so its packed zeros are those of the
+    divided member. Only the resultant and S1 are read back. An exact
+    division that leaves an integer remainder raises InvalidInput.
 
     Res(p, q) has the Sylvester sign: it is lc(p)^deg q times the product of q
     over the roots of p, and an input constant in x gives its power. S1 is the
@@ -663,17 +663,13 @@ def _subresultants(
         delta = da - db
         if da % 2 and db % 2:
             sgn = -sgn
-        # r = lc(b)^(delta+1) * a mod b, one step per degree of the quotient
-        lead = b[-1]
-        r = list(a)
-        for j in range(delta, -1, -1):
-            top = r.pop()
-            r = [lead * c for c in r]
-            if top:
-                for i in range(db):
-                    r[j + i] -= top * b[i]
+        # _pdivmod gives |lc b|^(delta+1) * a mod b; the chain divides
+        # lc(b)^(delta+1) * a mod b by g*h^delta, so a negative lc b with
+        # delta even negates the divisor instead
         div = g * h**delta
-        r = xnorm([_exact_quotient(c, div) for c in r])
+        if b[-1] < 0 and delta % 2 == 0:
+            div = -div
+        r = [_exact_quotient(c, div) for c in _pdivmod(a, b)[1]]
         if not r:
             return [], _read_member(s1, k)
         a, b = b, r

@@ -51,7 +51,6 @@ record, which every locus of that component or pair carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -260,41 +259,3 @@ def linking_matrix(diagram: ProjectionAnalysis) -> list[list[Fraction]]:
         matrix[locus.comp_i][locus.comp_j] += value
         matrix[locus.comp_j][locus.comp_i] += value
     return matrix
-
-
-@dataclass
-class WritheReport:
-    """Headline numbers of one diagram plus the per-locus breakdown."""
-
-    unoriented: int
-    oriented: Optional[int]
-    linking: Optional[list[list[Fraction]]]
-    center: tuple
-    loci: list[tuple[str, int]]
-    counts: list[int]
-
-    def linking_total(self) -> Optional[Fraction]:
-        if self.linking is None:
-            return None
-        n = len(self.linking)
-        return sum(
-            (self.linking[i][j] for i in range(n) for j in range(i + 1, n)),
-            Fraction(0),
-        )
-
-
-def writhe_report(link: Link, center=None, seed: int = 0) -> WritheReport:
-    diagram = build_diagram(link, center=center, seed=seed)
-    oriented = None
-    linking = None
-    if link.orientations is not None:
-        oriented = writhe_oriented(diagram)
-        linking = linking_matrix(diagram)
-    return WritheReport(
-        unoriented=writhe_unoriented(diagram),
-        oriented=oriented,
-        linking=linking,
-        center=diagram.center,
-        loci=[(l.describe(), l.raw_sign) for l in diagram.loci],
-        counts=diagram.complex_double_point_counts,
-    )

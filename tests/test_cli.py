@@ -213,6 +213,30 @@ class TestWritheCommand:
         golden = GOLDEN / f"{Path(path).stem}_seed{seed}.txt"
         assert capsys.readouterr().out == golden.read_text()
 
+    @pytest.mark.parametrize(
+        "path, flags, golden",
+        [
+            (CORPUS / "links/link33_neg.jsonl", ["--seed", "0"], "link33_neg_seed0.json"),
+            (CORPUS / "knots/d5a_pos.jsonl", ["--seed", "3"], "d5a_pos_seed3.json"),
+            (
+                CORPUS / "links/circles_chain_neg.jsonl",
+                ["--seed", "3"],
+                "circles_chain_neg_seed3.json",
+            ),
+            (CORPUS / "knots/d3d_pos.jsonl", ["--seed", "3"], "d3d_pos_seed3.json"),
+            (CORPUS / "links/link33_base.jsonl", ["--seed", "3"], "link33_base_seed3.json"),
+            (MODEL_CROSSING_PATH, ["--center", "0,0,1,0"], "model_crossing_center0010.json"),
+            (LINKED_CIRCLES_PATH, ["--seed", "3"], "linked_circles_seed3.json"),
+        ],
+    )
+    def test_json_matches_golden(self, capsys, tmp_path, path, flags, golden):
+        # the whole --json report, byte for byte: oriented writhe, linking
+        # matrix, center, every locus description and sign, complex counts
+        report = tmp_path / "report.json"
+        assert main(["writhe", str(path), *flags, "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+
 
 # the inputs of tests/golden/failures.json, one component per line
 FAILING_CURVES = {
@@ -614,6 +638,82 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["writhe", "/nonexistent/file.jsonl"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["writhe", str(MODEL_CROSSING_PATH), "--center", "0,0,1,0", "--json", "{missing}"],
+            ["verify", str(MODEL_CROSSING_PATH), "--centers", "1", "--isotopies", "1",
+             "--json", "{missing}"],
+            ["diagram", str(MODEL_CROSSING_PATH), "--center", "0,0,1,0", "--out", "{missing}"],
+            ["sample", "--degree", "3", "--out", "{existing}"],
+        ],
+    )
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, argv):
+        # exit 1 means a failed verification; an output path that cannot be
+        # written is exit 2 with one error line, like an unreadable input
+        existing = tmp_path / "file"
+        existing.write_text("")
+        paths = {"missing": tmp_path / "no" / "such" / "dir" / "out", "existing": existing}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["link", "family"])
+    @pytest.mark.parametrize("command", ["writhe", "verify"])
+    def test_orientation_count_checked_at_parse(self, capsys, tmp_path, kind, command):
+        # one flag for two components: a family used to accept the header
+        # and report every member singular
+        family = ', "parameter": "tau", "grid": ["1", "2"]' if kind == "family" else ""
+        path = tmp_path / "flags.jsonl"
+        path.write_text(
+            f'{{"kind": "{kind}"{family}, "orientations": [1]}}\n'
+            + (LINKED_CIRCLES_PATH.read_text().splitlines(keepends=True)[1] * 2)
+        )
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: one orientation flag per component required\n"
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "digits.jsonl"
+        path.write_text(
+            '{"kind": "link"}\n'
+            f'{{"x": [{"1" * 4400}, 0, -1], "y": [0, 1, 0, -1], "z": [0, -1], "w": [1]}}\n'
+        )
+        code = main(["writhe", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}:2: invalid JSON: ")
+
+    @pytest.mark.parametrize("where", ["coefficient", "grid", "header center", "--center"])
+    def test_decimal_exponent_past_the_budget(self, capsys, tmp_path, where):
+        # Fraction("1e10000000") would form 10**10000000; the exponent is
+        # refused before the power is formed, on every route a rational
+        # string takes
+        huge = "1e10000000"
+        coeff, grid, center, argv = '"-tau"', '"1"', "", []
+        if where == "coefficient":
+            coeff = f'"{huge}"'
+        elif where == "grid":
+            grid = f'"{huge}"'
+        elif where == "header center":
+            center = f', "center": ["0", "0", "{huge}", "0"]'
+        path = tmp_path / "exponent.jsonl"
+        path.write_text(
+            f'{{"kind": "family", "parameter": "tau", "grid": [{grid}]{center}}}\n'
+            f'{{"x": [{coeff}, 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}}\n'
+        )
+        if where == "--center":
+            path, argv = MODEL_CROSSING_PATH, ["--center", f"0,0,{huge},0"]
+        start = time.process_time()
+        code = main(["writhe", str(path), *argv])
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: '{huge}' exceeds the 4096-bit budget for a power\n"
+
 
 class TestHostileCoefficients:
     """Coefficients of 10^60 and denominators of 7^20 change no answer.
@@ -668,6 +768,18 @@ class TestHostileCoefficients:
             out = self.writhe_stdout(capsys, path)
             assert time.perf_counter() - start < self.BOUND_S
             assert self.kinds_and_signs(out) == self.kinds_and_signs(base)
+
+
+    def test_answer_with_more_digits_than_the_str_limit_prints(self, capsys, tmp_path):
+        # with 3000-bit coefficients the printed e interval of the solitary
+        # point has endpoints of more than 4300 digits, past the limit of
+        # str(int); the answer is certified and must print
+        path = tmp_path / "wide.jsonl"
+        write_link_file(Link([sample_random_curve(3, seed=1, coefficient_bound=2**3000)]), path)
+        assert main(["writhe", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Cw = -1\n")
+        assert max(len(line) for line in out.splitlines()) > 4300
 
 
 class TestRoundTrip:

@@ -12,7 +12,18 @@ import pytest
 import sympy
 
 import encwrithe
-from encwrithe import algnum, curves, elimination, errors, projection, svg, upoly, writhe
+from encwrithe import (
+    algnum,
+    curves,
+    elimination,
+    errors,
+    fileio,
+    projection,
+    rationals,
+    svg,
+    upoly,
+    writhe,
+)
 from encwrithe.bipoly import BiPoly, resultant_bivariate
 from encwrithe.curves import ProjectiveTransform
 from encwrithe.data import model_curve
@@ -158,9 +169,10 @@ def _loops_calling(tree: ast.AST, callee: str, prefix: str = "") -> set[str]:
 
 def test_one_remainder_sequence():
     # gcds, Sturm chains and the modular inverse read the one primitive
-    # pseudo-remainder sequence upoly._prs. The only other loop that divides
-    # by _pdivmod is the reduction at a root, whose divisor is one fixed
-    # modulus; the subresultant chain over Z[y][x] keeps its own remainder
+    # pseudo-remainder sequence upoly._prs. The other loops that divide by
+    # _pdivmod are the reduction at a root, whose divisor is one fixed
+    # modulus, and the subresultant chain over Z[y][x], which takes each
+    # remainder from it on packed integers: no loop keeps its own remainder
     readers = (upoly._igcd_poly, upoly.sturm_chain, upoly.quotient_mod)
     for reader in readers:
         tree = ast.parse(inspect.getsource(reader))
@@ -170,7 +182,11 @@ def test_one_remainder_sequence():
         for m in _package_modules()
         for name in _loops_calling(ast.parse(inspect.getsource(m)), "_pdivmod")
     }
-    assert looping == {"encwrithe.upoly._prs", "encwrithe.elimination.TriangularRoot.substitute"}
+    assert looping == {
+        "encwrithe.upoly._prs",
+        "encwrithe.upoly._subresultants",
+        "encwrithe.elimination.TriangularRoot.substitute",
+    }
 
 
 def test_sturm_counts_take_finite_bounds():
@@ -217,6 +233,13 @@ def test_deleted_names_stay_gone():
     # solution's undecided root, never dropped by a knob
     gone[curves] += ("CurveValidationReport",)
     gone[encwrithe] += ("CurveValidationReport",)
+    # the certified diagram is the one report: the CLI prints from it, and
+    # names with no reader in the program go
+    gone[writhe] += ("WritheReport", "writhe_report", "linking_total")
+    gone[encwrithe] += ("WritheReport", "writhe_report", "linking_total")
+    gone[curves.RationalSpaceCurve] = ("transformed",)
+    gone[rationals] = ("Rat",)
+    gone[fileio.CurveFamily] = ("orientations",)
     assert list(inspect.signature(elimination.solve_system).parameters) == ["polys"]
     assert tuple(curves.LinkValidationReport.__dataclass_fields__) == ("error", "imaginary_singular_candidates")
     assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []

@@ -35,7 +35,6 @@ from encwrithe.writhe import (
     linking_matrix,
     solitary_sign_raw,
     writhe_oriented,
-    writhe_report,
     writhe_unoriented,
 )
 
@@ -260,16 +259,22 @@ class TestOrientedWrithe:
 
 
 class TestReport:
+    """The certified diagram is the report: Cw, the oriented writhe and the
+    linking matrix are read from it."""
+
     def test_report_fields(self):
-        report = writhe_report(linked_circles(), seed=3)
-        assert report.unoriented == report.oriented - 2 * report.linking_total()
-        assert len(report.loci) >= 1
-        assert report.counts == [0, 0]
+        diagram = build_diagram(linked_circles(), seed=3)
+        lk = linking_matrix(diagram)
+        n = len(lk)
+        total = sum(lk[i][j] for i in range(n) for j in range(i + 1, n))
+        assert writhe_unoriented(diagram) == writhe_oriented(diagram) - 2 * total
+        assert len(diagram.loci) >= 1
+        assert diagram.complex_double_point_counts == [0, 0]
 
     def test_two_unlinked_conics_writhe_zero(self):
-        report = writhe_report(separated_circles(), seed=1)
-        assert report.unoriented == 0
-        assert report.oriented == 0
+        diagram = build_diagram(separated_circles(), seed=1)
+        assert writhe_unoriented(diagram) == 0
+        assert writhe_oriented(diagram) == 0
 
 
 class TestOneAnalysisPerDiagram:
