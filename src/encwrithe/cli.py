@@ -173,6 +173,17 @@ def cmd_diagram(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A non-negative integer: the --centers, --isotopies and --count type."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="encwrithe",
@@ -189,15 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run invariance verifications")
     p.add_argument("file")
-    p.add_argument("--centers", type=int, default=20, metavar="N")
-    p.add_argument("--isotopies", type=int, default=20, metavar="M")
+    p.add_argument("--centers", type=_count, default=20, metavar="N")
+    p.add_argument("--isotopies", type=_count, default=20, metavar="M")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--json", help="also write a machine-readable report here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="write random validated curve files")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_sample)
@@ -211,9 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args only reads the parser and returns a fresh
+# Namespace, so main may be called any number of times
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SamplingExhausted as exc:

@@ -129,6 +129,8 @@ def _parse_record(
     record: dict, index: int, parameter: Optional[str] = None
 ) -> list[list[Coefficient]]:
     """The x, y, z, w coefficient lists of one component record."""
+    if not isinstance(record, dict):
+        raise ParseError(f"component {index}: must be a JSON object")
     coords = []
     for key in _COORD_KEYS:
         if key not in record:
@@ -162,9 +164,9 @@ def _component(coords: list[list[Fraction]], index: int) -> RationalSpaceCurve:
 def parse_curve_file(path) -> Link | CurveFamily:
     """Parse a link or family file; validation is left to the caller."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+    try:  # JSON text is UTF-8, whatever the locale
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     records = []
     for lineno, line in enumerate(lines, 1):
@@ -173,7 +175,9 @@ def parse_curve_file(path) -> Link | CurveFamily:
             continue
         try:
             records.append((lineno, json.loads(line)))
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer past the digit limit, or nesting
+            # past the recursion limit
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     if not records:
         raise ParseError(f"{path}: empty file")
@@ -185,7 +189,9 @@ def parse_curve_file(path) -> Link | CurveFamily:
         raise ParseError(f"{path}: no components")
     orientations = header.get("orientations")
     if orientations is not None:
-        if not isinstance(orientations, list) or any(o not in (1, -1) for o in orientations):
+        if not isinstance(orientations, list) or any(
+            type(o) is not int or o not in (1, -1) for o in orientations  # no bool, no float
+        ):
             raise ParseError(f"{path}: orientations must be a list of +1/-1")
         if len(orientations) != len(body):
             raise ParseError(f"{path}: one orientation flag per component required")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, determinism, SVG output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import encwrithe
 from encwrithe import elimination, projection, svg, verify, writhe
 from encwrithe.algnum import algebraic_value
 from encwrithe.bipoly import BiPoly
-from encwrithe.cli import main
+from encwrithe.cli import PARSER, main
 from encwrithe.curves import Link, sample_random_curve
 from encwrithe.data import (
     LINKED_CIRCLES_PATH,
@@ -676,6 +677,70 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: {path}: one orientation flag per component required\n"
 
+    @pytest.mark.parametrize("flag", ["true", "1.0"])
+    @pytest.mark.parametrize("kind", ["link", "family"])
+    def test_non_integer_orientation_flag_rejected(self, capsys, tmp_path, kind, flag):
+        # `True in (1, -1)` and `1.0 in (1, -1)` hold, so such a flag used to
+        # pass as +1; a boolean or float coefficient is refused too
+        family = ', "parameter": "tau", "grid": ["1", "2"]' if kind == "family" else ""
+        path = tmp_path / "flags.jsonl"
+        path.write_text(
+            f'{{"kind": "{kind}"{family}, "orientations": [{flag}]}}\n'
+            + LINKED_CIRCLES_PATH.read_text().splitlines(keepends=True)[1]
+        )
+        code = main(["writhe", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: orientations must be a list of +1/-1\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"kind": "link"}\n5\n', "component 0: must be a JSON object\n"),
+            (
+                b'{"kind": "link"}\n' + b"[" * 200_000 + b"\n",
+                "{path}:2: invalid JSON: maximum recursion depth exceeded",
+            ),
+            (b"\xff\xfe\x00", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["scalar-component", "deep-nesting", "not-utf8"],
+    )
+    def test_hostile_file_is_a_parse_error(self, capsys, tmp_path, content, message):
+        # each of these used to end in a traceback with exit 1, the code of a
+        # failed verification
+        path = tmp_path / "hostile.jsonl"
+        path.write_bytes(content)
+        start = time.process_time()
+        code = main(["writhe", str(path)])
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(path=path))
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", str(MODEL_CROSSING_PATH), "--centers", "-2"],
+            ["verify", str(MODEL_CROSSING_PATH), "--isotopies", "-1"],
+            ["sample", "--degree", "3", "--count", "-1", "--out", "{out}"],
+        ],
+        ids=["centers", "isotopies", "count"],
+    )
+    def test_negative_count_is_a_usage_error(self, capsys, tmp_path, argv):
+        # a negative count used to run no trial, pass and exit 0
+        out = tmp_path / "curves"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+        assert "expected a non-negative integer, got '-" in captured.err
+        assert not out.exists()
+
     def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "digits.jsonl"
         path.write_text(
@@ -713,6 +778,48 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: '{huge}' exceeds the 4096-bit budget for a power\n"
+
+
+class TestSharedParser:
+    """`main` parses every call with the one parser built at import."""
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert main(["writhe", str(MODEL_CROSSING_PATH), "--center", "0,0,1,0"]) == 0
+        assert built == []
+
+    def test_a_center_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        # (0, 0, 1, 0) lies in the plane of the second circle, so this call
+        # exits 2; the next one samples its center as if it ran alone
+        assert main(["writhe", str(LINKED_CIRCLES_PATH), "--center", "0,0,1,0"]) == 2
+        report = tmp_path / "report.json"
+        assert main(["writhe", str(LINKED_CIRCLES_PATH), "--seed", "3", "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert report.read_bytes() == (GOLDEN / "linked_circles_seed3.json").read_bytes()
+
+    def test_defaults_survive_a_parse(self):
+        path = str(MODEL_CROSSING_PATH)
+        assert PARSER.parse_args(["verify", path, "--centers", "3"]).centers == 3
+        assert PARSER.parse_args(["verify", path]).centers == 20
+
+    def test_a_usage_error_leaves_the_next_call_alone(self, capsys):
+        argv = ["writhe", str(MODEL_CROSSING_PATH)]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "5", "--center"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == alone
 
 
 class TestHostileCoefficients:
