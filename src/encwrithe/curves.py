@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .rationals import rat, sign
-from .upoly import UPoly, det_rational, gcd_of_minors, poly_gcd, proportional
+from .upoly import UPoly, det_rational, gcd_all, gcd_of_minors, hits, proportional
 
 
 class _ParameterInfinity:
@@ -293,14 +293,8 @@ def validate(curve: RationalSpaceCurve) -> int:
     degenerate (birational onto the image); no double point through
     P(infinity); no real (e, f) root, completed or not.
     """
-    g = None
-    for p in curve.coords:
-        if p.is_zero:
-            continue
-        g = p if g is None else poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    if g is None or g.degree > 0:
+    g = gcd_all(curve.coords)
+    if g.degree > 0:
         raise ReducibleParametrization(f"common factor in the coordinate quadruple: {g!r}")
     g = gcd_of_minors(curve.coords, [p.derivative() for p in curve.coords])
     if g is None or g.degree > 0:
@@ -319,8 +313,7 @@ def validate(curve: RationalSpaceCurve) -> int:
         ) from None
     # a double point with one branch at parameter infinity sits at the real
     # point P(infinity), so any coincidence there is a real singularity
-    g = gcd_of_minors(curve.coords, curve.leading_vector())
-    if g is None or g.degree > 0:
+    if hits(curve.coords, curve.leading_vector()):
         raise RealSingularityDetected(
             "space curve has a real double point: "
             "double point through the point at parameter infinity"
@@ -388,8 +381,7 @@ def _check_disjoint(a: RationalSpaceCurve, b: RationalSpaceCurve, where: str) ->
             raise ComponentsIntersect(f"{where}: nonconstant coincidence eliminant {g!r}")
     # parameter infinity of a against b, and vice versa, and both at infinity
     for lead, other in ((a.leading_vector(), b), (b.leading_vector(), a)):
-        g = gcd_of_minors(other.coords, lead)
-        if g is None or g.degree > 0:
+        if hits(other.coords, lead):
             raise ComponentsIntersect(f"{where}: coincidence at a parameter-infinity point")
     if proportional(a.leading_vector(), b.leading_vector()):
         raise ComponentsIntersect(f"{where}: both parameter-infinity points coincide")

@@ -8,7 +8,8 @@ the space curve itself). The strategy is fixed:
      (upoly._subresultants), which gives the pair's resultant and its
      degree-1 member,
   2. intersect: the true eliminant divides the gcd of all nonzero pairwise
-     resultants (pairwise_eliminant),
+     resultants, the running upoly.gcd_all, which stops the chains once it
+     is constant (pairwise_eliminant),
   3. isolate the real roots of its square-free part,
   4. recover the eliminated coordinate from a degree-1 member u*x + v of a
      pair's chain, divided by its content over Z[f], as -v/u in the
@@ -48,6 +49,7 @@ from .upoly import (
     _isub,
     _pdivmod,
     _subresultants,
+    gcd_all,
     poly_gcd,
     quotient_mod,
     squarefree_part,
@@ -161,26 +163,22 @@ def _eliminate(
     subset is still a sound (possibly larger) eliminant, and the scan stops
     as soon as g is constant.
     """
-    g: UPoly | None = None
     linear = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if len(rows[i]) == 1 and len(rows[j]) == 1:
-                # two constants in variable 0 have resultant 1, but the
-                # elimination ideal of the pair is generated by their gcd
-                r = poly_gcd(UPoly.from_ints(rows[i][0]), UPoly.from_ints(rows[j][0]))
-            else:
+
+    def resultants():
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if len(rows[i]) == 1 and len(rows[j]) == 1:
+                    # two constants in variable 0 have resultant 1, but the
+                    # elimination ideal of the pair is generated by their gcd
+                    yield poly_gcd(UPoly.from_ints(rows[i][0]), UPoly.from_ints(rows[j][0]))
+                    continue
                 res, s1 = _subresultants(rows[i], rows[j])
                 if s1 is not None:
                     linear.append(s1)
-                r = UPoly.from_ints(res)
-            if r.is_zero:
-                continue
-            r = r.primitive()
-            g = r if g is None else poly_gcd(g, r)
-            if g.degree == 0:
-                return g, linear
-    return g, linear
+                yield UPoly.from_ints(res).primitive()
+
+    return gcd_all(resultants()), linear
 
 
 def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:

@@ -45,65 +45,68 @@ class CurveFamily:
 Coefficient = Union[Fraction, Callable[[Fraction], Fraction]]
 
 
-def _compile_coeff_expr(text: str, parameter: str, where: str) -> Callable[[Fraction], Fraction]:
-    """Check a coefficient expression once and return its evaluator.
-
-    Syntax, the allowed operations, integer literals and the parameter as the
-    only name are checked here and raise ParseError. What depends on the
-    parameter value (a division by zero, an exponent that is not a natural
-    number, a power beyond the bit budget) is raised by the evaluator.
+def _compile_coeff_expr(text: str, parameter: str, where: str) -> Coefficient:
+    """Check a coefficient expression in one pass: its value, or its
+    evaluator when it reads the parameter. Syntax, the operations, integer
+    literals (no boolean), the nesting depth and the parameter as the only
+    name are checked here, and each subexpression without the parameter is
+    evaluated here, once, so its errors (a division by zero, an exponent that
+    is not a natural number, a power past the bit budget) are ParseErrors of
+    the file. Only what depends on the parameter value the evaluator raises.
     """
+    too_deep = f"{where}: coefficient expression {text!r} nested too deeply"
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParseError(f"{where}: bad coefficient expression {text!r}: {exc}") from exc
+    except (RecursionError, MemoryError):  # how the parser ends at deep nesting
+        raise ParseError(too_deep) from None
 
-    def check(node) -> None:
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
-                raise ParseError(f"{where}: non-integer literal in {text!r}")
-        elif isinstance(node, ast.Name):
-            if node.id != parameter:
-                raise ParseError(f"{where}: unknown symbol {node.id!r} in {text!r}")
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-        elif isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            check(node.left)
-            check(node.right)
-        else:
-            raise ParseError(f"{where}: unsupported syntax in coefficient expression {text!r}")
-
-    check(tree.body)
-
-    def walk(node, value: Fraction) -> Fraction:
-        if isinstance(node, ast.Constant):
-            return Fraction(node.value)
-        if isinstance(node, ast.Name):
-            return value
-        if isinstance(node, ast.UnaryOp):
-            v = walk(node.operand, value)
-            return -v if isinstance(node.op, ast.USub) else v
-        left, right = walk(node.left, value), walk(node.right, value)
-        if isinstance(node.op, ast.Add):
+    def apply(op: ast.operator, left: Fraction, right: Fraction) -> Fraction:
+        if isinstance(op, ast.Add):
             return left + right
-        if isinstance(node.op, ast.Sub):
+        if isinstance(op, ast.Sub):
             return left - right
-        if isinstance(node.op, ast.Mult):
+        if isinstance(op, ast.Mult):
             return left * right
-        if isinstance(node.op, ast.Div):
+        if isinstance(op, ast.Div):
             if right == 0:
                 raise ParseError(f"division by zero in {text!r}")
             return left / right
-        exp = right
-        if exp.denominator != 1 or exp < 0:
+        if right.denominator != 1 or right < 0:
             raise ParseError(f"bad exponent in {text!r}")
         base_bits = max(abs(left.numerator).bit_length(), left.denominator.bit_length())
-        check_power(base_bits, int(exp), text)
-        return left ** int(exp)
+        check_power(base_bits, int(right), text)
+        return left ** int(right)
 
-    return lambda value: walk(tree.body, value)
+    def build(node, depth: int) -> Coefficient:
+        if depth > 200:  # as deep as Python's parser nests parentheses
+            raise ParseError(too_deep)
+        if isinstance(node, ast.Constant):
+            if type(node.value) is not int:  # bool is an int subclass
+                raise ParseError(f"{where}: non-integer literal in {text!r}")
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            if node.id != parameter:
+                raise ParseError(f"{where}: unknown symbol {node.id!r} in {text!r}")
+            return lambda value: value
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            # -x is 0 - x and +x is 0 + x
+            op = ast.Sub() if isinstance(node.op, ast.USub) else ast.Add()
+            node = ast.BinOp(ast.Constant(0), op, node.operand)
+        if not isinstance(node, ast.BinOp) or not isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+        ):
+            raise ParseError(f"{where}: unsupported syntax in coefficient expression {text!r}")
+        op, left, right = node.op, build(node.left, depth + 1), build(node.right, depth + 1)
+        if callable(left) or callable(right):
+            return lambda value: apply(op, *(x(value) if callable(x) else x for x in (left, right)))
+        try:
+            return apply(op, left, right)
+        except ParseError as exc:  # InputTooLarge stays InputTooLarge
+            raise type(exc)(f"{where}: {exc}") from None
+
+    return build(tree.body, 0)
 
 
 def _parse_coefficient(entry, parameter: Optional[str], where: str) -> Coefficient:

@@ -48,7 +48,7 @@ from .errors import (
     ZeroDeterminant,
 )
 from .rationals import Interval, rat, rat_str
-from .upoly import UPoly, gcd_of_minors, proportional
+from .upoly import UPoly, hits, proportional
 
 CANONICAL_CENTER = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
 
@@ -87,11 +87,7 @@ def rational_center(center) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 def center_on_component(curve: RationalSpaceCurve, center) -> bool:
     """Exact test: does the projective point `center` lie on the curve?"""
     c = [rat(v) for v in center]
-    if proportional(curve.leading_vector(), c):
-        return True
-    g = gcd_of_minors(curve.coords, c)
-    # on a validated curve a nonconstant gcd always certifies a hit
-    return g is None or g.degree > 0
+    return proportional(curve.leading_vector(), c) or hits(curve.coords, c)
 
 
 def normalize_center(link: Link, center) -> tuple[Link, ProjectiveTransform]:
@@ -220,22 +216,15 @@ def _projected_lead(curve: RationalSpaceCurve) -> list[Fraction]:
     return [lead[0], lead[1], lead[3]]
 
 
-def _infinity_involved(curve: RationalSpaceCurve, other: RationalSpaceCurve | None = None) -> bool:
-    """Does a double point of the (pair) projection involve parameter infinity?
-
-    Checks whether any finite parameter of `other` (or of `curve` itself)
-    maps to the image of curve's point at parameter infinity, or whether the
-    two infinity images coincide.
-    """
-    target = other if other is not None else curve
-    g = gcd_of_minors(projected_triple(target), _projected_lead(curve))
-    if g is None or g.degree > 0:
-        # some finite parameter (possibly complex) maps to the image of the
-        # point at parameter infinity
-        return True
-    if other is not None and proportional(_projected_lead(curve), _projected_lead(other)):
-        return True
-    return False
+def _infinity_involved(curve: RationalSpaceCurve, others: list[RationalSpaceCurve]) -> bool:
+    """Does a double point of the projection involve curve's parameter
+    infinity: does a finite (possibly complex) parameter of curve or of the
+    others, or another's parameter infinity, map to its image?"""
+    lead = _projected_lead(curve)
+    return hits(projected_triple(curve), lead) or any(
+        hits(projected_triple(other), lead) or proportional(lead, _projected_lead(other))
+        for other in others
+    )
 
 
 def _resolve_infinity(link: Link) -> tuple[Link, list[str]]:
@@ -243,18 +232,14 @@ def _resolve_infinity(link: Link) -> tuple[Link, list[str]]:
     notes: list[str] = []
     components = list(link.components)
     for attempt in range(len(_INFINITY_MOEBIUS) + 1):
-        offender = None
-        n = len(components)
-        for i in range(n):
-            if _infinity_involved(components[i]):
-                offender = i
-                break
-            for j in range(n):
-                if j != i and _infinity_involved(components[i], components[j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (
+                i
+                for i, curve in enumerate(components)
+                if _infinity_involved(curve, components[:i] + components[i + 1 :])
+            ),
+            None,
+        )
         if offender is None:
             return Link(components, link.orientations), notes
         if attempt == len(_INFINITY_MOEBIUS):
@@ -277,7 +262,8 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     of the gravest (_FAILURE_PRIORITY) is raised with all notes, those of
     the reparametrizations away from infinity first, joined by "; ".
     A center on the link, double points stuck at parameter infinity and a
-    degenerate elimination raise at once.
+    degenerate elimination, named by its component or pair and the center,
+    raise at once.
     """
     # the one local import of writhe, which owns the polynomials a locus is
     # read through and the pinned sign conventions
@@ -302,16 +288,21 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     keys = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     for i, j in keys:
         same = i == j
+        where = f"component {i}" if same else f"components {i},{j}"
         polys = LocusPolys(nlink.components[i], None if same else nlink.components[j])
-        solution = solve_system(polys.system)
+        try:
+            solution = solve_system(polys.system)
+        except DegenerateElimination as exc:
+            at = ", ".join(map(rat_str, center))
+            note = f"projection from ({at}) degenerates on {where}: {exc}"
+            raise DegenerateElimination(note) from None
         if solution.undecided is not None:
             raise DegenerateElimination("real eliminant root could not be completed and verified")
         expected = polys.expected_count
         if solution.multiplicity_count != expected or not solution.is_simple:
-            where = f"component {i}: eliminant" if same else f"components {i},{j}: pair eliminant"
             fail(
                 NonGenericProjection,
-                f"{where} degree {solution.multiplicity_count} "
+                f"{where}: {'' if same else 'pair '}eliminant degree {solution.multiplicity_count} "
                 f"(expected {expected}, square-free: {solution.is_simple})",
             )
         if not same:

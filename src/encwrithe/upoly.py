@@ -45,6 +45,11 @@ degree first), never on Fractions:
   elimination) and the degree-1 member from which elimination completes a
   root. Resultants clear the denominators of their inputs first and divide
   the known power of them out of the integer result, so they stay exact.
+* There is one running gcd, gcd_all, and one incidence test, hits. gcd_all
+  reads a lazy sequence and stops at a constant: the minors of
+  gcd_of_minors, a curve's coordinates and elimination's pairwise
+  resultants. hits asks whether a curve passes through a point at a finite
+  parameter: P(infinity), disjointness, the center and infinity resolution.
 * The one determinant is det_rational, for the 4x4 transforms: scalar
   fraction-free Bareiss on the rows cleared of their denominators.
 * elimination's closed-form (e, f) polynomials are summed on the stored
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 from .rationals import Interval, rat, rat_str, sign
@@ -289,11 +294,7 @@ def _inorm(a: list[int]) -> list[int]:
 def _cleared(coeffs) -> tuple[list[int], int]:
     """(ints, D) with coeffs == ints / D, D > 0 the lcm of the denominators."""
     coeffs = list(coeffs)
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
+    den = math.lcm(*(c.denominator for c in coeffs))
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -360,9 +361,7 @@ def _iexact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 def _iprim(a: list[int]) -> list[int]:
-    g = 0
-    for v in a:
-        g = math.gcd(g, v)
+    g = math.gcd(*a)
     if g in (0, 1):
         return a
     return [v // g for v in a]
@@ -485,22 +484,35 @@ def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
     return UPoly.from_ints(_igcd_poly(p.int_primitive(), q.int_primitive()))
 
 
+def gcd_all(polys: Iterable[UPoly]) -> UPoly | None:
+    """gcd of the nonzero members of polys (a lone one as it is); None if all
+    vanish. The one running gcd: it reads polys lazily and stops at a constant."""
+    g = None
+    for p in polys:
+        if not p.is_zero:
+            g = p if g is None else poly_gcd(g, p)
+            if g.degree == 0:
+                break
+    return g
+
+
 def gcd_of_minors(p: Sequence[UPoly], v: Sequence) -> UPoly | None:
     """gcd of the 2x2 minors p_i*v_j - p_j*v_i (i < j); None if all vanish.
 
     v holds polynomials or scalars. The gcd has a root exactly where the
     vectors p(t) and v(t) are proportional; the scan stops at a constant.
     """
-    g = None
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            m = p[i] * v[j] - p[j] * v[i]
-            if m.is_zero:
-                continue
-            g = m if g is None else poly_gcd(g, m)
-            if g.degree == 0:
-                return g
-    return g
+    n = len(p)
+    return gcd_all(p[i] * v[j] - p[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+def hits(coords: Sequence[UPoly], point: Sequence) -> bool:
+    """Does the curve coords pass through the scalar point at a finite complex
+    parameter: do the minors of (coords, point) vanish together there, or all
+    vanish? On a validated curve, or its projection from a center off it,
+    coords(t) is never zero, so a nonconstant gcd certifies a hit."""
+    g = gcd_of_minors(coords, point)
+    return g is None or g.degree > 0
 
 
 def proportional(a: Sequence, b: Sequence) -> bool:

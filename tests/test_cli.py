@@ -636,6 +636,63 @@ class TestErrorPaths:
         assert "tau = 0: singular-curve" in out
         assert "tau = 1: Cw = -1" in out
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("(-8)**(1/3)", "bad exponent in '(-8)**(1/3)'"),
+            ("1/0", "division by zero in '1/0'"),
+            ("-tau*True", "non-integer literal in '-tau*True'"),
+        ],
+        ids=["exponent", "division", "boolean"],
+    )
+    @pytest.mark.parametrize("command", ["writhe", "verify"])
+    def test_constant_expression_error_is_a_parse_error(self, capsys, tmp_path, command, entry, message):
+        # the first two used to mark every member singular-curve, and verify
+        # exited 0; the boolean was read as 1, so "-tau*True" was -tau
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["-1", "1"]}\n'
+            f'{{"x": ["{entry}", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}}\n'
+        )
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: component 0, x[0]: {message}\n"
+
+    def test_parameter_dependent_error_stays_per_member(self, capsys, tmp_path):
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["0", "1"]}\n'
+            '{"x": ["1/tau", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}\n'
+        )
+        code = main(["writhe", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  tau = 0: singular-curve (division by zero in '1/tau')\n" in out
+        assert "  tau = 1: Cw = -1\n" in out
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["-" * 990 + "tau", "1" + "+tau" * 3000, "-" * 100_000 + "1"],
+        ids=["unary-chain", "long-sum", "parser-stack"],
+    )
+    def test_deeply_nested_expression_is_a_parse_error(self, capsys, tmp_path, entry):
+        # a RecursionError in the checks or in Python's parser, or the
+        # parser's MemoryError, used to escape main as a traceback; the
+        # fuzzer in test_fuzz.py found the first two
+        path = tmp_path / "family.jsonl"
+        path.write_text(
+            '{"kind": "family", "parameter": "tau", "grid": ["1"]}\n'
+            f'{{"x": ["{entry}", 0, -1], "y": [0, "-tau", 0, -1], "z": [0, -1], "w": [1]}}\n'
+        )
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: component 0, x[0]: coefficient expression ")
+        assert captured.err.endswith(" nested too deeply\n")
+
     def test_missing_file(self, capsys):
         assert main(["writhe", "/nonexistent/file.jsonl"]) == 2
 
@@ -798,8 +855,13 @@ class TestSharedParser:
 
     def test_a_center_does_not_leak_into_the_next_call(self, capsys, tmp_path):
         # (0, 0, 1, 0) lies in the plane of the second circle, so this call
-        # exits 2; the next one samples its center as if it ran alone
+        # exits 2, naming the center and the component; the next one samples
+        # its center as if it ran alone
         assert main(["writhe", str(LINKED_CIRCLES_PATH), "--center", "0,0,1,0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: projection from (0, 0, 1, 0) degenerates on component 1: "
+            "single bivariate equation is not zero-dimensional\n"
+        )
         report = tmp_path / "report.json"
         assert main(["writhe", str(LINKED_CIRCLES_PATH), "--seed", "3", "--json", str(report)]) == 0
         capsys.readouterr()

@@ -38,7 +38,9 @@ from encwrithe.upoly import (
     _sign_at,
     count_real_roots,
     det_rational,
+    gcd_all,
     gcd_of_minors,
+    hits,
     is_squarefree,
     isolate_roots_intervals,
     poly_gcd,
@@ -724,6 +726,30 @@ class TestModularHelpers:
         # (t, 1, 0) is never along (0, 0, 1): the scan ends at a constant
         one, zero = UPoly.const(1), UPoly.zero()
         assert gcd_of_minors([t, one, zero], [0, 0, 1]).degree == 0
+
+    def test_gcd_all(self):
+        t, zero = UPoly.x(), UPoly.zero()
+        assert gcd_all([zero, zero]) is None
+        # a lone nonzero member comes back as it is
+        assert gcd_all([zero, 2 * t - 2, zero]) == 2 * t - 2
+        assert gcd_all([(t - 1) * (t - 2), zero, (t - 1) * (t + 3)]) == t - 1
+
+        def members():
+            yield t
+            yield t + 1
+            raise AssertionError("a member past a constant gcd was read")
+
+        assert gcd_all(members()).degree == 0
+
+    def test_hits(self):
+        t, one, zero = UPoly.x(), UPoly.const(1), UPoly.zero()
+        # (t, 1) passes through (2 : 1) at t = 2, never through (0 : 0 : 1)
+        assert hits([t, one], [2, 1])
+        assert not hits([t, one, zero], [0, 0, 1])
+        # (t^2 : 1) meets (-1 : 1) at the complex parameters t = +-i
+        assert hits([t * t, one], [-1, 1])
+        # every minor vanishes: the curve is the point
+        assert hits([t, t], [1, 1])
 
     def test_det_rational_hand_value(self):
         # expansion along the third row gives 1 * det[[2,2,0],[0,0,2],[0,1,0]] = -4

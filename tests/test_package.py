@@ -149,22 +149,61 @@ def test_one_elimination():
     assert [f"{m.__name__}.{name}" for m in modules for name in banned if hasattr(m, name)] == []
 
 
-def _loops_calling(tree: ast.AST, callee: str, prefix: str = "") -> set[str]:
-    """Qualified names of the functions in tree with a loop that calls callee."""
+def _loops_where(tree: ast.AST, holds, prefix: str = "") -> set[str]:
+    """Qualified names of the functions in tree with a loop for which
+    holds(loop) is true."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.ClassDef):
-            found |= _loops_calling(node, callee, f"{prefix}{node.name}.")
+            found |= _loops_where(node, holds, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = f"{prefix}{node.name}"
             for loop in ast.walk(node):
-                if isinstance(loop, (ast.For, ast.While, ast.comprehension)) and any(
-                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == callee
-                    for call in ast.walk(loop)
-                ):
+                if isinstance(loop, (ast.For, ast.While, ast.comprehension)) and holds(loop):
                     found.add(name)
-            found |= _loops_calling(node, callee, f"{name}.")
+            found |= _loops_where(node, holds, f"{name}.")
     return found
+
+
+def _calls_to(tree: ast.AST, callee: str) -> list[ast.Call]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == callee]
+
+
+def _loops_calling(tree: ast.AST, callee: str) -> set[str]:
+    """Qualified names of the functions in tree with a loop that calls callee."""
+    return _loops_where(tree, lambda loop: bool(_calls_to(loop, callee)))
+
+
+def _feeds_gcd_back(loop: ast.AST) -> bool:
+    """Does the loop assign a name from a poly_gcd call that reads that name?"""
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Assign):
+            assigned = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            for call in _calls_to(node.value, "poly_gcd"):
+                if any(isinstance(arg, ast.Name) and arg.id in assigned for arg in call.args):
+                    return True
+    return False
+
+
+def _none_or_degree_tests(tree: ast.AST, scope: str = ""):
+    """The enclosing function of every `x is None or x.degree ...` in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _none_or_degree_tests(node, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            is_none = any(
+                isinstance(v, ast.Compare)
+                and isinstance(v.ops[0], ast.Is)
+                and getattr(v.comparators[0], "value", 0) is None
+                for v in node.values
+            )
+            reads_degree = any(
+                isinstance(n, ast.Attribute) and n.attr == "degree" for n in ast.walk(node)
+            )
+            if is_none and reads_degree:
+                yield scope.rstrip(".")
+        yield from _none_or_degree_tests(node, scope)
 
 
 def test_one_remainder_sequence():
@@ -187,6 +226,27 @@ def test_one_remainder_sequence():
         "encwrithe.upoly._subresultants",
         "encwrithe.elimination.TriangularRoot.substitute",
     }
+
+
+def test_one_incidence_test():
+    # "does this curve pass through that point at a finite parameter?" is
+    # upoly.hits, on the one running gcd upoly.gcd_all: no other loop feeds
+    # poly_gcd's result back into poly_gcd, and the None-or-nonconstant test
+    # of a gcd stays only in hits and in the cusp check, whose message
+    # prints the gcd
+    modules = _package_modules()
+    running = {
+        f"{m.__name__}.{name}"
+        for m in modules
+        for name in _loops_where(ast.parse(inspect.getsource(m)), _feeds_gcd_back)
+    }
+    assert running == {"encwrithe.upoly.gcd_all"}
+    tests = {
+        f"{m.__name__}.{scope}"
+        for m in modules
+        for scope in _none_or_degree_tests(ast.parse(inspect.getsource(m)))
+    }
+    assert tests == {"encwrithe.upoly.hits", "encwrithe.curves.validate"}
 
 
 def test_sturm_counts_take_finite_bounds():
