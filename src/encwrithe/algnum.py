@@ -3,10 +3,15 @@
 An AlgebraicNumber is a square-free defining polynomial plus an isolating
 rational interval. Sign queries follow a fixed protocol: reduce the
 polynomial by the defining one (upoly._pdivmod), refine the interval while
-interval arithmetic cannot separate the value from zero, and after
-_QUICK_REFINE_ROUNDS bisections decide vanishing exactly (a gcd with the
-defining polynomial and a Sturm count on the interval). The exact zero test
-is what guarantees the refinement loop terminates.
+its interval Horner enclosure contains zero, and after _QUICK_REFINE_ROUNDS
+bisections decide vanishing exactly (a gcd with the defining polynomial and
+a Sturm count on the interval). Each round reads its sign from the two
+integer bounds upoly._ihorner_interval returns over a positive scale, so no
+Fraction is formed for it: an enclosure that excludes zero certifies the
+sign (the interval filter of Bronnimann, Burnikel and Pion 2001), and the
+exact zero test behind it is what guarantees the loop terminates. A
+bisection step evaluates the defining polynomial once, at the midpoint: its
+sign at lo is kept, since lo moves only to a midpoint of that sign.
 
 "Which root is this?" is one Sturm count wherever it is asked: an isolating
 interval holds at most one root of any divisor of the defining polynomial,
@@ -30,10 +35,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput
-from .rationals import Interval, rat, rat_str, sign
+from .rationals import Interval, rat, rat_str
 from .upoly import (
     UPoly,
+    _ihorner_interval,
     _pdivmod,
+    _sign_at,
     count_real_roots,
     is_squarefree,
     isolate_roots_intervals,
@@ -50,16 +57,18 @@ class AlgebraicNumber:
 
     The represented number never changes after construction; the interval
     (and occasionally the defining polynomial, via square-free factor
-    splits) only narrows toward it.
+    splits) only narrows toward it. lo_sign is the sign of the defining
+    polynomial at lo once refine has taken it, None before.
     """
 
-    __slots__ = ("defining", "lo", "hi")
+    __slots__ = ("defining", "lo", "hi", "lo_sign")
 
     def __init__(self, defining: UPoly, lo, hi, _checked: bool = False):
         lo, hi = rat(lo), rat(hi)
         self.defining = defining
         self.lo = lo
         self.hi = hi
+        self.lo_sign = None
         if not _checked:
             if defining.is_zero or defining.degree < 1:
                 raise InvalidInput("defining polynomial must be nonconstant")
@@ -107,18 +116,23 @@ class AlgebraicNumber:
     # -- refinement --------------------------------------------------------
 
     def refine(self) -> None:
-        """One bisection step; collapses to an exact rational if the midpoint is the root."""
+        """One bisection step; collapses to an exact rational if the midpoint
+        is the root. The defining polynomial is evaluated at the midpoint
+        only: its sign at lo is taken on the first step and kept in lo_sign,
+        since lo moves only to a midpoint of that same sign."""
         if self.is_exact:
             return
         mid = (self.lo + self.hi) / 2
-        v = self.defining(mid)
-        if v == 0:
+        s = _sign_at(self.defining.ints, mid)
+        if s == 0:
             self.lo = self.hi = mid
             return
-        if sign(self.defining(self.lo)) != sign(v):
-            self.hi = mid
-        else:
+        if self.lo_sign is None:
+            self.lo_sign = _sign_at(self.defining.ints, self.lo)
+        if s == self.lo_sign:
             self.lo = mid
+        else:
+            self.hi = mid
 
     def refine_below(self, width) -> None:
         width = rat(width)
@@ -145,15 +159,18 @@ class AlgebraicNumber:
     def sign_of_poly(self, p: UPoly) -> int:
         """Exact sign of p at this number."""
         if self.is_exact:
-            return sign(p(self.lo))
+            return _sign_at(p.ints, self.lo)
         p = self._remainder(p)
         if p.is_zero:
             return 0
         rounds = 0
         while True:
-            s = p.eval_interval(self.interval()).definite_sign()
-            if s:
-                return s
+            # the enclosure is [lo_bound, hi_bound] over a positive scale
+            lo_bound, hi_bound, _scale = _ihorner_interval(p.ints, self.lo, self.hi)
+            if lo_bound > 0:
+                return 1
+            if hi_bound < 0:
+                return -1
             # past the one exact zero test p is nonzero here, and the
             # enclosure shrinks onto that nonzero value
             if rounds == _QUICK_REFINE_ROUNDS and self._vanishes_here(p):
@@ -161,7 +178,7 @@ class AlgebraicNumber:
             self.refine()
             rounds += 1
             if self.is_exact:
-                return sign(p(self.lo))
+                return _sign_at(p.ints, self.lo)
 
     def is_root_of(self, p: UPoly) -> bool:
         if self.is_exact:
@@ -187,10 +204,12 @@ class AlgebraicNumber:
         """Shrink the defining polynomial so it is coprime to u.
 
         Requires u nonzero at this number (caller certifies via sign_of_poly).
+        The removed factor may change the sign at lo, so lo_sign is dropped.
         """
         g = poly_gcd(u, self.defining)
         if g.degree >= 1:
             self.defining = self.defining.exact_div(g).primitive()
+            self.lo_sign = None
 
     # -- structural helpers -------------------------------------------------
 
@@ -228,13 +247,30 @@ def isolate_real_roots(p: UPoly) -> list[AlgebraicNumber]:
 def quotient_boxes(
     nums: Sequence[UPoly], den: UPoly, iv: Interval
 ) -> tuple[Interval, ...] | None:
-    """Rational boxes around num/den for each num in nums, both evaluated on
-    iv by interval Horner; None while den's box contains zero."""
-    den_box = den.eval_interval(iv)
-    if den_box.contains_zero():
+    """Rational boxes around num/den for each num in nums, both enclosed on
+    iv by upoly._ihorner_interval; None while den's box contains zero.
+
+    With den's box of one sign, each bound of num/den is one bound of num's
+    box divided by the bound of den's box that their signs pick: the box
+    that num_box * [1/den_hi, 1/den_lo] gives, without its four products."""
+    d_lo, d_hi, d_scale = _ihorner_interval(den.ints, iv.lo, iv.hi)
+    if d_lo <= 0 <= d_hi:
         return None
-    inverse = Interval(1 / den_box.hi, 1 / den_box.lo)
-    return tuple(num.eval_interval(iv) * inverse for num in nums)
+    # num/den == (-num)/(-den): bring den's box above zero
+    flip = d_hi < 0
+    if flip:
+        d_lo, d_hi = -d_hi, -d_lo
+    d_scale *= den.den
+    boxes = []
+    for num in nums:
+        n_lo, n_hi, n_scale = _ihorner_interval(num.ints, iv.lo, iv.hi)
+        if flip:
+            n_lo, n_hi = -n_hi, -n_lo
+        n_scale *= num.den
+        lo = Fraction(n_lo * d_scale, n_scale * (d_hi if n_lo >= 0 else d_lo))
+        hi = Fraction(n_hi * d_scale, n_scale * (d_lo if n_hi >= 0 else d_hi))
+        boxes.append(Interval(lo, hi))
+    return tuple(boxes)
 
 
 def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicNumber:

@@ -39,7 +39,17 @@ from .errors import (
     ValidationError,
 )
 from .rationals import rat, sign
-from .upoly import UPoly, det_rational, gcd_all, gcd_of_minors, hits, proportional
+from .upoly import (
+    UPoly,
+    _cleared,
+    _imul,
+    _inorm,
+    det_rational,
+    gcd_all,
+    gcd_of_minors,
+    hits,
+    proportional,
+)
 
 
 class _ParameterInfinity:
@@ -131,6 +141,17 @@ def _common_integer_scaling(coords: list[UPoly]) -> list[UPoly]:
     return [UPoly.from_ints([v // g for v in ints]) for ints in scaled]
 
 
+def _integer_combination(weights: Sequence[int], polys: Sequence[Sequence[int]]) -> UPoly:
+    """sum of w * p over the integers weights and the integer coefficient
+    lists polys, paired in order."""
+    out = [0] * max(map(len, polys))
+    for w, p in zip(weights, polys):
+        if w:
+            for i, v in enumerate(p):
+                out[i] += w * v
+    return UPoly.from_ints(out)
+
+
 @dataclass(frozen=True)
 class MoebiusReparam:
     """Parameter change t -> (a*t + b) / (c*t + d), acting homogeneously."""
@@ -157,22 +178,25 @@ class MoebiusReparam:
 
     def apply(self, curve: RationalSpaceCurve) -> RationalSpaceCurve:
         """Substitute into the degree-d homogenization: the image point set in
-        projective space is unchanged, only the parametrization moves."""
+        projective space is unchanged, only the parametrization moves.
+
+        On integers: the entries times their positive common denominator m
+        are the same parameter change, and each coordinate's substitution
+        sum_k c_k (a t + b)^k (c t + d)^(n-k), n the curve's degree, over
+        them is m^n times the one over the entries, so the quadruple
+        normalizes to the same curve."""
         if self.det == 0:
             raise SingularMatrix("Moebius matrix is singular")
-        d = curve.degree
-        num = UPoly((self.b, self.a))  # a*t + b
-        den = UPoly((self.d, self.c))  # c*t + d
-        out = []
-        for p in curve.coords:
-            # homogeneous substitution: sum_k c_k num^k den^(d-k)
-            acc = UPoly.zero()
-            for k in range(d + 1):
-                c = p[k]
-                if c:
-                    acc = acc + c * num**k * den ** (d - k)
-            out.append(acc)
-        return RationalSpaceCurve(*out)
+        n = curve.degree
+        (a, b, c, d), _m = _cleared((self.a, self.b, self.c, self.d))
+        num, den = _inorm([b, a]), _inorm([d, c])
+        num_pows, den_pows = [[1]], [[1]]
+        for _ in range(n):
+            num_pows.append(_imul(num_pows[-1], num))
+            den_pows.append(_imul(den_pows[-1], den))
+        # basis[k] = num^k den^(n-k); the stored coordinates are integers
+        basis = [_imul(num_pows[k], den_pows[n - k]) for k in range(n + 1)]
+        return RationalSpaceCurve(*(_integer_combination(p.ints, basis) for p in curve.coords))
 
     def map_parameter(self, t):
         if t is INFINITY:
@@ -219,14 +243,14 @@ class ProjectiveTransform:
         return sign(self.det)
 
     def apply(self, curve: RationalSpaceCurve) -> RationalSpaceCurve:
-        new_coords = []
-        for row in self.rows:
-            acc = UPoly.zero()
-            for entry, p in zip(row, curve.coords):
-                if entry:
-                    acc = acc + p * entry
-            new_coords.append(acc)
-        return RationalSpaceCurve(*new_coords)
+        """The rows applied to the quadruple, on integers: the entries times
+        their positive common denominator give the same quadruple times that
+        scale, which normalizes to the same curve."""
+        entries, _m = _cleared(v for row in self.rows for v in row)
+        coords = [p.ints for p in curve.coords]  # the stored coordinates are integers
+        return RationalSpaceCurve(
+            *(_integer_combination(entries[4 * i : 4 * i + 4], coords) for i in range(4))
+        )
 
     def apply_point(self, point: Sequence) -> tuple:
         return tuple(

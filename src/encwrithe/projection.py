@@ -380,11 +380,12 @@ def _image_box(locus: DoublePointLocus) -> Optional[tuple[Interval, Interval]]:
     return quotient_boxes((num_x, num_y), den, locus.root.survivor.interval())
 
 
-def _images_coincide(a: DoublePointLocus, b: DoublePointLocus) -> bool:
-    """Exact decision whether two loci share an image point."""
+def _images_coincide(a: DoublePointLocus, b: DoublePointLocus, box) -> bool:
+    """Exact decision whether two loci share an image point; box(locus) is
+    the locus's image box on its survivor's current interval."""
     fa, fb = a.root.survivor, b.root.survivor
     for _ in range(_BOX_ROUNDS):
-        box_a, box_b = _image_box(a), _image_box(b)
+        box_a, box_b = box(a), box(b)
         if box_a is not None and box_b is not None:
             if box_a[0].disjoint(box_b[0]) or box_a[1].disjoint(box_b[1]):
                 return False
@@ -401,14 +402,27 @@ def _check_triple_points(loci: list[DoublePointLocus]) -> list[str]:
     their x boxes or their y boxes are disjoint. Otherwise both survivors are
     refined and the boxes tried again, for at most _BOX_ROUNDS rounds, after
     which the image coordinates are formed exactly and compared with
-    AlgebraicNumber.equals.
+    AlgebraicNumber.equals. A locus's box is computed once per survivor
+    interval and kept for the pairs that follow, until a refinement moves
+    that interval.
     """
     usable = [l for l in loci if l.image_fractions is not None]
+    # id of a usable locus -> (its survivor's interval, the image box on it)
+    kept: dict[int, tuple] = {}
+
+    def box(locus: DoublePointLocus) -> Optional[tuple[Interval, Interval]]:
+        survivor = locus.root.survivor
+        interval = (survivor.lo, survivor.hi)
+        entry = kept.get(id(locus))
+        if entry is None or entry[0] != interval:
+            entry = kept[id(locus)] = (interval, _image_box(locus))
+        return entry[1]
+
     notes = []
     for a_idx in range(len(usable)):
         for b_idx in range(a_idx + 1, len(usable)):
             a, b = usable[a_idx], usable[b_idx]
-            if _images_coincide(a, b):
+            if _images_coincide(a, b, box):
                 notes.append(f"coincident images: [{a.describe()}] and [{b.describe()}]")
     return notes
 

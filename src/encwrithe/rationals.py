@@ -126,9 +126,6 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
 

@@ -14,9 +14,11 @@ degree first), never on Fractions:
 
 * There is one point evaluation, the homogeneous Horner _ihorner:
   sum of c_k p^k q^(n-k) at x = p / q. UPoly.__call__ divides it once (at a
-  rational only), the Sturm sign test _sign_at takes its sign, and
-  UPoly.eval_interval, the one interval evaluation, runs its interval form
-  over the common denominator of the two endpoints.
+  rational only), and the Sturm sign test _sign_at takes its sign. Its
+  interval form _ihorner_interval, the one interval evaluation, runs over
+  the common denominator of the two endpoints and returns integer bounds
+  over a positive scale: UPoly.eval_interval divides them into an Interval,
+  and algnum's sign test and quotient boxes read them as they are.
 * There is one polynomial division, the signed pseudo-division _pdivmod,
   and no division over Q. Its remainder is a positive multiple of a mod b;
   rescaling a polynomial by a positive rational never changes any sign
@@ -220,24 +222,10 @@ class UPoly:
         return Fraction(value, self.den * q ** max(self.degree, 0))
 
     def eval_interval(self, iv: Interval) -> Interval:
-        """Interval Horner, on integers: with lo = L/Q and hi = H/Q over a
-        common denominator, the step k from the top keeps acc * D * Q^k, so
-        each min and max picks the same product as over Fractions, and the
-        enclosure is the one Fraction interval arithmetic gives."""
-        if not self.ints:
-            return Interval.point(0)
-        lo, hi = iv.lo, iv.hi
-        Q = math.lcm(lo.denominator, hi.denominator)
-        L = lo.numerator * (Q // lo.denominator)
-        H = hi.numerator * (Q // hi.denominator)
-        a = b = 0
-        qk = 1
-        for c in reversed(self.ints):
-            products = (a * L, a * H, b * L, b * H)
-            cq = c * qk
-            a, b = min(products) + cq, max(products) + cq
-            qk *= Q
-        scale = self.den * qk // Q
+        """Interval Horner: the enclosure _ihorner_interval gives on [iv.lo,
+        iv.hi], the one Fraction interval arithmetic gives, as an Interval."""
+        a, b, scale = _ihorner_interval(self.ints, iv.lo, iv.hi)
+        scale *= self.den
         return Interval(Fraction(a, scale), Fraction(b, scale))
 
     # -- integer normal form -------------------------------------------
@@ -384,6 +372,28 @@ def _ihorner(a: Sequence[int], p: int, q: int) -> int:
         acc = acc * p + c * qk
         qk *= q
     return acc
+
+
+def _ihorner_interval(a: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(A, B, S) with S > 0: [A/S, B/S] encloses a on [lo, hi]. The one
+    interval evaluation, interval Horner on integers: with lo = L/Q and
+    hi = H/Q over a common denominator, the step k from the top keeps
+    acc * Q^k, so each min and max picks the same product as over Fractions,
+    and the enclosure is the one Fraction interval arithmetic gives. Its
+    sign, where it excludes zero, is read from A and B alone."""
+    if not a:
+        return 0, 0, 1
+    Q = math.lcm(lo.denominator, hi.denominator)
+    L = lo.numerator * (Q // lo.denominator)
+    H = hi.numerator * (Q // hi.denominator)
+    lo_acc = hi_acc = 0
+    qk = 1
+    for c in reversed(a):
+        products = (lo_acc * L, lo_acc * H, hi_acc * L, hi_acc * H)
+        cq = c * qk
+        lo_acc, hi_acc = min(products) + cq, max(products) + cq
+        qk *= Q
+    return lo_acc, hi_acc, qk // Q
 
 
 def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

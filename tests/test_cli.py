@@ -27,7 +27,7 @@ from encwrithe.data import (
     linked_circles,
     model_link,
 )
-from encwrithe.errors import TriplePoint
+from encwrithe.errors import SamplingExhausted, TriplePoint
 from encwrithe.fileio import link_to_lines, parse_curve_file, write_link_file
 from encwrithe.projection import CANONICAL_CENTER, LocusKind
 from encwrithe.writhe import build_diagram
@@ -524,6 +524,38 @@ class TestDiagramCommand:
         svg.render_diagram_svg(diagram)
         assert diagram.loci and built
         assert [p for p, n in Counter(built).items() if n > 1] == []
+
+
+class TestCenterInACirclePlane:
+    # the first circle of circles_apart lies in the plane z = 0, which holds
+    # both centers below, the sampler's first two draws at seed 3. The first
+    # runs all eight reparametrizations away from parameter infinity before
+    # it is refused, the second two before its elimination degenerates
+    PATH = CORPUS / "links" / "circles_apart_base.jsonl"
+
+    @pytest.mark.parametrize(
+        "center, message",
+        [
+            ("-2,-2,0,3", "could not move double points away from parameter infinity"),
+            (
+                "-3,2,0,-3",
+                "projection from (-3, 2, 0, -3) degenerates on component 0: "
+                "single bivariate equation is not zero-dimensional",
+            ),
+        ],
+    )
+    def test_writhe_refuses_the_center(self, capsys, center, message):
+        assert main(["writhe", str(self.PATH), f"--center={center}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_sampler_names_both_refusals(self):
+        with pytest.raises(SamplingExhausted) as info:
+            projection.sample_generic_center(parse_curve_file(self.PATH), seed=3, budget=2)
+        assert str(info.value) == (
+            "no generic center found (seed 3); 2 draws: "
+            "1 degenerate-elimination, 1 non-generic-projection"
+        )
 
 
 class TestErrorPaths:

@@ -1,5 +1,6 @@
 """Curve model: validation, evaluation, transforms, sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,91 @@ class TestReparametrization:
     def test_singular_moebius_rejected(self):
         with pytest.raises(SingularMatrix):
             MoebiusReparam.of(1, 2, 2, 4)
+
+
+def seeded_quadruple(rng, degree: int) -> RationalSpaceCurve:
+    """A quadruple of exact degree `degree` with signed coefficients up to
+    2^64, some coordinates of lower degree; not validated."""
+    coords = []
+    for k in range(4):
+        d = degree if k == 0 else rng.randint(0, degree)
+        coords.append([rng.randint(-(2**64), 2**64) for _ in range(d + 1)])
+    coords[0][-1] = coords[0][-1] or 1
+    rng.shuffle(coords)
+    return RationalSpaceCurve(*coords)
+
+
+def seeded_entry(rng) -> Fraction:
+    return Fraction(rng.randint(-(2**20), 2**20), rng.choice([1, 1, 3, -7, 2**33 + 1]))
+
+
+def oracle_normalized(polys, t) -> list[list[int]]:
+    """The sympy polynomials in t times the positive rational that makes them
+    integer polynomials with no common content, as coefficient lists."""
+    coeffs = [[sympy.Rational(c) for c in reversed(sympy.Poly(p, t).all_coeffs())] for p in polys]
+    coeffs = [[] if cs == [0] else cs for cs in coeffs]
+    scale = sympy.ilcm(*(c.q for cs in coeffs for c in cs))
+    ints = [[int(c * scale) for c in cs] for cs in coeffs]
+    g = sympy.igcd(*(v for cs in ints for v in cs))
+    return [[v // g for v in cs] for cs in ints]
+
+
+class TestIntegerReparametrizationOracle:
+    # the integer substitution and transform against sympy: substitute into
+    # the homogenization, or apply the matrix, over Q and normalize the way
+    # RationalSpaceCurve does
+    MOEBIUS = [
+        (10**20, 0, 0, 1),
+        (1, 0, 0, 7**20),
+        (-3, Fraction(5, 2), Fraction(-7, 9), 4),
+        (0, -1, 1, 0),
+        (Fraction(-1, 3), -2, 1, Fraction(2, 2**40 + 3)),
+    ]
+
+    def test_moebius_matches_homogeneous_substitution(self):
+        rng = random.Random(2417)
+        t, u, v = sympy.symbols("t u v")
+        checked = 0
+        for degree in range(1, 8):
+            for _ in range(2):
+                curve = seeded_quadruple(rng, degree)
+                entries = self.MOEBIUS + [tuple(seeded_entry(rng) for _ in range(4))]
+                for a, b, c, d in entries:
+                    moebius = MoebiusReparam.of(a, b, c, d)
+                    ours = moebius.apply(curve)
+                    homogeneous = [
+                        sum(sympy.Integer(k) * u**i * v ** (degree - i) for i, k in enumerate(p.ints))
+                        for p in curve.coords
+                    ]
+                    num = sympy.Rational(a) * t + sympy.Rational(b)
+                    den = sympy.Rational(c) * t + sympy.Rational(d)
+                    expected = oracle_normalized(
+                        [sympy.expand(h.subs({u: num, v: den}, simultaneous=True)) for h in homogeneous], t
+                    )
+                    assert [list(p.ints) for p in ours.coords] == expected
+                    assert all(p.den == 1 for p in ours.coords)
+                    checked += 1
+        assert checked == 7 * 2 * 6
+
+    def test_transform_matches_matrix_product(self):
+        rng = random.Random(8191)
+        t = sympy.Symbol("t")
+        checked = 0
+        for degree in range(1, 8):
+            for _ in range(3):
+                curve = seeded_quadruple(rng, degree)
+                while True:
+                    rows = [[seeded_entry(rng) if rng.random() < 0.8 else 0 for _ in range(4)] for _ in range(4)]
+                    if sympy.Matrix(rows).det() != 0:
+                        break
+                ours = ProjectiveTransform.of(rows).apply(curve)
+                coords = [sum(sympy.Integer(k) * t**i for i, k in enumerate(p.ints)) for p in curve.coords]
+                expected = oracle_normalized(
+                    [sympy.expand(sum(sympy.Rational(e) * p for e, p in zip(row, coords))) for row in rows], t
+                )
+                assert [list(p.ints) for p in ours.coords] == expected
+                checked += 1
+        assert checked == 21
 
 
 class TestSampling:

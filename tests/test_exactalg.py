@@ -8,6 +8,7 @@ machinery is used as the second route wherever our kernel is the first.
 import math
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from encwrithe.algnum import (
     AlgebraicNumber,
     algebraic_value,
     isolate_real_roots,
+    quotient_boxes,
 )
 from encwrithe.bipoly import BiPoly, resultant_bivariate
 from encwrithe.elimination import (
@@ -1123,3 +1125,99 @@ class TestIntervalIdentity:
             for iv in interval_cases(rng):
                 for x in (iv.lo, iv.hi, iv.mid):
                     assert _sign_at(member, x) == sign(ref_horner(member, x))
+
+    def test_integer_kernel_sign_is_the_enclosure_sign(self):
+        # the sign test reads the two integer bounds of _ihorner_interval over
+        # their positive scale; they are the Fraction enclosure's bounds
+        rng = random.Random(4051)
+        for _ in range(80):
+            cs = mixed_upoly_coeffs(rng)
+            p, ref = UPoly(cs), ref_norm(cs)
+            for iv in interval_cases(rng):
+                lo, hi, scale = upoly._ihorner_interval(p.ints, iv.lo, iv.hi)
+                assert scale > 0
+                expected = ref_eval_interval(ref, iv)
+                kernel_sign = 1 if lo > 0 else -1 if hi < 0 else 0
+                assert kernel_sign == expected.definite_sign()
+                assert (Fraction(lo, scale * p.den), Fraction(hi, scale * p.den)) == (
+                    expected.lo,
+                    expected.hi,
+                )
+
+    def test_quotient_boxes_equal_interval_arithmetic(self):
+        # the two divisions picked by sign give the box of num_box times
+        # [1 / den_hi, 1 / den_lo], both boxes by Fraction interval Horner
+        rng = random.Random(5077)
+        seen = Counter()
+        for _ in range(120):
+            num_cs, other_cs, den_cs = (mixed_upoly_coeffs(rng) for _ in range(3))
+            nums = (UPoly(num_cs), UPoly(other_cs))
+            den = UPoly(den_cs)
+            for iv in interval_cases(rng):
+                den_box = ref_eval_interval(ref_norm(den_cs), iv)
+                ours = quotient_boxes(nums, den, iv)
+                if den_box.definite_sign() == 0:
+                    assert ours is None
+                    seen["zero"] += 1
+                    continue
+                inverse = Interval(1 / den_box.hi, 1 / den_box.lo)
+                expected = tuple(ref_eval_interval(ref_norm(cs), iv) * inverse for cs in (num_cs, other_cs))
+                assert [(b.lo, b.hi) for b in ours] == [(b.lo, b.hi) for b in expected]
+                seen["positive" if den_box.lo > 0 else "negative"] += 1
+                if iv.lo == iv.hi:
+                    seen["point"] += 1
+        assert min(seen[k] for k in ("zero", "positive", "negative", "point")) > 20, seen
+
+
+def ref_bisection(p: UPoly, lo: Fraction, hi: Fraction, steps: int) -> tuple[Fraction, Fraction]:
+    """steps bisections of (lo, hi) around the root of p, each reading p at
+    both lo and the midpoint over Fractions."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        v = ref_horner(p.coeffs, mid)
+        if v == 0:
+            return mid, mid
+        if sign(ref_horner(p.coeffs, lo)) != sign(v):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestRefine:
+    def test_one_evaluation_per_bisection_step(self, monkeypatch):
+        # the sign at lo is taken once and kept: n steps make 1 + n
+        # evaluations of the defining polynomial, where reading it at both
+        # lo and the midpoint makes 2n
+        calls = []
+        real = upoly._ihorner
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(upoly, "_ihorner", counted)
+        defining = UPoly([-2, 0, 1])
+        alpha = AlgebraicNumber(defining, 1, 2, _checked=True)
+        steps = 25
+        for _ in range(steps):
+            alpha.refine()
+        assert len(calls) == 1 + steps
+        assert (alpha.lo, alpha.hi) == ref_bisection(defining, Fraction(1), Fraction(2), steps)
+
+    def test_dropped_factor_negative_at_lo(self):
+        # (t^2 - 2)(t - 3) is positive at lo = 1; t - 3 is negative there, so
+        # after the split the defining t^2 - 2 is negative at lo, and a kept
+        # sign would send the next step to the wrong half
+        defining = (UPoly([-2, 0, 1]) * UPoly([-3, 1])).primitive()
+        alpha = AlgebraicNumber(defining, 1, 2)
+        alpha.refine()
+        assert alpha.lo_sign == 1 and (alpha.lo, alpha.hi) == (1, Fraction(3, 2))
+        alpha.split_defining_coprime_to(UPoly([-3, 1]))
+        assert alpha.defining == UPoly([-2, 0, 1])
+        fresh = AlgebraicNumber(UPoly([-2, 0, 1]), 1, Fraction(3, 2))
+        for _ in range(30):
+            alpha.refine()
+            fresh.refine()
+        assert (alpha.lo, alpha.hi) == (fresh.lo, fresh.hi)
+        assert alpha.lo**2 < 2 < alpha.hi**2

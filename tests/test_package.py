@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +227,37 @@ def test_one_remainder_sequence():
         "encwrithe.upoly._subresultants",
         "encwrithe.elimination.TriangularRoot.substitute",
     }
+
+
+def _four_product_min_max(loop: ast.AST) -> bool:
+    """Does the loop form a 4-tuple of products and call min and max, the
+    step of interval Horner?"""
+    calls = {getattr(n.func, "id", None) for n in ast.walk(loop) if isinstance(n, ast.Call)}
+    products = any(
+        isinstance(n, ast.Tuple)
+        and len(n.elts) == 4
+        and all(isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult) for e in n.elts)
+        for n in ast.walk(loop)
+    )
+    return products and {"min", "max"} <= calls
+
+
+def test_one_interval_horner():
+    # every interval enclosure of a polynomial is the integer interval Horner
+    # upoly._ihorner_interval: UPoly.eval_interval divides its bounds into an
+    # Interval, and the certified sign test and the quotient boxes read them
+    # as they are. No second kernel runs beside it, and it has no option
+    kernels = {
+        f"{m.__name__}.{name}"
+        for m in _package_modules()
+        for name in _loops_where(ast.parse(inspect.getsource(m)), _four_product_min_max)
+    }
+    assert kernels == {"encwrithe.upoly._ihorner_interval"}
+    for reader in (upoly.UPoly.eval_interval, algnum.AlgebraicNumber.sign_of_poly, algnum.quotient_boxes):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(reader)))
+        assert _calls_to(tree, "_ihorner_interval"), reader
+    parameters = inspect.signature(upoly._ihorner_interval).parameters.values()
+    assert [p.name for p in parameters if p.default is not inspect.Parameter.empty] == []
 
 
 def test_one_incidence_test():

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from encwrithe import projection
 from encwrithe.algnum import AlgebraicNumber, algebraic_value
 from encwrithe.curves import Link, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link
+from encwrithe.fileio import parse_curve_file
 from encwrithe.errors import (
     CenterOnCurve,
     DegenerateElimination,
@@ -26,6 +28,8 @@ from encwrithe.projection import (
     normalize_center,
     sample_generic_center,
 )
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 def trisecant_quartic() -> Link:
@@ -392,3 +396,21 @@ class TestCenterSampling:
             sample_generic_center(model_link(-1), seed=0, budget=30)
         assert len(draws) == 30
         assert "30 draws: 20 tangential-pair, 10 center-on-curve" in str(info.value)
+
+
+class TestImageBoxes:
+    def test_one_image_box_per_survivor_interval(self, monkeypatch):
+        # the triple-point scan keeps a locus's image box until a refinement
+        # moves its survivor's interval, however many pairs the locus is in
+        seen = []
+        real = projection.quotient_boxes
+
+        def spy(nums, den, iv):
+            seen.append((den, iv.lo, iv.hi))
+            return real(nums, den, iv)
+
+        monkeypatch.setattr(projection, "quotient_boxes", spy)
+        link = parse_curve_file(CORPUS / "links" / "circles_chain_base.jsonl")
+        build_diagram(link, None, seed=6)
+        assert len(seen) > 10
+        assert len(set(seen)) == len(seen)
