@@ -33,7 +33,6 @@ from .errors import (
 from .algnum import AlgebraicNumber, isolate_real_roots
 from .bipoly import BiPoly, resultant_bivariate
 from .curves import (
-    INFINITY,
     Link,
     MoebiusReparam,
     ProjectiveTransform,

@@ -10,8 +10,9 @@ integer bounds upoly._ihorner_interval returns over a positive scale, so no
 Fraction is formed for it: an enclosure that excludes zero certifies the
 sign (the interval filter of Bronnimann, Burnikel and Pion 2001), and the
 exact zero test behind it is what guarantees the loop terminates. A
-bisection step evaluates the defining polynomial once, at the midpoint: its
-sign at lo is kept, since lo moves only to a midpoint of that sign.
+bisection step evaluates the defining polynomial once, at upoly.split_point
+(the midpoint, or a power of two for a wide interval far from zero): its
+sign at lo is kept, since lo moves only to a split point of that sign.
 
 "Which root is this?" is one Sturm count wherever it is asked: an isolating
 interval holds at most one root of any divisor of the defining polynomial,
@@ -45,6 +46,7 @@ from .upoly import (
     is_squarefree,
     isolate_roots_intervals,
     poly_gcd,
+    split_point,
     squarefree_part,
 )
 from .bipoly import BiPoly, resultant_bivariate
@@ -116,13 +118,14 @@ class AlgebraicNumber:
     # -- refinement --------------------------------------------------------
 
     def refine(self) -> None:
-        """One bisection step; collapses to an exact rational if the midpoint
-        is the root. The defining polynomial is evaluated at the midpoint
-        only: its sign at lo is taken on the first step and kept in lo_sign,
-        since lo moves only to a midpoint of that same sign."""
+        """One bisection step at upoly.split_point; collapses to an exact
+        rational if the split point is the root. The defining polynomial is
+        evaluated at the split point only: its sign at lo is taken on the
+        first step and kept in lo_sign, since lo moves only to a split point
+        of that same sign."""
         if self.is_exact:
             return
-        mid = (self.lo + self.hi) / 2
+        mid = split_point(self.lo, self.hi)
         s = _sign_at(self.defining.ints, mid)
         if s == 0:
             self.lo = self.hi = mid

@@ -59,7 +59,7 @@ def _member_entries(scan) -> list[dict]:
 def cmd_writhe(args) -> int:
     parsed = parse_curve_file(args.file)
     if isinstance(parsed, CurveFamily):
-        center = parsed.center
+        center = _parse_center(args.center) if args.center else parsed.center
         scan = scan_family(parsed.instantiate, parsed.grid, center=center)
         print(f"family scan over {parsed.parameter} ({len(scan.members)} members):")
         for member in scan.members:
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("writhe", help="compute the invariant of a link file")
     p.add_argument("file")
-    p.add_argument("--center", help="projection center 'a,b,c,d' (default: sampled)")
+    p.add_argument("--center", help="projection center 'a,b,c,d' (default: sampled, or a family's)")
     p.add_argument("--seed", type=int, default=0, help="seed for center sampling")
     p.add_argument("--json", help="also write a machine-readable report here")
     p.set_defaults(func=cmd_writhe)

@@ -52,14 +52,6 @@ from .upoly import (
 )
 
 
-class _ParameterInfinity:
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _ParameterInfinity()
-
-
 class RationalSpaceCurve:
     """One link component: (X, Y, Z, W) with rational coefficients."""
 
@@ -102,9 +94,8 @@ class RationalSpaceCurve:
         return self.coefficient_vector(self.degree - 1)
 
     def evaluate(self, t):
-        """Exact projective point P(t); t is rational or INFINITY."""
-        if t is INFINITY:
-            return self.leading_vector()
+        """Exact projective point P(t) at a rational t; P(infinity) is
+        leading_vector()."""
         t = rat(t)
         return tuple(p(t) for p in self.coords)
 
@@ -117,8 +108,6 @@ class RationalSpaceCurve:
 
     def tangent(self, t):
         """Derivative of the affine-chart parametrization at t, as (vx, vy, vz, 0)."""
-        if t is INFINITY:
-            raise InvalidInput("tangent at parameter infinity is not chart-defined")
         nums = self.derivative_numerators()
         t = rat(t)
         w = self.W(t)
@@ -126,10 +115,6 @@ class RationalSpaceCurve:
             raise InvalidInput("curve point lies outside the affine chart")
         w2 = w * w
         return tuple(n(t) / w2 for n in nums) + (Fraction(0),)
-
-    def reparametrized(self, moebius: "MoebiusReparam") -> "RationalSpaceCurve":
-        """Change the parameter; the curve in projective space is unchanged."""
-        return moebius.apply(self)
 
 
 def _common_integer_scaling(coords: list[UPoly]) -> list[UPoly]:
@@ -197,17 +182,6 @@ class MoebiusReparam:
         # basis[k] = num^k den^(n-k); the stored coordinates are integers
         basis = [_imul(num_pows[k], den_pows[n - k]) for k in range(n + 1)]
         return RationalSpaceCurve(*(_integer_combination(p.ints, basis) for p in curve.coords))
-
-    def map_parameter(self, t):
-        if t is INFINITY:
-            if self.c == 0:
-                return INFINITY
-            return self.a / self.c
-        t = rat(t)
-        den = self.c * t + self.d
-        if den == 0:
-            return INFINITY
-        return (self.a * t + self.b) / den
 
 
 @dataclass(frozen=True)
@@ -429,16 +403,11 @@ def sample_random_curve(
             [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(degree + 1)]
             for _ in range(4)
         ]
+        # with some t^degree coefficient nonzero the quadruple is a curve of
+        # exact degree `degree`
         if all(c[degree] == 0 for c in coords):
             continue
-        if not any(any(c) for c in coords):
-            continue
-        try:
-            curve = RationalSpaceCurve(*coords)
-        except InvalidInput:
-            continue
-        if curve.degree != degree:
-            continue
+        curve = RationalSpaceCurve(*coords)
         if curve.W.is_zero:
             continue
         try:

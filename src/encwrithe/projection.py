@@ -246,7 +246,7 @@ def _resolve_infinity(link: Link) -> tuple[Link, list[str]]:
             break
         a, b, c, d = _INFINITY_MOEBIUS[attempt]
         moebius = MoebiusReparam.of(a, b, c, d)
-        components[offender] = components[offender].reparametrized(moebius)
+        components[offender] = moebius.apply(components[offender])
         notes.append(
             f"component {offender} reparametrized by t -> ({a}t+{b})/({c}t+{d})"
         )

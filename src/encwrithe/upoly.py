@@ -323,14 +323,6 @@ def _iexact_div(a: list[int], b: list[int]) -> list[int]:
         return []
     db = len(b) - 1
     lead = b[-1]
-    if db == 0:
-        q = []
-        for v in a:
-            c, rem = divmod(v, lead)
-            if rem:
-                raise InvalidInput("inexact integer polynomial division")
-            q.append(c)
-        return q
     if len(a) - 1 < db:
         raise InvalidInput("inexact integer polynomial division")
     r = list(a)
@@ -634,7 +626,8 @@ def _subresultants(
     subresultant PRS of p and q, polynomials in x over Z[y].
 
     p and q are coefficient lists in x (low first) whose entries are integer
-    lists in y ([] for zero), as BiPoly.integer_rows gives them. The chain is
+    lists in y ([] for zero), as BiPoly.integer_rows gives them: the last
+    entry is nonzero, and a zero polynomial is the empty list. The chain is
     Brown's subresultant PRS (Collins 1967; Brown-Traub 1971): each new member
     is the full pseudo-remainder of the two before it, lc(b)^(delta+1) * a
     mod b with delta = deg a - deg b, divided exactly by g*h^delta, where g is
@@ -659,13 +652,7 @@ def _subresultants(
     input included), proportional over Q(y) to the degree-1 subresultant, or
     None when the chain skips degree 1.
     """
-
-    def xnorm(c: list) -> list:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = xnorm(list(p)), xnorm(list(q))
+    a, b = p, q
     if not a or not b:
         raise InvalidInput("resultant of a zero polynomial")
     norm_a = sum(abs(v) for c in a for v in c)
@@ -785,6 +772,26 @@ def count_real_roots(p: UPoly, lo, hi) -> int:
     return sturm_variations(chain, rat(lo)) - sturm_variations(chain, rat(hi))
 
 
+_WIDE = 2**64
+
+
+def split_point(lo: Fraction, hi: Fraction) -> Fraction:
+    """The point at which a bisection splits (lo, hi), lo < hi: the
+    midpoint, except for an interval on one side of zero whose far end
+    exceeds 2^64 and whose ends differ by more than 2^64 in ratio (an end at
+    0 counts as an infinite ratio). Such an interval splits at the power of
+    two halfway between the bit lengths of its ends' integer parts, so a
+    root near 2^k in (0, 2^n) is reached in about log2(n) steps rather than
+    n - k. The power lies strictly inside: the bit lengths differ by at
+    least 64."""
+    if lo >= 0 or hi <= 0:
+        near, far = (lo, hi) if lo >= 0 else (-hi, -lo)
+        if far > _WIDE and far > near * _WIDE:
+            point = 1 << (int(near).bit_length() + int(far).bit_length()) // 2
+            return Fraction(point if lo >= 0 else -point)
+    return (lo + hi) / 2
+
+
 def isolate_roots_intervals(p: UPoly) -> tuple[list[tuple[Fraction, Fraction, bool]], UPoly]:
     """Isolating data for the real roots of a square-free p, sorted ascending.
 
@@ -796,11 +803,11 @@ def isolate_roots_intervals(p: UPoly) -> tuple[list[tuple[Fraction, Fraction, bo
     on; an endpoint may be an exact root.
 
     One bisection pass of the Sturm chain of p over (-B, B), B the Cauchy
-    bound. A node (a, b, va, vb) holds va = V(a+) and vb = V(b-), so
-    va - vb counts the roots of p in the open (a, b). A node with one root
-    is a leaf unless its midpoint m is that root; a midpoint root is
-    recorded as exact and splits its node at m into (V(a+), V(m) + 1) and
-    (V(m), V(b-)): at a simple root, V(m) = V(m+) = V(m-) - 1.
+    bound, split at split_point. A node (a, b, va, vb) holds va = V(a+) and
+    vb = V(b-), so va - vb counts the roots of p in the open (a, b). A node
+    with one root is a leaf unless its split point m is that root; a root at
+    m is recorded as exact and splits its node at m into (V(a+), V(m) + 1)
+    and (V(m), V(b-)): at a simple root, V(m) = V(m+) = V(m-) - 1.
     """
     if p.is_zero:
         raise InvalidInput("cannot isolate roots of the zero polynomial")
@@ -819,7 +826,7 @@ def isolate_roots_intervals(p: UPoly) -> tuple[list[tuple[Fraction, Fraction, bo
         k = va - vb
         if k == 0:
             continue
-        m = (a + b) / 2
+        m = split_point(a, b)
         hit = _sign_at(work, m) == 0
         if hit:
             out.append((m, m, True))

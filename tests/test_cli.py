@@ -101,6 +101,21 @@ class TestWritheCommand:
         assert [m["writhe"] for m in members] == [-1, -1, -1, None, -1, -1, -1]
         assert members[3]["status"] == "degenerate-projection"
 
+    def test_family_center_flag_overrides_the_header(self, capsys, tmp_path):
+        # at (1, 2, 3, 5) the projection of tau = 0 is generic, unlike at the
+        # canonical center of the family header
+        report = tmp_path / "writhe.json"
+        argv = ["writhe", str(MODEL_FAMILY_PATH), "--center", "1,2,3,5", "--json", str(report)]
+        assert main(argv) == 0
+        assert "degenerate" not in capsys.readouterr().out
+        members = json.loads(report.read_text())["members"]
+        assert [m["writhe"] for m in members] == [-1] * 7
+        family = parse_curve_file(MODEL_FAMILY_PATH)
+        scan = verify.scan_family(family.instantiate, family.grid, center=(1, 2, 3, 5))
+        assert [m["writhe"] for m in members] == [m.writhe for m in scan.members]
+        assert main(["writhe", str(MODEL_FAMILY_PATH), "--center", "1,2,3"]) == 2
+        assert capsys.readouterr().err.startswith("error: center must be four rationals")
+
     def test_sampled_center_reproduces_with_center(self, capsys, tmp_path):
         path = tmp_path / "quartic.jsonl"
         write_link_file(Link([sample_random_curve(4, seed=5)]), path)
@@ -365,6 +380,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "degenerate-projection" in out
         assert "jump +0" in out
+
+    def test_wall_crossed_between_grid_points_fails(self, capsys, tmp_path):
+        # no grid point lands on the wall at tau = 0, so the writhe changes
+        # between two ok members: a failed verification, exit 1
+        header, member = WALL_QUARTIC_FAMILY_PATH.read_text().splitlines()
+        record = json.loads(header)
+        record["grid"] = ["-6", "-2", "2", "8"]
+        path = tmp_path / "family.jsonl"
+        path.write_text(json.dumps(record) + "\n" + member + "\n")
+        report = tmp_path / "verify.json"
+        assert main(["verify", str(path), "--json", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "constant between walls: FAIL" in out
+        assert "singular-curve" not in out
+        assert json.loads(report.read_text())["passed"] is False
 
 
 class TestSampleCommand:
@@ -961,7 +991,7 @@ class TestHostileCoefficients:
         link = parse_curve_file(source)
         base = self.writhe_stdout(capsys, source)
         for moebius in (MoebiusReparam.of(10**20, 0, 0, 1), MoebiusReparam.of(1, 0, 0, 7**20)):
-            curve = link.components[0].reparametrized(moebius)
+            curve = moebius.apply(link.components[0])
             assert max(abs(c) for p in curve.coords for c in p.coeffs) >= 10**50
             path = tmp_path / "reparametrized.jsonl"
             write_link_file(Link([curve]), path)

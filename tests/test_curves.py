@@ -8,7 +8,6 @@ import sympy
 
 from encwrithe.algnum import AlgebraicNumber, algebraic_value, isolate_real_roots
 from encwrithe.curves import (
-    INFINITY,
     Link,
     MoebiusReparam,
     ProjectiveTransform,
@@ -126,6 +125,27 @@ class TestValidation:
         with pytest.raises(ComponentsIntersect):
             report.raise_for_failure()
 
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            # a parallel line: disjoint in the affine chart, one point at infinity
+            (([0, 1], [1], [0], [1]), "both parameter-infinity points coincide"),
+            # the same line as t -> 2t + 1: a curve of coincidences
+            (([1, 2], [0], [0], [1]), "coincidence system is not zero-dimensional"),
+        ],
+    )
+    def test_lines_that_meet(self, b, message):
+        a = RationalSpaceCurve([0, 1], [0], [0], [1])
+        report = validate_link(Link([a, RationalSpaceCurve(*b)]))
+        assert isinstance(report.error, ComponentsIntersect)
+        assert str(report.error) == f"components 0 and 1: {message}"
+
+    def test_a_circle_given_twice(self):
+        circle = linked_circles().components[0]
+        report = validate_link(Link([circle, circle]))
+        assert isinstance(report.error, ComponentsIntersect)
+        assert str(report.error) == "components 0 and 1: all coincidence resultants vanish"
+
 
 class TestEvaluation:
     def test_model_point_at_minus_one(self):
@@ -143,7 +163,7 @@ class TestEvaluation:
         assert curve.evaluate(0) == tuple(p[0] for p in curve.coords)
 
     def test_point_at_infinity(self):
-        assert model_curve(-1).evaluate(INFINITY) == (0, -1, 0, 0)
+        assert model_curve(-1).leading_vector() == (0, -1, 0, 0)
 
     def test_evaluate_at_algebraic_number(self):
         # a coordinate at an algebraic parameter is formed by algebraic_value
@@ -244,7 +264,7 @@ class TestReparametrization:
         moebius = MoebiusReparam.of(2, 1, 1, 3)
         reparam = moebius.apply(curve)
         for t in (0, 1, -2, Fraction(1, 2)):
-            image = moebius.map_parameter(t)
+            image = Fraction(2 * t + 1, t + 3)
             assert proportional(reparam.evaluate(t), curve.evaluate(image))
 
     def test_singular_moebius_rejected(self):

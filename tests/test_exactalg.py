@@ -1221,3 +1221,32 @@ class TestRefine:
             fresh.refine()
         assert (alpha.lo, alpha.hi) == (fresh.lo, fresh.hi)
         assert alpha.lo**2 < 2 < alpha.hi**2
+
+    @pytest.mark.parametrize(
+        "lo, hi, expected",
+        [
+            # the midpoint: an interval across zero, a far end within 2^64, or
+            # ends within 2^64 in ratio
+            (-(2**200), 2**100, (2**100 - 2**200) // 2),
+            (0, 2**64, 2**63),
+            (2**100, 2**150, (2**100 + 2**150) // 2),
+            # a power of two halfway between the bit lengths of the ends
+            (0, 2**3980, 2**1990),
+            (-(2**3980), 0, -(2**1990)),
+            (2**10, 2**200, 2**106),
+            (Fraction(1, 3), 2**200, 2**100),
+        ],
+    )
+    def test_split_point(self, lo, hi, expected):
+        assert upoly.split_point(Fraction(lo), Fraction(hi)) == expected
+
+    def test_wide_interval_far_from_zero_takes_few_steps(self):
+        # one-bit bisection of (0, 2^3980) needs about 2,985 steps before the
+        # interval of 3 * 2^995 excludes 2^996
+        alpha = AlgebraicNumber(UPoly([-3 * 2**995, 1]), 0, 2**3980)
+        steps = 0
+        while alpha.lo < 2**996 < alpha.hi:
+            alpha.refine()
+            steps += 1
+        assert steps < 100
+        assert alpha.sign_of_poly(UPoly([-(2**996), 1])) == 1

@@ -12,10 +12,11 @@ are fixed, so every run draws the same examples. Each failure found here is
 kept as a named case in test_cli.py, or below while it is open.
 
 One class of input is known to break the time bound, and is set aside by the
-fuzzer and pinned by test_huge_coefficient_is_analysed_in_bounded_time: a
-file that parses to a curve with a coefficient of more than KNOWN_SLOW_BITS
-bits. Nothing bounds the coefficient size yet, and the exact refinement of
-such a curve's roots runs for minutes.
+fuzzer: a file that parses to a curve with a coefficient of more than
+KNOWN_SLOW_BITS bits. Nothing bounds the coefficient size yet. `writhe` at
+one center analyses such a curve in bounded time, which
+test_huge_coefficient_is_analysed_in_bounded_time pins, but `verify` of the
+same curve still runs for minutes.
 """
 
 import contextlib
@@ -23,7 +24,6 @@ import io
 import json
 import signal
 
-import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
@@ -235,11 +235,11 @@ def test_cli_input_boundary(tmp_path, content, data):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
-@pytest.mark.xfail(raises=Overrun, strict=True, reason="no budget bounds the coefficient size yet")
 def test_huge_coefficient_is_analysed_in_bounded_time(tmp_path):
     # found by test_cli_input_boundary: the linked circles with the second
     # circle's y = 7...7 (4,299 digits, about 14,000 bits) ran for minutes
-    # under `verify`; y = 10^1200 still takes about 24 s under `writhe`
+    # while refinement bisected its (0, 2^n) intervals one bit at a time;
+    # upoly.split_point halves the exponent of such an interval instead
     header, first, second = LINKED_CIRCLES_PATH.read_text().splitlines()
     record = json.loads(second)
     record["y"] = ["7" * 4299]

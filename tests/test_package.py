@@ -298,8 +298,8 @@ def test_deleted_names_stay_gone():
     assert not hasattr(upoly, "_sign_at_inf")
     # the polynomials of a locus are built once, by its writhe.LocusPolys
     # record, and the components and pairs are solved by one loop; the
-    # wrappers around the record, the analysis and curve.reparametrized had
-    # no caller in the program
+    # wrappers around the record, the analysis and the curve's
+    # reparametrization had no caller in the program
     gone = {
         projection: (
             "_classify_same_component",
@@ -332,6 +332,12 @@ def test_deleted_names_stay_gone():
     gone[curves.RationalSpaceCurve] = ("transformed",)
     gone[rationals] = ("Rat",)
     gone[fileio.CurveFamily] = ("orientations",)
+    # P(infinity) is the leading coefficient vector, with no sentinel
+    # parameter beside it, and a parameter change is MoebiusReparam.apply
+    gone[curves] += ("INFINITY", "_ParameterInfinity")
+    gone[encwrithe] += ("INFINITY",)
+    gone[curves.MoebiusReparam] = ("map_parameter",)
+    gone[curves.RationalSpaceCurve] += ("reparametrized",)
     assert list(inspect.signature(elimination.solve_system).parameters) == ["polys"]
     assert tuple(curves.LinkValidationReport.__dataclass_fields__) == ("error", "imaginary_singular_candidates")
     assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []

@@ -8,11 +8,12 @@ import pytest
 
 from encwrithe import projection
 from encwrithe.algnum import AlgebraicNumber, algebraic_value
-from encwrithe.curves import Link, RationalSpaceCurve, sample_random_curve
+from encwrithe.curves import Link, RationalSpaceCurve, sample_random_curve, validate
 from encwrithe.data import linked_circles, model_curve, model_link
 from encwrithe.fileio import parse_curve_file
 from encwrithe.errors import (
     CenterOnCurve,
+    CenterOnSingularLine,
     DegenerateElimination,
     InvalidInput,
     SamplingExhausted,
@@ -20,7 +21,7 @@ from encwrithe.errors import (
     TriplePoint,
 )
 from encwrithe.upoly import UPoly
-from encwrithe.writhe import build_diagram
+from encwrithe.writhe import build_diagram, writhe_unoriented
 from encwrithe.projection import (
     CANONICAL_CENTER,
     LocusKind,
@@ -313,7 +314,7 @@ class TestMoebiusCommutation:
         from encwrithe.writhe import build_diagram, writhe_unoriented
 
         curve = sample_random_curve(4, seed=5)
-        moved = curve.reparametrized(MoebiusReparam.of(1, -1, 1, 1))
+        moved = MoebiusReparam.of(1, -1, 1, 1).apply(curve)
         link_a, link_b = Link([curve]), Link([moved])
         da = sample_generic_center(link_a, seed=1)
         center = da.center
@@ -396,6 +397,43 @@ class TestCenterSampling:
             sample_generic_center(model_link(-1), seed=0, budget=30)
         assert len(draws) == 30
         assert "30 draws: 20 tangential-pair, 10 center-on-curve" in str(info.value)
+
+    def test_exhausted_counts_the_zero_vector(self, monkeypatch):
+        # for one component at seed 220 the 7th draw is (0, 0, 0, 0), which
+        # is refused before any analysis
+        draws = []
+
+        def always_triple(link, center):
+            draws.append(center)
+            raise TriplePoint("coincident images")
+
+        monkeypatch.setattr(projection, "analyze_projection", always_triple)
+        with pytest.raises(SamplingExhausted) as info:
+            sample_generic_center(model_link(-1), seed=220, budget=7)
+        assert len(draws) == 6
+        assert str(info.value).endswith("7 draws: 6 triple-point, 1 zero-vector")
+
+
+def test_center_on_the_line_through_conjugate_nodes():
+    # conjugate space nodes P(i) = P(1 + 2i) and P(-i) = P(1 - 2i): the real
+    # line through them passes through 6,4,6,1, where both project to one
+    # real point, the image of the two solitary loci
+    curve = RationalSpaceCurve(
+        [-2, -126, -6, -6, -6, 0],
+        [-1, -86, 80, 0, 0, 6],
+        [-1, -120, 54, 6, -6, 6],
+        [-1, -23, 83, 3, 3, 6],
+    )
+    link = Link([curve])
+    assert validate(curve) == 2
+    with pytest.raises(CenterOnSingularLine) as info:
+        analyze_projection(link, (6, 4, 6, 1))
+    assert str(info.value) == (
+        "coincident images: [solitary on component 0: e in [0, 0], f in [1, 1]] "
+        "and [solitary on component 0: e in [2, 2], f in [5, 5]]; "
+        "imaginary space singularities present and solitary images collide"
+    )
+    assert writhe_unoriented(sample_generic_center(link, seed=0)) == 2
 
 
 class TestImageBoxes:
