@@ -51,7 +51,7 @@ from .projection import (
     rational_center,
     sample_generic_center,
 )
-from .upoly import UPoly, resultant, squarefree_part
+from .upoly import UPoly, squarefree_part
 from .verify import (
     FamilyScan,
     VerificationRun,

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput
-from .rationals import Interval, rat, rat_str
+from .rationals import Interval, rat, rat_str, simplest_in_interval
 from .upoly import (
     UPoly,
     _ihorner_interval,
@@ -98,12 +98,6 @@ class AlgebraicNumber:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def exact_value(self) -> Fraction:
-        if not self.is_exact:
-            raise InvalidInput("number has not collapsed to a rational")
-        return self.lo
-
     def interval(self) -> Interval:
         return Interval(self.lo, self.hi)
 
@@ -144,8 +138,6 @@ class AlgebraicNumber:
 
     def try_exact_collapse(self, rounds: int = 3) -> bool:
         """Probe for a rational value via the simplest fraction in the interval."""
-        from .rationals import simplest_in_interval
-
         for _ in range(rounds):
             if self.is_exact:
                 return True
@@ -287,12 +279,12 @@ def algebraic_value(base: AlgebraicNumber, num: UPoly, den: UPoly) -> AlgebraicN
     if base.is_exact:
         return AlgebraicNumber.from_rational(num(base.lo) / den(base.lo))
     target = BiPoly.outer([(num, UPoly.const(1)), (-den, UPoly.x())])
-    h = resultant_bivariate(BiPoly.from_upoly(base.defining, 0), target, 0)
+    h = resultant_bivariate(BiPoly.from_upoly(base.defining), target)
     if h.is_zero:
         # another root of the defining polynomial is a common root of num and
         # den; it is not this one, since den is nonzero here
         base.split_defining_coprime_to(poly_gcd(num, den))
-        h = resultant_bivariate(BiPoly.from_upoly(base.defining, 0), target, 0)
+        h = resultant_bivariate(BiPoly.from_upoly(base.defining), target)
     if h.is_zero:
         raise InvalidInput("degenerate elimination while forming an algebraic value")
     h = squarefree_part(h)

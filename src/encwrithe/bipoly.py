@@ -6,7 +6,7 @@ Used for the double-point systems: minors in the two preimage parameters
 resultant elimination down to univariate polynomials. Exponent pairs map to
 integer coefficients over one positive denominator, in lowest terms as in
 upoly.UPoly; the terms view gives them as Fractions. Variable 0 is the
-first parameter, variable 1 the second.
+first parameter, variable 1 the second; variable 0 is the one eliminated.
 
 A BiPoly is built, never computed with: every one in the program is a sum
 of products A(s)B(t) (BiPoly.outer), or the (e, f) closed form of such a
@@ -62,10 +62,9 @@ class BiPoly:
         return p
 
     @staticmethod
-    def from_upoly(p: UPoly, index: int) -> "BiPoly":
-        if index == 0:
-            return BiPoly.from_ints({(k, 0): v for k, v in enumerate(p.ints)}, p.den)
-        return BiPoly.from_ints({(0, k): v for k, v in enumerate(p.ints)}, p.den)
+    def from_upoly(p: UPoly) -> "BiPoly":
+        """p in variable 0."""
+        return BiPoly.from_ints({(k, 0): v for k, v in enumerate(p.ints)}, p.den)
 
     @staticmethod
     def outer(pairs: Iterable[tuple[UPoly, UPoly]]) -> "BiPoly":
@@ -93,11 +92,6 @@ class BiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.ints
-
-    def degree_in(self, index: int) -> int:
-        if not self.ints:
-            return -1
-        return max(k[index] for k in self.ints)
 
     @property
     def is_constant(self) -> bool:
@@ -127,33 +121,32 @@ class BiPoly:
 
     # -- the operations the double-point pipeline needs -----------------
 
-    def integer_rows(self, index: int) -> tuple[list[list[int]], int]:
-        """(rows, D): self * D as integer coefficient lists in the other
-        variable, one per power of variable `index` (low first); D > 0 is the
-        lcm of the denominators."""
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, D): self * D as integer coefficient lists in variable 1,
+        one per power of variable 0 (low first); D > 0 is the lcm of the
+        denominators."""
         buckets: dict[int, dict[int, int]] = {}
         for (i, j), v in self.ints.items():
-            k, other = (i, j) if index == 0 else (j, i)
-            buckets.setdefault(k, {})[other] = v
+            buckets.setdefault(i, {})[j] = v
         rows = []
-        for k in range(max(buckets) + 1 if buckets else 0):
-            bucket = buckets.get(k, {})
+        for i in range(max(buckets) + 1 if buckets else 0):
+            bucket = buckets.get(i, {})
             row = [0] * (max(bucket) + 1) if bucket else []
-            for other, v in bucket.items():
-                row[other] = v
+            for j, v in bucket.items():
+                row[j] = v
             rows.append(row)
         return rows, self.den
 
 
-def resultant_bivariate(a: BiPoly, b: BiPoly, index: int) -> UPoly:
-    """Resultant of a and b eliminating variable `index` (univariate in the other).
+def resultant_bivariate(a: BiPoly, b: BiPoly) -> UPoly:
+    """Resultant of a and b eliminating variable 0 (univariate in variable 1).
 
     With a = P / D_p and b = Q / D_q for integer P, Q, the resultant R' of P
     and Q over Z[x] is read from their subresultant chain, and
     Res(a, b) = R' / (D_p^n * D_q^m), m and n the degrees of a and b in the
     eliminated variable.
     """
-    p, dp = a.integer_rows(index)
-    q, dq = b.integer_rows(index)
+    p, dp = a.integer_rows()
+    q, dq = b.integer_rows()
     res, _ = _subresultants(p, q)
     return UPoly.from_ints(res, dp ** (len(q) - 1) * dq ** (len(p) - 1))

@@ -153,10 +153,6 @@ class MoebiusReparam:
             raise SingularMatrix("Moebius matrix is singular")
         return m
 
-    @staticmethod
-    def identity() -> "MoebiusReparam":
-        return MoebiusReparam.of(1, 0, 0, 1)
-
     @property
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -199,12 +195,6 @@ class ProjectiveTransform:
         if t.det == 0:
             raise SingularMatrix("projective transform is singular")
         return t
-
-    @staticmethod
-    def identity() -> "ProjectiveTransform":
-        return ProjectiveTransform.of(
-            [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        )
 
     @property
     def det(self) -> Fraction:
@@ -387,18 +377,16 @@ def _check_disjoint(a: RationalSpaceCurve, b: RationalSpaceCurve, where: str) ->
 
 # -- random sampling ------------------------------------------------------------
 
+# coefficient draws sample_random_curve makes before it gives up
+_SAMPLE_DRAWS = 400
 
-def sample_random_curve(
-    degree: int,
-    seed: int,
-    coefficient_bound: int = 5,
-    budget: int = 400,
-) -> RationalSpaceCurve:
+
+def sample_random_curve(degree: int, seed: int, coefficient_bound: int = 5) -> RationalSpaceCurve:
     """Deterministic random validated curve of exact degree `degree`."""
     if degree < 1:
         raise InvalidInput("degree must be at least 1")
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(_SAMPLE_DRAWS):
         coords = [
             [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(degree + 1)]
             for _ in range(4)
@@ -416,5 +404,5 @@ def sample_random_curve(
             continue
         return curve
     raise SamplingExhausted(
-        f"no valid degree-{degree} curve found in {budget} draws (seed {seed})"
+        f"no valid degree-{degree} curve found in {_SAMPLE_DRAWS} draws (seed {seed})"
     )

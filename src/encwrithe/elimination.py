@@ -92,7 +92,7 @@ class TriangularRoot:
         entry = self.reductions.get(key)
         if entry is not None:
             return entry[-1]
-        rows, dp = p.integer_rows(0)
+        rows, dp = p.integer_rows()
         e, de = completion.ints, completion.den
         modulus = defining.int_primitive()
         lead = abs(modulus[-1])
@@ -184,7 +184,7 @@ def _eliminate(
 def pairwise_eliminant(polys: list[BiPoly]) -> UPoly | None:
     """gcd of the nonzero pairwise resultants of polys eliminating variable 0,
     primitive; None when every pairwise resultant vanishes identically."""
-    return _eliminate([p.integer_rows(0)[0] for p in polys])[0]
+    return _eliminate([p.integer_rows()[0] for p in polys])[0]
 
 
 def solve_system(polys: list[BiPoly]) -> SystemSolution:
@@ -205,7 +205,7 @@ def solve_system(polys: list[BiPoly]) -> SystemSolution:
     if len(nonzero) == 1:
         raise DegenerateElimination("single bivariate equation is not zero-dimensional")
 
-    rows = [p.integer_rows(0)[0] for p in nonzero]
+    rows = [p.integer_rows()[0] for p in nonzero]
     g, linear = _eliminate(rows)
     if g is None:
         raise DegenerateElimination("every pairwise resultant vanishes identically")

@@ -292,12 +292,14 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
         polys = LocusPolys(nlink.components[i], None if same else nlink.components[j])
         try:
             solution = solve_system(polys.system)
+            if solution.undecided is not None:
+                raise DegenerateElimination(
+                    "real eliminant root could not be completed and verified"
+                )
         except DegenerateElimination as exc:
             at = ", ".join(map(rat_str, center))
             note = f"projection from ({at}) degenerates on {where}: {exc}"
             raise DegenerateElimination(note) from None
-        if solution.undecided is not None:
-            raise DegenerateElimination("real eliminant root could not be completed and verified")
         expected = polys.expected_count
         if solution.multiplicity_count != expected or not solution.is_simple:
             fail(
@@ -448,15 +450,11 @@ def sample_generic_center(link: Link, seed: int = 0, budget: int = 240) -> Proje
     SamplingExhausted names how many draws each error class rejected.
     """
     rng = random.Random(f"center-{seed}-{link.n_components}")
-    bound = 3
-    tries_at_bound = 0
     rejected: Counter[str] = Counter()
-    for _ in range(budget):
+    for k in range(budget):
+        # the coordinate bound starts at 3 and doubles every 40 draws
+        bound = 3 << (k // 40)
         center = tuple(rng.randint(-bound, bound) for _ in range(4))
-        tries_at_bound += 1
-        if tries_at_bound >= 40:
-            bound *= 2
-            tries_at_bound = 0
         if all(v == 0 for v in center):
             rejected["zero-vector"] += 1
             continue

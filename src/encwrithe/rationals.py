@@ -96,10 +96,6 @@ class Interval:
         x = rat(x)
         return Interval(x, x)
 
-    @staticmethod
-    def of(lo, hi) -> "Interval":
-        return Interval(rat(lo), rat(hi))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

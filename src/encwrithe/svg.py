@@ -22,6 +22,8 @@ from .rationals import rat_str
 from .upoly import UPoly
 
 _SAMPLES_PER_COMPONENT = 800
+# the longer side of the drawing, in pixels
+_SIZE = 480
 # a crossing's preimages, and every marker's image point, are read as floats
 # once they are known to within this width
 _PREIMAGE_WIDTH = Fraction(1, 10**9)
@@ -85,19 +87,15 @@ def _sample_component(curve, t_lo: float, t_hi: float) -> list[list[tuple]]:
     for k in range(n + 1):
         t = t_lo + (t_hi - t_lo) * k / n
         w = _feval(curve.W, t)
-        if abs(w) < 1e-9:
-            if len(current) > 1:
-                segments.append(current)
-            current = []
-            continue
-        x = _feval(curve.X, t) / w
-        y = _feval(curve.Y, t) / w
-        if abs(x) > 1e4 or abs(y) > 1e4:
-            if len(current) > 1:
-                segments.append(current)
-            current = []
-            continue
-        current.append((x, y, t))
+        if not abs(w) < 1e-9:
+            x, y = _feval(curve.X, t) / w, _feval(curve.Y, t) / w
+            if not (abs(x) > 1e4 or abs(y) > 1e4):
+                current.append((x, y, t))
+                continue
+        # a chart pole, or a point far out, ends the segment
+        if len(current) > 1:
+            segments.append(current)
+        current = []
     if len(current) > 1:
         segments.append(current)
     return segments
@@ -110,7 +108,7 @@ def _feval(p: UPoly, t: float) -> float:
     return acc
 
 
-def render_diagram_svg(diagram: ProjectionAnalysis, out_path=None, size: int = 480) -> str:
+def render_diagram_svg(diagram: ProjectionAnalysis, out_path=None) -> str:
     link = diagram.link
     loci = diagram.loci
     crossings = [
@@ -154,7 +152,7 @@ def render_diagram_svg(diagram: ProjectionAnalysis, out_path=None, size: int = 4
     x_lo, x_hi = x_lo - pad, x_hi + pad
     y_lo, y_hi = y_lo - pad, y_hi + pad
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
-    scale = size / max(span_x, span_y)
+    scale = _SIZE / max(span_x, span_y)
     gap_radius_t = 0.04 * (2 * t_range)
 
     def to_px(x: float, y: float) -> tuple[float, float]:

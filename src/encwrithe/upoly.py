@@ -43,10 +43,10 @@ degree first), never on Fractions:
   |p|_1^deg q * |q|_1^deg p, a bound on the 1-norm of every minor of the
   Sylvester matrix and so of every member; the resultant and the degree-1
   member are read back as signed digits (_unpack). It gives the resultants
-  (resultant, bipoly.resultant_bivariate and each pair of polynomials in
-  elimination) and the degree-1 member from which elimination completes a
-  root. Resultants clear the denominators of their inputs first and divide
-  the known power of them out of the integer result, so they stay exact.
+  (bipoly.resultant_bivariate and each pair of polynomials in elimination)
+  and the degree-1 member from which elimination completes a root.
+  Resultants clear the denominators of their inputs first and divide the
+  known power of them out of the integer result, so they stay exact.
 * There is one running gcd, gcd_all, and one incidence test, hits. gcd_all
   reads a lazy sequence and stops at a constant: the minors of
   gcd_of_minors, a curve's coordinates and elimination's pairwise
@@ -96,10 +96,6 @@ class UPoly:
         p = object.__new__(UPoly)
         p._store(list(ints), den)
         return p
-
-    @staticmethod
-    def zero() -> "UPoly":
-        return UPoly.from_ints(())
 
     @staticmethod
     def const(c) -> "UPoly":
@@ -727,16 +723,6 @@ def _exact_quotient(n: int, d: int) -> int:
     if rem:
         raise InvalidInput("inexact division in the subresultant chain")
     return q
-
-
-def resultant(p: UPoly, q: UPoly) -> Fraction:
-    """Res(p, q) with the Sylvester sign, from the subresultant chain of the
-    cleared p and q."""
-    res, _ = _subresultants(
-        [[c] if c else [] for c in p.ints], [[c] if c else [] for c in q.ints]
-    )
-    # Res(dp*p, dq*q) = dp^deg(q) * dq^deg(p) * Res(p, q), dp and dq the dens
-    return Fraction(res[0] if res else 0, p.den ** q.degree * q.den ** p.degree)
 
 
 # -- Sturm machinery ---------------------------------------------------

@@ -142,7 +142,7 @@ class LocusPolys:
         X, Y, W = projected_triple(self.curve)
         if self.other is None:
             return symmetric_sum([(X, W)]), symmetric_sum([(Y, W)]), symmetric_sum([(W, W)])
-        return BiPoly.from_upoly(X, 0), BiPoly.from_upoly(Y, 0), BiPoly.from_upoly(W, 0)
+        return BiPoly.from_upoly(X), BiPoly.from_upoly(Y), BiPoly.from_upoly(W)
 
     @cached_property
     def chart(self) -> BiPoly:

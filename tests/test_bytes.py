@@ -4,8 +4,10 @@ Each command runs in process through `cli.main`, and one sha256 is kept per
 command: of its stdout, its stderr, its exit code and the file it writes, with
 the temporary directory masked. The list covers `writhe --json` on the bench
 corpus at three seeds, `writhe`, `verify` and `diagram` on the bundled files,
-`writhe` at fixed centers, `verify` on the scan families, and a curve whose
-imaginary space nodes collide in the image of one center.
+`writhe` at fixed centers, `verify` on the scan families, a curve whose
+imaginary space nodes collide in the image of one center, linked circles one
+of which is stretched by 10^20 (their images are told apart only by exact
+coordinates), and `sample`, whose files are hashed in name order.
 
 The golden is `tests/golden/commands.json`. Regenerate it, only for an
 intended output change, with
@@ -20,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -35,6 +38,15 @@ GOLDEN = Path(__file__).parent / "golden" / "commands.json"
 CONJUGATE_NODES = (
     '{"x": [-2, -126, -6, -6, -6, 0], "y": [-1, -86, 80, 0, 0, 6], '
     '"z": [-1, -120, 54, 6, -6, 6], "w": [-1, -23, 83, 3, 3, 6]}'
+)
+
+# linked_circles.jsonl with the second circle's y stretched by 10^20: the
+# interval boxes of the two images at the sampled center never separate, so
+# the images are told apart by exact algebraic coordinates
+HUGE_CIRCLES = (
+    '{"kind": "link", "orientations": [1, 1]}\n'
+    '{"x": [1, 0, -1], "y": [0, 2], "z": [0], "w": [1, 0, 1]}\n'
+    '{"x": [2], "y": [0, 100000000000000000000], "z": [0, 2], "w": [1, 0, 1]}\n'
 )
 
 SEEDS = ("0", "3", "6")
@@ -76,6 +88,10 @@ def _commands() -> list[list[str]]:
         commands.append(["verify", f"perfbench/corpus/scans/{path.name}", "--json", "{out}"])
     commands.append(["writhe", "{tmp}/conjugate_nodes.jsonl", "--center=6,4,6,1"])
     commands.append(["writhe", "{tmp}/conjugate_nodes.jsonl", "--seed", "0"])
+    commands.append(["writhe", "{tmp}/huge_circles.jsonl", "--seed", "0", "--json", "{out}"])
+    commands.append(
+        ["sample", "--degree", "4", "--count", "2", "--seed", "1", "--out", "{tmp}/sample"]
+    )
     return commands
 
 
@@ -86,9 +102,12 @@ def _run(argv: list[str], tmp: Path) -> tuple[str, str]:
     """Run one command in the repository root; return its masked output as
     JSON and that text's sha256."""
     out = tmp / "out"
+    sample = tmp / "sample"
     with contextlib.suppress(FileNotFoundError):
         out.unlink()
+    shutil.rmtree(sample, ignore_errors=True)
     (tmp / "conjugate_nodes.jsonl").write_text('{"kind": "link"}\n' + CONJUGATE_NODES + "\n")
+    (tmp / "huge_circles.jsonl").write_text(HUGE_CIRCLES)
     args = [a.replace("{out}", str(out)).replace("{tmp}", str(tmp)) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -105,13 +124,15 @@ def _run(argv: list[str], tmp: Path) -> tuple[str, str]:
         "exit": code,
         "file": written,
     }
+    if sample.exists():
+        record["files"] = {path.name: path.read_text() for path in sorted(sample.iterdir())}
     text = json.dumps(record, indent=1, sort_keys=True).replace(str(tmp), "{tmp}")
     return text, hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_command_list_is_complete():
     golden = json.loads(GOLDEN.read_text())
-    assert len(COMMANDS) == 182
+    assert len(COMMANDS) == 184
     assert sorted(golden) == sorted(" ".join(argv) for argv in COMMANDS)
 
 

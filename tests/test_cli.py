@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import encwrithe
-from encwrithe import elimination, projection, svg, verify, writhe
+from encwrithe import algnum, elimination, projection, svg, verify, writhe
 from encwrithe.algnum import algebraic_value
 from encwrithe.bipoly import BiPoly
 from encwrithe.cli import PARSER, main
@@ -168,6 +168,34 @@ class TestWritheCommand:
         sampled = run("--seed", "0")
         assert sampled.returncode == 0
         assert "Cw = 0" in sampled.stdout
+
+    def test_images_told_apart_exactly(self, capsys, tmp_path, monkeypatch):
+        # the linked circles with the second circle's y stretched by 10^20:
+        # the image boxes of the two inter-component loci at the sampled
+        # center do not separate within the box rounds, so their exact x
+        # coordinates are formed, one resultant each, and found unequal
+        lines = LINKED_CIRCLES_PATH.read_text().splitlines()
+        second = json.loads(lines[2])
+        second["y"] = [0, 10**20]
+        path = tmp_path / "huge_circles.jsonl"
+        path.write_text("\n".join([*lines[:2], json.dumps(second)]) + "\n")
+        calls = []
+        real = algnum.resultant_bivariate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(algnum, "resultant_bivariate", counted)
+        report = tmp_path / "report.json"
+        assert main(["writhe", str(path), "--seed", "0", "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+        payload = json.loads(report.read_text())
+        assert (payload["unoriented"], payload["oriented"]) == (0, -2)
+        assert payload["linking"] == [["0", "-1"], ["-1", "0"]]
+        assert payload["center"] == ["-2", "2", "2", "3"]
+        assert [locus["sign"] for locus in payload["loci"]] == [-1, -1]
 
     def test_explicit_center_puts_a_crossing_image_on_w_zero(self, capsys, tmp_path):
         # the model cubic at tau = -1 moved by X' = X + W, W' = W - X': its

@@ -30,6 +30,9 @@ from encwrithe.upoly import UPoly
 MIRROR_Z = ProjectiveTransform.of(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
 )
+IDENTITY = ProjectiveTransform.of(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+)
 
 
 def sympy_chart(curve):
@@ -212,7 +215,7 @@ class TestTangent:
 class TestTransforms:
     def test_identity(self):
         curve = model_curve(-1)
-        assert ProjectiveTransform.identity().apply(curve) == curve
+        assert IDENTITY.apply(curve) == curve
 
     def test_mirror_negates_z(self):
         curve = model_curve(-1)
@@ -238,13 +241,13 @@ class TestTransforms:
             ProjectiveTransform.of([[1, 0, 0, 0]] * 4)
 
     def test_orientation_class_positive(self):
-        assert ProjectiveTransform.identity().orientation_class == 1
+        assert IDENTITY.orientation_class == 1
 
 
 class TestReparametrization:
     def test_identity(self):
         curve = model_curve(-1)
-        assert MoebiusReparam.identity().apply(curve) == curve
+        assert MoebiusReparam.of(1, 0, 0, 1).apply(curve) == curve
 
     def test_shift_matches_substitution(self):
         curve = model_curve(-1)

@@ -31,7 +31,7 @@ class TestSolveSystem:
         solution = solve_system(system)
         assert len(solution.roots) == 1
         root = solution.roots[0]
-        assert root.survivor.is_exact and root.survivor.exact_value == 1
+        assert root.survivor.is_exact and root.survivor.lo == 1
         assert root.eliminated_poly(Fraction(1)) == 1
 
     def test_extraneous_roots_filtered_by_verification(self):
@@ -44,7 +44,7 @@ class TestSolveSystem:
         ]
         solution = solve_system(system)
         assert len(solution.roots) == 1
-        assert solution.roots[0].survivor.exact_value == 1
+        assert solution.roots[0].survivor.is_exact and solution.roots[0].survivor.lo == 1
 
     def test_pair_of_survivor_only_polys_uses_gcd(self):
         # (f - 2) and (f - 2)(f + 1) share the root 2; e pinned by the third
@@ -56,7 +56,7 @@ class TestSolveSystem:
         solution = solve_system(system)
         assert len(solution.roots) == 1
         root = solution.roots[0]
-        assert root.survivor.exact_value == 2
+        assert root.survivor.is_exact and root.survivor.lo == 2
         assert root.eliminated_poly(Fraction(2)) == 5
 
     def test_inconsistent_constants_empty(self):
@@ -95,7 +95,7 @@ class TestSystemBuilders:
         solution = solve_system(system)
         assert len(solution.roots) == 1
         root = solution.roots[0]
-        assert root.survivor.exact_value == 0
+        assert root.survivor.is_exact and root.survivor.lo == 0
         assert root.eliminated_poly(Fraction(0)) == 0
 
 
@@ -167,7 +167,7 @@ def _collapsed_survivor(rng: random.Random) -> AlgebraicNumber:
         delta /= 3
     survivor = AlgebraicNumber(_upoly_of(poly), root - delta, root + delta)
     assert survivor.try_exact_collapse(rounds=40)
-    assert survivor.exact_value == root and survivor.defining.degree > 1
+    assert survivor.is_exact and survivor.lo == root and survivor.defining.degree > 1
     return survivor
 
 
@@ -219,7 +219,7 @@ class TestSubstituteOracle:
     def test_collapsed_survivor_value_matches(self, seed):
         rng = random.Random(f"substitute-collapsed-{seed}")
         survivor = _collapsed_survivor(rng)
-        value = survivor.exact_value
+        value = survivor.lo
         p = _random_bipoly(rng)
         e_poly = _random_upoly(rng, rng.randint(0, survivor.defining.degree - 1))
         reduced = TriangularRoot(survivor, e_poly).substitute(p)
@@ -234,7 +234,7 @@ E, F = sympy.symbols("e f")
 def _chain_of(a: sympy.Expr, b: sympy.Expr):
     """_subresultants of two integer polynomials in (e, f), eliminating e."""
     rows = [
-        BiPoly({k: int(c) for k, c in sympy.Poly(p, E, F).terms()}).integer_rows(0)[0]
+        BiPoly({k: int(c) for k, c in sympy.Poly(p, E, F).terms()}).integer_rows()[0]
         for p in (a, b)
     ]
     return _subresultants(*rows)

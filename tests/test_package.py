@@ -88,7 +88,7 @@ def test_polynomials_store_only_integers():
     p = upoly.UPoly([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, -6)])
     b = BiPoly({(1, 0): Fraction(1, 2), (0, 3): Fraction(-4, 9), (2, 2): 3})
     polys = [p, p * p, p * Fraction(3, 7), p + Fraction(1, 5), p.derivative()]
-    polys += [b, b.swap_vars(), BiPoly.outer([(p, p.derivative())]), BiPoly.from_upoly(p, 1)]
+    polys += [b, b.swap_vars(), BiPoly.outer([(p, p.derivative())]), BiPoly.from_upoly(p)]
     for poly in polys:
         for slot in type(poly).__slots__:
             value = getattr(poly, slot)
@@ -113,7 +113,7 @@ def test_bench_coefficient_bits_of_a_resultant():
     # view of the result; a polynomial without that view would read 0
     a = BiPoly({(2, 0): Fraction(3, 7), (0, 1): 5, (1, 1): Fraction(-11, 2)})
     b = BiPoly({(1, 0): Fraction(1, 3), (0, 2): 2**40 + 1, (0, 0): -9})
-    ours = resultant_bivariate(a, b, 0)
+    ours = resultant_bivariate(a, b)
     s, t = sympy.symbols("s t")
 
     def as_sympy(p):
@@ -338,6 +338,28 @@ def test_deleted_names_stay_gone():
     gone[encwrithe] += ("INFINITY",)
     gone[curves.MoebiusReparam] = ("map_parameter",)
     gone[curves.RationalSpaceCurve] += ("reparametrized",)
+    # names only tests read: a test forms a resultant of UPolys through
+    # resultant_bivariate, an identity through of(...), and reads an exact
+    # number as is_exact plus lo
+    gone[upoly] = ("resultant",)
+    gone[encwrithe] += ("resultant",)
+    gone[upoly.UPoly] = ("zero",)
+    gone[curves.MoebiusReparam] += ("identity",)
+    gone[curves.ProjectiveTransform] = ("identity",)
+    gone[algnum.AlgebraicNumber] = ("exact_value",)
+    gone[BiPoly] = ("degree_in",)
+    gone[rationals.Interval] = ("of",)
+    # variable 0 is always the one eliminated, and a parameter the program
+    # sets one way is a module constant
+    signatures = {
+        BiPoly.integer_rows: ["self"],
+        BiPoly.from_upoly: ["p"],
+        resultant_bivariate: ["a", "b"],
+        svg.render_diagram_svg: ["diagram", "out_path"],
+        curves.sample_random_curve: ["degree", "seed", "coefficient_bound"],
+    }
+    for function, parameters in signatures.items():
+        assert list(inspect.signature(function).parameters) == parameters, function.__name__
     assert list(inspect.signature(elimination.solve_system).parameters) == ["polys"]
     assert tuple(curves.LinkValidationReport.__dataclass_fields__) == ("error", "imaginary_singular_candidates")
     assert [f"{m.__name__}.{name}" for m, names in gone.items() for name in names if hasattr(m, name)] == []

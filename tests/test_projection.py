@@ -73,7 +73,7 @@ def exact_pair(locus) -> tuple[Fraction, Fraction]:
     """(e, f) of a locus whose root is rational, read through the root."""
     f = locus.root.survivor
     assert f.is_exact
-    return locus.root.eliminated_poly(f.exact_value), f.exact_value
+    return locus.root.eliminated_poly(f.lo), f.lo
 
 
 class TestModelSystem:

@@ -143,6 +143,54 @@ class TestChoiceIndependence:
         assert up == down == -1
 
 
+def maximally_writhed(d: int) -> Link:
+    """The curve (a, b, t*a, t*b) of degree d on the hyperboloid x*w = y*z:
+    a and b are monic of degree d - 1, and their roots interlace. Of the
+    integers -(d-1), ..., d-2, a takes the 1st, 3rd, 5th, ... as roots and b
+    the others."""
+    a = b = UPoly([1])
+    for k, r in enumerate(range(-(d - 1), d - 1)):
+        if k % 2:
+            b = b * UPoly([-r, 1])
+        else:
+            a = a * UPoly([-r, 1])
+    t = UPoly.x()
+    return Link([RationalSpaceCurve(a, b, t * a, t * b)])
+
+
+class TestMaximallyWrithed:
+    """Curves at the bound |Cw| <= (d-1)(d-2)/2: every double point is real
+    (Mikhalkin and Orevkov, "Maximally writhed real algebraic links")."""
+
+    CENTER = (3, -1, 3, -2)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_base_reaches_minus_the_bound(self, d):
+        bound = (d - 1) * (d - 2) // 2
+        diagram = build_diagram(maximally_writhed(d), seed=0)
+        assert diagram.center == self.CENTER
+        assert writhe_unoriented(diagram) == -bound
+        assert len(diagram.loci) == bound
+        assert all(locus.kind is LocusKind.CROSSING for locus in diagram.loci)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_mirror_reaches_the_bound(self, d):
+        bound = (d - 1) * (d - 2) // 2
+        diagram = build_diagram(maximally_writhed(d).transformed(MIRROR_Z), seed=0)
+        assert diagram.center == self.CENTER
+        assert writhe_unoriented(diagram) == bound
+        assert len(diagram.loci) == bound
+        assert [locus.kind for locus in diagram.loci].count(LocusKind.SOLITARY) == 1
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_invariant_under_isotopies_and_centers(self, d):
+        from encwrithe.verify import verify_center_independence, verify_isotopy_invariance
+
+        link = maximally_writhed(d)
+        assert verify_isotopy_invariance(link, 2, 0).passed
+        assert verify_center_independence(link, 3, 0).passed
+
+
 S, T = sympy.symbols("s t")
 
 
