@@ -1,13 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 success / all verifications pass, 1 verification failure,
-2 input or validation error, 3 genericity sampling exhausted.
+2 input or validation error, 3 genericity sampling exhausted, 141 closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SAMPLING = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_center(text: str) -> tuple[Fraction, ...]:
@@ -230,10 +233,18 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
+        return code
     except SamplingExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
+    except BrokenPipeError:
+        # stdout's reader has gone (`| head`): say nothing, and point the
+        # descriptor at the null device so the final flush cannot raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as dev:
+            os.dup2(dev.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (EncwritheError, OSError) as exc:
         # an OSError here is an output path that cannot be written; a file
         # that cannot be read is already a ParseError

@@ -18,12 +18,16 @@ the space curve itself). The strategy is fixed:
      case); inputs linear in the eliminated coordinate are tried first.
      The roots of one eliminant share their defining polynomial, so -v/u
      is formed once per (member, defining polynomial) and shared,
-  5. verify every candidate against *all* the input polynomials exactly,
-     each reduced at the candidate root by TriangularRoot.substitute. The
-     roots one call returns share one record of reductions: a polynomial
-     is reduced once per (defining polynomial, completion), and the sign
-     tests that follow read the same record. A defining polynomial split
-     at one root is a new object with entries of its own; sign tests,
+  5. verify every candidate against the input polynomials exactly, each
+     reduced at the candidate root by TriangularRoot.substitute, but for
+     the pair (p_i, p_j) whose chain gave the member: it lies in their
+     ideal over Z[f], so where its content is nonzero at f0 (then lc p_i
+     and lc p_j, the first column of every Sylvester minor, do not both
+     vanish) their common root over f0 is -v/u. A linear input zeroes
+     itself. The roots one call returns share one record of reductions: a
+     polynomial is reduced once per (defining polynomial, completion), and
+     the sign tests that follow read the same record. A defining polynomial
+     split at one root is a new object with entries of its own; sign tests,
      refinements and zero tests stay per root.
 
 Extraneous resultant roots are killed by step 5. Counting certificate: the
@@ -74,42 +78,50 @@ class TriangularRoot:
     def eliminated_interval(self):
         return self.eliminated_poly.eval_interval(self.survivor.interval())
 
-    def substitute(self, p: BiPoly) -> UPoly:
+    def substitute(self, p: BiPoly | tuple[BiPoly, ...]) -> UPoly:
         """p at this root as a polynomial in the survivor, of degree below
         that of the survivor's defining polynomial P: the eliminated coordinate
         is replaced by its polynomial in the survivor. Variable 0 of p is the
         eliminated coordinate, variable 1 the survivor (e and f, or s and t).
+        A tuple of polynomials stands for their product.
 
         Horner in the eliminated coordinate on integer lists, the value kept
         as A/D with D > 0: each pseudo-division of A by the primitive P
         (upoly._pdivmod) multiplies it by
         |lc P|^(deg A - deg P + 1), and D by the same; then both are divided
-        by their common content. The result depends on P, the completion and
-        p only, so it is looked up in, and entered into, `reductions`.
+        by their common content. A tuple is the product of its factors'
+        reductions, pseudo-divided once. The result depends on P, the
+        completion and p only, so it is looked up in, and entered into,
+        `reductions`.
         """
         defining, completion = self.survivor.defining, self.eliminated_poly
         key = (id(defining), id(completion), id(p))
         entry = self.reductions.get(key)
         if entry is not None:
             return entry[-1]
-        rows, dp = p.integer_rows()
-        e, de = completion.ints, completion.den
         modulus = defining.int_primitive()
         lead = abs(modulus[-1])
-        acc, den = [], 1
-        for row in reversed(rows):
-            den *= de
-            acc = _isub(_imul(acc, e), [-den * v for v in row])
-            if len(acc) >= len(modulus):
-                den *= lead ** (len(acc) - len(modulus) + 1)
-                acc = _pdivmod(acc, modulus)[1]
-            g = math.gcd(den, *acc)
-            acc, den = [v // g for v in acc], den // g
-        out = UPoly.from_ints(acc, den * dp)
+        if isinstance(p, tuple):
+            prod = math.prod(map(self.substitute, p), start=UPoly.const(1))
+            n = max(len(prod.ints) - len(modulus) + 1, 0)
+            out = UPoly.from_ints(_pdivmod(prod.ints, modulus)[1], prod.den * lead**n)
+        else:
+            rows, dp = p.integer_rows()
+            e, de = completion.ints, completion.den
+            acc, den = [], 1
+            for row in reversed(rows):
+                den *= de
+                acc = _isub(_imul(acc, e), [-den * v for v in row])
+                if len(acc) >= len(modulus):
+                    den *= lead ** (len(acc) - len(modulus) + 1)
+                    acc = _pdivmod(acc, modulus)[1]
+                g = math.gcd(den, *acc)
+                acc, den = [v // g for v in acc], den // g
+            out = UPoly.from_ints(acc, den * dp)
         self.reductions[key] = (defining, completion, p, out)
         return out
 
-    def sign_of(self, p: BiPoly) -> int:
+    def sign_of(self, p: BiPoly | tuple[BiPoly, ...]) -> int:
         """Certified sign of p at this root (variables as in `substitute`)."""
         return self.survivor.sign_of_poly(self.substitute(p))
 
@@ -141,27 +153,26 @@ class SystemSolution:
         return self.gcd_eliminant.degree == self.squarefree_eliminant.degree
 
 
-def _completion_member(s1: list[list[int]]) -> tuple[UPoly, UPoly]:
-    """(u, v) of a degree-1 chain member u*x + v, divided by its content over
-    Z[f]: the integer content of both times their primitive gcd."""
+def _completion_member(s1: list[list[int]]) -> tuple[UPoly, UPoly, UPoly]:
+    """(u, v, d) of a degree-1 chain member d*(u*x + v): d is its content over
+    Z[f], the integer content of both coefficients times their primitive gcd."""
     v, u = s1
-    k = math.gcd(*u, *v)
-    d = [k * c for c in _igcd_poly(u, v)]
-    return UPoly.from_ints(_iexact_div(u, d)), UPoly.from_ints(_iexact_div(v, d))
+    d = [math.gcd(*u, *v) * c for c in _igcd_poly(u, v)]
+    return tuple(UPoly.from_ints(x) for x in (_iexact_div(u, d), _iexact_div(v, d), d))
 
 
 def _eliminate(
     rows: list[list[list[int]]],
-) -> tuple[UPoly | None, list[list[list[int]]]]:
+) -> tuple[UPoly | None, list[tuple[int, int, list[list[int]]]]]:
     """(g, linear): one subresultant chain per pair of polynomials, each given
     by its integer_rows in variable 0.
 
     g is the gcd of the nonzero pairwise resultants, primitive, or None when
-    every one vanishes identically; linear holds the degree-1 member of each
-    pair's chain that has one, in pair order. Any common zero's survivor
-    coordinate is a root of every nonzero pairwise resultant, so the gcd of a
-    subset is still a sound (possibly larger) eliminant, and the scan stops
-    as soon as g is constant.
+    every one vanishes identically; linear holds (i, j, S1) for each pair
+    (rows[i], rows[j]) whose chain has a degree-1 member S1, in pair order.
+    Any common zero's survivor coordinate is a root of every nonzero pairwise
+    resultant, so the gcd of a subset is still a sound (possibly larger)
+    eliminant, and the scan stops as soon as g is constant.
     """
     linear = []
 
@@ -175,7 +186,7 @@ def _eliminate(
                     continue
                 res, s1 = _subresultants(rows[i], rows[j])
                 if s1 is not None:
-                    linear.append(s1)
+                    linear.append((i, j, s1))
                 yield UPoly.from_ints(res).primitive()
 
     return gcd_all(resultants()), linear
@@ -214,10 +225,14 @@ def solve_system(polys: list[BiPoly]) -> SystemSolution:
         return SystemSolution([], one, one)
 
     sf = squarefree_part(g)
-    # an input polynomial linear in the eliminated variable is already a
-    # completion relation; try those before the members of the chains
-    members = [(UPoly.from_ints(r[1]), UPoly.from_ints(r[0])) for r in rows if len(r) == 2]
-    members += [_completion_member(s1) for s1 in linear]
+    # inputs linear in the eliminated variable are completion relations; try
+    # them first. A member is (u, v, content, the inputs it zeroes unreduced)
+    members = [
+        (UPoly.from_ints(r[1]), UPoly.from_ints(r[0]), UPoly.const(1), (k,))
+        for k, r in enumerate(rows)
+        if len(r) == 2
+    ]
+    members += [(*_completion_member(s1), (i, j)) for i, j, s1 in linear]
 
     # one completion per (member, defining polynomial) and one reduction per
     # (defining polynomial, completion, polynomial), shared by these roots
@@ -235,15 +250,16 @@ def solve_system(polys: list[BiPoly]) -> SystemSolution:
 def _complete_root(
     f0: AlgebraicNumber,
     polys: list[BiPoly],
-    members: list[tuple[UPoly, UPoly]],
+    members: list[tuple[UPoly, UPoly, UPoly, tuple[int, ...]]],
     completions: dict,
     reductions: dict,
 ) -> TriangularRoot | None:
-    """The first member whose completion verifies at f0. completions maps
-    (member index, id of the defining polynomial) to that polynomial and
-    the completion -v/u modulo it; a split defining polynomial is a new
-    object, so it never meets the entries of the one it came from."""
-    for i, (u, v) in enumerate(members):
+    """The first member whose completion verifies at f0 (module docstring,
+    step 5). completions maps (member index, id of the defining polynomial)
+    to that polynomial and the completion -v/u modulo it; a split defining
+    polynomial is a new object, so it never meets the entries of the one it
+    came from."""
+    for i, (u, v, content, own) in enumerate(members):
         if f0.sign_of_poly(u) == 0:
             continue
         f0.split_defining_coprime_to(u)
@@ -251,7 +267,10 @@ def _complete_root(
         if key not in completions:
             completions[key] = (f0.defining, quotient_mod(-v, u, f0.defining))
         root = TriangularRoot(f0, completions[key][1], reductions)
-        if all(f0.is_root_of(root.substitute(p)) for p in polys):
+        # is_root_of refines nothing; a constant content is nonzero
+        if content.degree > 0 and f0.is_root_of(content):
+            own = ()
+        if all(f0.is_root_of(root.substitute(p)) for k, p in enumerate(polys) if k not in own):
             return root
         # verification failed: this member's candidate is extraneous; try others
     return None

@@ -145,12 +145,12 @@ class DoublePointLocus:
     `root.sign_of(polys.<name>)`.
 
     The image point is kept as three polynomials (num_x, num_y, den) in the
-    survivor coordinate, `polys.image` reduced at the root: x = num_x/den
-    and y = num_y/den at the survivor; they are None when the image leaves
-    the affine chart. `image_x` and `image_y` are the exact coordinates,
-    formed on first access by a resultant; only the exact triple-point
-    fallback (and tests) read them. Everything else, the SVG markers
-    included, works on the interval boxes of `_image_box`.
+    survivor coordinate, `polys.image` reduced at the root when first read
+    (never when `in_chart` is False: the image leaves the affine chart):
+    x = num_x/den and y = num_y/den at the survivor. `image_x` and `image_y`
+    are the exact coordinates, formed on first access by a resultant; only
+    the exact triple-point fallback (and tests) read them. Everything else,
+    the SVG markers included, works on the interval boxes of `_image_box`.
     """
 
     comp_i: int
@@ -158,7 +158,7 @@ class DoublePointLocus:
     kind: LocusKind
     root: TriangularRoot
     polys: "LocusPolys"
-    image_fractions: Optional[tuple[UPoly, UPoly, UPoly]] = None
+    in_chart: bool = True
     raw_sign: Optional[int] = None
 
     @property
@@ -166,18 +166,16 @@ class DoublePointLocus:
         return self.kind is not LocusKind.INTER_COMPONENT
 
     @cached_property
-    def image_x(self) -> Optional[AlgebraicNumber]:
-        return self._image_coordinate(0)
+    def image_fractions(self) -> tuple[UPoly, UPoly, UPoly]:
+        return tuple(self.root.substitute(p) for p in self.polys.image)
 
     @cached_property
-    def image_y(self) -> Optional[AlgebraicNumber]:
-        return self._image_coordinate(1)
+    def image_x(self) -> AlgebraicNumber:
+        return algebraic_value(self.root.survivor, self.image_fractions[0], self.image_fractions[2])
 
-    def _image_coordinate(self, axis: int) -> Optional[AlgebraicNumber]:
-        if self.image_fractions is None:
-            return None
-        den = self.image_fractions[2]
-        return algebraic_value(self.root.survivor, self.image_fractions[axis], den)
+    @cached_property
+    def image_y(self) -> AlgebraicNumber:
+        return algebraic_value(self.root.survivor, self.image_fractions[1], self.image_fractions[2])
 
     def describe(self) -> str:
         eliminated = self.root.eliminated_interval()
@@ -332,7 +330,7 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
     for note in coincident:
         fail(TriplePoint, note)
     for locus in loci:
-        if locus.image_fractions is None:
+        if not locus.in_chart:
             # _fill_images has failed the center here: the image denominator
             # vanishes (2W(s)W(t) on one component, W_i(s) on a pair), and so
             # does the sign's chart product, which it divides
@@ -358,15 +356,13 @@ def analyze_projection(link: Link, center) -> ProjectionAnalysis:
 
 
 def _fill_images(loci: list[DoublePointLocus]) -> list[str]:
-    """Set each locus's image polynomials; a note for each image outside the
-    affine chart."""
+    """Take each locus's image denominator sign; a note for each image
+    outside the affine chart. The numerators are reduced only when read."""
     notes = []
     for locus in loci:
-        num_x, num_y, den = locus.polys.image
-        if locus.root.sign_of(den) == 0:
+        if locus.root.sign_of(locus.polys.image[2]) == 0:
+            locus.in_chart = False
             notes.append(f"{locus.describe()}: image lies outside the affine chart")
-            continue
-        locus.image_fractions = tuple(locus.root.substitute(p) for p in (num_x, num_y, den))
     return notes
 
 
@@ -408,7 +404,7 @@ def _check_triple_points(loci: list[DoublePointLocus]) -> list[str]:
     interval and kept for the pairs that follow, until a refinement moves
     that interval.
     """
-    usable = [l for l in loci if l.image_fractions is not None]
+    usable = [l for l in loci if l.in_chart]
     # id of a usable locus -> (its survivor's interval, the image box on it)
     kept: dict[int, tuple] = {}
 

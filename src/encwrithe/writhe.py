@@ -17,14 +17,15 @@ out -1); everything else in the package is relative to these choices:
   symmetric under s <-> t, hence a polynomial in (e, f), and
   sign(W(s0) W(t0)) is the sign of the image denominator 2 W(s)W(t).
 
-  The cleared determinant needs no cofactor expansion. With P = (X, Y, Z),
-  the chord numerator is L = W_a(s) P_b(t) - W_b(t) P_a(s), and by linearity
-  in the middle row and the triple product det[u; v; w] = u . (v x w),
-      det[V_a(s); L; V_b(t)]
-        = sum_k (W_a V_a,k)(s) C_b,k(t) + C_a,k(s) (W_b V_b,k)(t),
-  with C = P x V. So it is six products of one-variable polynomials, and for
-  one component it is sum_k (A_k(s)B_k(t) + A_k(t)B_k(s)) with A = W V,
-  B = C, which elimination.symmetric_sum writes in (e, f) in closed form.
+  At a double point the chord is vertical, l = (0, 0, c), so no
+  determinant is built: det[v; l; w] = -c (v_x w_y - v_y w_x). On one
+  component c = -(s - t) N / (W(s)W(t)) and v_x w_y - v_y w_x =
+  (s - t) M / (W(s)W(t))^2 with N, M as for a solitary point below, so the
+  cleared determinant is D = (e^2 - 4f) N M; on a pair it is D = N F, with
+  N = Z_a(s)W_b(t) - Z_b(t)W_a(s), F = V_a,x(s) V_b,y(t) - V_a,y(s) V_b,x(t).
+  Where every root of the survivor's defining polynomial is a double point
+  (any component or pair that passes the count check), the product of the
+  factors' reductions is the reduction of D.
 
 * Solitary point. Of the two conjugate imaginary preimages choose t_a with
   Im z(P(t_a)) > 0, which orients the real fiber line along +z. With
@@ -92,10 +93,10 @@ def _triple_product_factors(
 def crossing_det_bipoly(
     curve_a: RationalSpaceCurve, curve_b: RationalSpaceCurve
 ) -> BiPoly:
-    """Cleared chart determinant det[V_a(s); chord; V_b(t)] as a polynomial in
-    (s, t); variable 0 is the parameter on curve_a, variable 1 on curve_b.
-    By the triple-product identity of the module docstring it is the sum of
-    the six products (W_a V_a,k)(s) C_b,k(t) and C_a,k(s) (W_b V_b,k)(t)."""
+    """Cleared chart determinant det[V_a(s); L; V_b(t)] in (s, t), variable 0
+    on curve_a: with the chord numerator L = W_a(s) P_b(t) - W_b(t) P_a(s)
+    and C = P x V, P = (X, Y, Z), the triple product u . (v x w) makes it
+    sum_k (W_a V_a,k)(s) C_b,k(t) + C_a,k(s) (W_b V_b,k)(t)."""
     wv_a, c_a = _triple_product_factors(curve_a)
     wv_b, c_b = _triple_product_factors(curve_b)
     return BiPoly.outer(list(zip(wv_a, c_b)) + list(zip(c_a, wv_b)))
@@ -154,12 +155,13 @@ class LocusPolys:
         return BiPoly.outer([(self.curve.W, self.other.W)])
 
     @cached_property
-    def crossing(self) -> BiPoly:
-        """The cleared determinant det[V(s); chord; V(t)] of the module
-        docstring."""
+    def crossing(self) -> tuple[BiPoly, ...]:
+        """det[V(s); chord; V(t)] at a double point as the factors that
+        TriangularRoot.substitute multiplies (module docstring): (tangency,
+        depth, frame) on one component, (depth, frame) on a pair."""
         if self.other is None:
-            return symmetric_sum(zip(*_triple_product_factors(self.curve)))
-        return crossing_det_bipoly(self.curve, self.other)
+            return (self.tangency, self.depth, self.frame)
+        return (self.depth, self.frame)
 
     @cached_property
     def depth(self) -> BiPoly:
@@ -174,9 +176,13 @@ class LocusPolys:
 
     @cached_property
     def frame(self) -> BiPoly:
-        """M = Q_{nx,ny} of one component, as in the module docstring."""
+        """The frame of the module docstring: M = Q_{nx,ny} on one component,
+        F = nx(s) ny_other(t) - ny(s) nx_other(t) on a pair."""
         nx, ny, _nz = self.curve.derivative_numerators()
-        return symmetric_quotient(nx, ny)
+        if self.other is None:
+            return symmetric_quotient(nx, ny)
+        ox, oy, _oz = self.other.derivative_numerators()
+        return BiPoly.outer([(nx, oy), (-ny, ox)])
 
 
 # -- local signs ----------------------------------------------------------------

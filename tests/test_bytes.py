@@ -7,7 +7,9 @@ corpus at three seeds, `writhe`, `verify` and `diagram` on the bundled files,
 `writhe` at fixed centers, `verify` on the scan families, a curve whose
 imaginary space nodes collide in the image of one center, linked circles one
 of which is stretched by 10^20 (their images are told apart only by exact
-coordinates), and `sample`, whose files are hashed in name order.
+coordinates), the maximally writhed quintic and sextic and their mirrors
+(several same-component crossings each), and `sample`, whose files are hashed
+in name order.
 
 The golden is `tests/golden/commands.json`. Regenerate it, only for an
 intended output change, with
@@ -49,6 +51,21 @@ HUGE_CIRCLES = (
     '{"x": [2], "y": [0, 100000000000000000000], "z": [0, 2], "w": [1, 0, 1]}\n'
 )
 
+# the maximally writhed quintic and sextic (a, b, t*a, t*b) of
+# tests/test_writhe.py and their z -> -z mirrors: at the center sampled from
+# seed 0 every double point is real, 6 and 10 same-component crossings, and
+# the mirrors have 5 and 9 crossings and one solitary point
+MAXIMAL = {
+    "maximal5": '{"x": [0, -16, -4, 4, 1], "y": [9, 0, -10, 0, 1], '
+    '"z": [0, 0, -16, -4, 4, 1], "w": [0, 9, 0, -10, 0, 1]}',
+    "maximal5_mirror": '{"x": [0, -16, -4, 4, 1], "y": [9, 0, -10, 0, 1], '
+    '"z": [0, 0, 16, 4, -4, -1], "w": [0, 9, 0, -10, 0, 1]}',
+    "maximal6": '{"x": [45, 9, -50, -10, 5, 1], "y": [0, 64, 0, -20, 0, 1], '
+    '"z": [0, 45, 9, -50, -10, 5, 1], "w": [0, 0, 64, 0, -20, 0, 1]}',
+    "maximal6_mirror": '{"x": [45, 9, -50, -10, 5, 1], "y": [0, 64, 0, -20, 0, 1], '
+    '"z": [0, -45, -9, 50, 10, -5, -1], "w": [0, 0, 64, 0, -20, 0, 1]}',
+}
+
 SEEDS = ("0", "3", "6")
 CENTERS = ("0,0,1,0", "1,0,0,0", "1,2,3,5", "-2,-2,0,3", "-3,2,0,-3", "0,1,0,0")
 DATA = "src/encwrithe/data"
@@ -89,6 +106,8 @@ def _commands() -> list[list[str]]:
     commands.append(["writhe", "{tmp}/conjugate_nodes.jsonl", "--center=6,4,6,1"])
     commands.append(["writhe", "{tmp}/conjugate_nodes.jsonl", "--seed", "0"])
     commands.append(["writhe", "{tmp}/huge_circles.jsonl", "--seed", "0", "--json", "{out}"])
+    for name in MAXIMAL:
+        commands.append(["writhe", f"{{tmp}}/{name}.jsonl", "--seed", "0", "--json", "{out}"])
     commands.append(
         ["sample", "--degree", "4", "--count", "2", "--seed", "1", "--out", "{tmp}/sample"]
     )
@@ -108,6 +127,8 @@ def _run(argv: list[str], tmp: Path) -> tuple[str, str]:
     shutil.rmtree(sample, ignore_errors=True)
     (tmp / "conjugate_nodes.jsonl").write_text('{"kind": "link"}\n' + CONJUGATE_NODES + "\n")
     (tmp / "huge_circles.jsonl").write_text(HUGE_CIRCLES)
+    for name, line in MAXIMAL.items():
+        (tmp / f"{name}.jsonl").write_text('{"kind": "link"}\n' + line + "\n")
     args = [a.replace("{out}", str(out)).replace("{tmp}", str(tmp)) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -132,7 +153,7 @@ def _run(argv: list[str], tmp: Path) -> tuple[str, str]:
 
 def test_command_list_is_complete():
     golden = json.loads(GOLDEN.read_text())
-    assert len(COMMANDS) == 184
+    assert len(COMMANDS) == 188
     assert sorted(golden) == sorted(" ".join(argv) for argv in COMMANDS)
 
 

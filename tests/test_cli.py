@@ -807,6 +807,23 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_closed_stdout_is_not_an_input_error(self, capsys, monkeypatch):
+        # a reader that has gone, as under `| head -1`, used to be reported
+        # as an unwritable output path: "error: [Errno 32] Broken pipe", exit 2
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["writhe", str(MODEL_CROSSING_PATH), "--center", "0,0,1,0"])
+        monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("kind", ["link", "family"])
     @pytest.mark.parametrize("command", ["writhe", "verify"])
     def test_orientation_count_checked_at_parse(self, capsys, tmp_path, kind, command):

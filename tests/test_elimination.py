@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,6 +10,8 @@ import sympy
 from encwrithe import elimination
 from encwrithe.algnum import AlgebraicNumber
 from encwrithe.bipoly import BiPoly
+from encwrithe.cli import main
+from encwrithe.curves import Link, RationalSpaceCurve
 from encwrithe.elimination import (
     TriangularRoot,
     _completion_member,
@@ -17,6 +20,7 @@ from encwrithe.elimination import (
     symmetric_double_point_system,
 )
 from encwrithe.errors import DegenerateElimination
+from encwrithe.projection import analyze_projection
 from encwrithe.upoly import UPoly, _subresultants
 
 
@@ -266,9 +270,11 @@ class TestSubresultantChainOracle:
             assert s1 is None
             return None
         content, primitive = sympy.Poly(linear[0], E, domain=sympy.ZZ[F]).primitive()
-        u, v = _completion_member(s1)
+        u, v, d = _completion_member(s1)
         ours = _in_f(u.ints) * E + _in_f(v.ints)
         assert sympy.expand(ours - primitive.as_expr()) == 0 or sympy.expand(ours + primitive.as_expr()) == 0
+        # the content divided out, times the member, is the undivided member
+        assert sympy.expand(_in_f(d.ints) * ours - _in_f(s1[1]) * E - _in_f(s1[0])) == 0
         return content
 
     @staticmethod
@@ -329,8 +335,9 @@ class TestSubresultantChainOracle:
         a = F * E**2 + 3 * E + F
         b = F * E**2 + (F + 1) * E - 2
         assert self.check(a, b) == F
-        u, v = _completion_member(_chain_of(a, b)[1])
+        u, v, d = _completion_member(_chain_of(a, b)[1])
         assert (u.ints, v.ints) in {((-2, 1), (-2, -1)), ((2, -1), (2, 1))}
+        assert d.ints in {(0, 1), (0, -1)}
 
 
 def _big(rng: random.Random) -> int:
@@ -432,3 +439,78 @@ class TestOneCompletionPerEliminant:
         again = solve_system(system).roots
         assert len(calls) == 2 * first
         assert again[0].reductions is not roots[0].reductions
+
+
+class TestVerificationOffTheOwnPair:
+    """A completion from the chain of (p_i, p_j) zeroes p_i and p_j, so
+    verification reduces only the other inputs, unless the content the
+    member was divided by vanishes at the survivor."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """(own, reduced, n) per _complete_root call: the inputs the accepted
+        member zeroes by itself (None when no member verified), the indices
+        of the inputs reduced at that root (at any candidate when none
+        verified) and the number of inputs."""
+        seen = []
+        real = elimination._complete_root
+
+        def spying(f0, polys, members, completions, reductions):
+            root = real(f0, polys, members, completions, reductions)
+            own, entries = None, list(reductions.values())
+            if root is not None:
+                i = next(i for (i, _), (_, e) in completions.items() if e is root.eliminated_poly)
+                own = members[i][3]
+                entries = [x for x in entries if x[0] is root.survivor.defining and x[1] is root.eliminated_poly]
+            reduced = {k for k, p in enumerate(polys) if any(x[2] is p for x in entries)}
+            seen.append((own, reduced, len(polys)))
+            return root
+
+        monkeypatch.setattr(elimination, "_complete_root", spying)
+        return seen
+
+    def test_accepted_members_skip_their_own_pair(self, monkeypatch, capsys):
+        seen = self.spy(monkeypatch)
+        path = Path(__file__).resolve().parents[1] / "perfbench/corpus/knots/d5a_base.jsonl"
+        assert main(["writhe", str(path), "--seed", "0"]) == 0
+        capsys.readouterr()
+        accepted = [(own, reduced, n) for own, reduced, n in seen if own is not None]
+        assert len(accepted) >= 2
+        for own, reduced, n in accepted:
+            assert len(own) == 2
+            assert reduced == set(range(n)) - set(own)
+
+    def test_both_leading_coefficients_vanishing_zeroes_the_undivided_u(self):
+        # why the content test is the only guard: where lc p_i and lc p_j
+        # both vanish (here c (f - 1) at f = 1), so does the undivided u of
+        # the chain's degree-1 member, so its content does too
+        rng = random.Random(5)
+
+        def row(c):
+            # integer coefficients in f, trailing zeros dropped
+            return c[: max((k + 1 for k, v in enumerate(c) if v), default=0)]
+
+        def leading_vanishing_at_one(degree):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            return [row([rng.randint(-3, 3) for _ in range(3)]) for _ in range(degree)] + [[-c, c]]
+
+        checked = 0
+        for _ in range(300):
+            p, q = (leading_vanishing_at_one(rng.randint(1, 5)) for _ in range(2))
+            s1 = _subresultants(p, q)[1]
+            if s1 is not None:
+                checked += 1
+                assert sum(s1[1]) == 0
+        assert checked >= 250
+
+    def test_vanishing_content_verifies_the_own_pair(self, monkeypatch):
+        # the trisecant of tests/golden/failures.json at 1,0,0,0: the member
+        # of (p_0, p_1) is f^2 (f - 1) (f e + v), so its divided u = f is
+        # nonzero at f0 = 1 while the undivided member vanishes there; p_0
+        # does not vanish at the completion (6, 1), and no member verifies
+        seen = self.spy(monkeypatch)
+        curve = RationalSpaceCurve([6, -7, 0, 1], [0, 6, -7, 0, 1], [0, 1], [1, 0, 1])
+        with pytest.raises(DegenerateElimination):
+            analyze_projection(Link([curve]), (1, 0, 0, 0))
+        # p_0 was reduced, and its nonzero value rejected the candidate
+        assert seen == [(None, {0}, 3)]

@@ -10,6 +10,7 @@ value). Everything else is tested relative to these.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,8 @@ from sympy.polys.matrices import DomainMatrix
 from encwrithe.algnum import algebraic_value
 from encwrithe.curves import Link, ProjectiveTransform, RationalSpaceCurve, sample_random_curve
 from encwrithe.data import linked_circles, model_curve, model_link, separated_circles
+from encwrithe.elimination import symmetric_sum
+from encwrithe.fileio import parse_curve_file
 from encwrithe import projection, writhe
 from encwrithe.errors import CenterOnCurve, InvalidInput, MissingOrientation, ProjectionError
 from encwrithe.projection import (
@@ -30,6 +33,7 @@ from encwrithe.projection import (
 from encwrithe.upoly import UPoly
 from encwrithe.writhe import (
     LocusPolys,
+    _triple_product_factors,
     build_diagram,
     crossing_det_bipoly,
     linking_matrix,
@@ -255,8 +259,63 @@ class TestCrossingDeterminantOracle:
         for _ in range(20):
             curve = _random_curve(rng)
             polys = LocusPolys(curve)
-            assert _through_ef(polys.crossing) == _determinant_by_definition(curve, curve)
+            det = symmetric_sum(zip(*_triple_product_factors(curve)))
+            assert _through_ef(det) == _determinant_by_definition(curve, curve)
             assert _through_ef(polys.chart) == 2 * _sym(curve.W, S) * _sym(curve.W, T)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+
+
+def _determinant(polys: LocusPolys):
+    """The cleared determinant of a component or pair, built as defined."""
+    if polys.other is None:
+        return symmetric_sum(zip(*_triple_product_factors(polys.curve)))
+    return crossing_det_bipoly(polys.curve, polys.other)
+
+
+class TestCrossingFactors:
+    """At a double point the cleared determinant is (e^2 - 4f) N M on one
+    component and N F on a pair: at every crossing the product of the
+    factors in LocusPolys.crossing reduces to the determinant's reduction."""
+
+    @staticmethod
+    def crossings_checked(diagram) -> int:
+        n = 0
+        for locus in diagram.loci:
+            if locus.kind is LocusKind.SOLITARY:
+                continue
+            root, polys = locus.root, locus.polys
+            assert root.substitute(polys.crossing) == root.substitute(_determinant(polys))
+            n += 1
+        return n
+
+    @pytest.mark.parametrize("kind,least", [("knots", 80), ("links", 200)])
+    def test_corpus_at_six_seeds(self, kind, least):
+        n = 0
+        for path in sorted((CORPUS / kind).glob("*.jsonl")):
+            link = parse_curve_file(path)
+            for seed in range(6):
+                n += self.crossings_checked(build_diagram(link, seed=seed))
+        assert n >= least
+
+    def test_no_program_path_builds_the_determinant(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the crossing determinant was built")
+
+        monkeypatch.setattr(writhe, "crossing_det_bipoly", forbidden)
+        monkeypatch.setattr(writhe, "_triple_product_factors", forbidden)
+        for link in (model_link(-1), linked_circles(), maximally_writhed(5)):
+            diagram = build_diagram(link, seed=0)
+            assert any(locus.kind is not LocusKind.SOLITARY for locus in diagram.loci)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_maximally_writhed_and_mirror(self, d):
+        bound = (d - 1) * (d - 2) // 2
+        link = maximally_writhed(d)
+        assert self.crossings_checked(build_diagram(link, seed=0)) == bound
+        mirror = link.transformed(MIRROR_Z)
+        assert self.crossings_checked(build_diagram(mirror, seed=0)) == bound - 1
 
 
 class TestOrientedWrithe:
